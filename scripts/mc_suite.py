@@ -4,13 +4,11 @@ chi-squared goodness of fit for one configuration per family.
 
 Usage:
     python3 scripts/mc_suite.py [--samples 200000] [--seed 1] [--alpha 0.001]
-
-Set HOOKLAB_THREADS to cap worker threads; results are identical at any
-thread count.
 """
 
 import argparse
 import json
+import math
 import time
 
 from hooklab import (
@@ -18,10 +16,11 @@ from hooklab import (
     DepthBranching,
     OrderedFamily,
     TbarFamily,
+    category_masses,
     chi_squared_gof,
-    min_samples,
     run_census,
 )
+from hooklab.stats import EXPECTED_FLOOR
 
 
 def main() -> int:
@@ -38,13 +37,14 @@ def main() -> int:
     ]
     all_passed = True
     for family, n in runs:
-        floor = min_samples(family, n)
+        masses = category_masses(family, n)
+        floor = math.ceil(EXPECTED_FLOOR / min(masses.values()))
         if args.samples < floor:
             print(f"{family.label} n={n}: need at least {floor} samples")
             all_passed = False
             continue
         started = time.perf_counter()
-        census = run_census(family, n, args.samples, seed=args.seed)
+        census = run_census(family, n, args.samples, seed=args.seed, masses=masses)
         gof = chi_squared_gof(census, alpha=args.alpha)
         dt = time.perf_counter() - started
         doc = gof.to_json_dict()

@@ -11,6 +11,7 @@ from .families import (
     FamilyConfigError,
     OracleSyntaxError,
     OrderedFamily,
+    ProbabilityRangeError,
     TableBranching,
     TbarFamily,
     enum_binary,
@@ -40,7 +41,6 @@ from .identities import (
 from .sampler import (
     AddableSite,
     GrowthState,
-    ProbabilityRangeError,
     addable_sites,
     attach,
     enumerate_labelings,

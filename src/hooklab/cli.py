@@ -27,6 +27,7 @@ from .families import (
     FamilyConfigError,
     OracleSyntaxError,
     OrderedFamily,
+    ProbabilityRangeError,
     TbarFamily,
     parse_oracle,
 )
@@ -41,7 +42,6 @@ from .identities import (
 )
 from .sampler import (
     GrowthState,
-    ProbabilityRangeError,
     enumerate_labelings,
     grow,
     labeling_probability,
@@ -267,7 +267,7 @@ def cmd_mc(args) -> int:
             f"--samples {args.samples} is below the minimum {minimum} needed to keep "
             f"every expected count at 5 (smallest category mass {floor})"
         )
-    census = run_census(family, args.n, args.samples, args.seed)
+    census = run_census(family, args.n, args.samples, args.seed, masses=masses)
     report = chi_squared_gof(census, alpha=args.alpha)
     record = report.to_json_dict()
     record["min_samples"] = minimum

@@ -1,5 +1,8 @@
 """Tree families: branching oracles, family specs, exhaustive enumerators.
 
+Each family spec also owns its rules for the growth chain (see sampler.py),
+so the chain itself never branches on the family.
+
 The three families are binary trees, ordered trees weighted by a variable m,
 and rooted subtrees of a fixed infinite ordered tree.  The infinite tree is
 never materialized: a branching oracle maps each vertex address to its child
@@ -19,7 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Union
 
-from .trees import Address, BinaryTree, OrderedTree, SlottedTree
+from .exact import Polynomial, RationalFunction, binomial_poly
+from .trees import Address, BinaryTree, OrderedTree, SlottedTree, Tree, _preorder, hook_lengths
 
 
 class FamilyConfigError(ValueError):
@@ -153,9 +157,53 @@ def _parse_address(key: str) -> Address:
         raise OracleSyntaxError(f"bad address key {key!r}") from None
 
 
+Probability = Union[Fraction, RationalFunction]
+
+
+class ProbabilityRangeError(ValueError):
+    """A site probability left [0, 1]; the family parameters are unusable."""
+
+
+# Each family owns its growth rules: the one-vertex shape, the open child
+# slots of a node, the probability ("weight") of a new vertex, attaching a
+# leaf, the shape-membership and growability checks, and the closed-form
+# probability of any one increasing labeling of a shape.  A weight depends
+# only on the new vertex's parent: its address and c, the number of children
+# it had before the attachment, so every open slot of a vertex weighs the same.
+
+
 @dataclass(frozen=True)
 class BinaryFamily:
     label = "binary"
+
+    def root(self) -> BinaryTree:
+        return BinaryTree()
+
+    def open_slots(self, addr: Address, node: BinaryTree) -> list[int]:
+        slots = []
+        if node.left is None:
+            slots.append(0)
+        if node.right is None:
+            slots.append(1)
+        return slots
+
+    def weight(self, parent: Address, c: int) -> Fraction:
+        """1 / 2^depth of the new vertex."""
+        return Fraction(1, 2 << len(parent))
+
+    def attach(self, shape: BinaryTree, labels, parent: Address, slot: int):
+        return _binary_attach(shape, parent, slot), dict(labels)
+
+    def check_shape(self, shape: Tree) -> None:
+        if not isinstance(shape, BinaryTree):
+            raise FamilyConfigError("shape is not a binary tree")
+
+    def check_growable(self, n: int) -> None:
+        pass
+
+    def shape_probability(self, shape: BinaryTree) -> Fraction:
+        """prod 1/2^(h_v-1)."""
+        return Fraction(1, 1 << sum(h - 1 for h in hook_lengths(shape).values()))
 
 
 @dataclass(frozen=True)
@@ -170,6 +218,60 @@ class OrderedFamily:
         if self.m is not None:
             object.__setattr__(self, "m", Fraction(self.m))
 
+    def root(self) -> OrderedTree:
+        return OrderedTree()
+
+    def open_slots(self, addr: Address, node: OrderedTree) -> range:
+        return range(len(node.children) + 1)
+
+    def weight(self, parent: Address, c: int) -> Probability:
+        """(m - c) / ((c + 1) * m^depth) with the depth of the new vertex;
+        raises unless it lies in [0, 1]."""
+        depth = len(parent) + 1
+        if self.m is None:
+            num = Polynomial((Fraction(-c), Fraction(1)))
+            den = Polynomial.monomial(depth) * Fraction(c + 1)
+            return RationalFunction(num, den)
+        p = (self.m - c) / ((c + 1) * self.m ** depth)
+        if p < 0 or p > 1:
+            raise ProbabilityRangeError(
+                f"ordered growth with m={self.m} gives probability {p} to a "
+                f"depth-{depth} vertex whose parent has {c} earlier children"
+            )
+        return p
+
+    def attach(self, shape: OrderedTree, labels, parent: Address, slot: int):
+        """The insertion shifts later siblings, so their labels are re-keyed."""
+        depth = len(parent)
+        shifted = {}
+        for addr, label in labels.items():
+            if len(addr) > depth and addr[:depth] == parent and addr[depth] >= slot:
+                addr = parent + (addr[depth] + 1,) + addr[depth + 1 :]
+            shifted[addr] = label
+        return _ordered_attach(shape, parent, slot), shifted
+
+    def check_shape(self, shape: Tree) -> None:
+        if not isinstance(shape, OrderedTree):
+            raise FamilyConfigError("shape is not an ordered tree")
+
+    def check_growable(self, n: int) -> None:
+        if self.m is None:
+            raise FamilyConfigError("growing ordered trees needs a concrete m")
+        if self.m < n - 1:
+            raise FamilyConfigError(
+                f"ordered growth to size {n} needs m >= {n - 1}, got {self.m}"
+            )
+
+    def shape_probability(self, shape: OrderedTree) -> Probability:
+        """prod C(m,c_v) / m^(h_v-1)."""
+        shift = sum(h - 1 for h in hook_lengths(shape).values())
+        num = Polynomial.constant(1)
+        for _, node in _preorder(shape):
+            num = num * binomial_poly(len(node.children))
+        if self.m is None:
+            return RationalFunction(num, Polynomial.monomial(shift))
+        return num.evaluate(self.m) / self.m ** shift
+
 
 @dataclass(frozen=True)
 class TbarFamily:
@@ -177,8 +279,83 @@ class TbarFamily:
 
     label = "tbar"
 
+    def root(self) -> SlottedTree:
+        return SlottedTree()
+
+    def open_slots(self, addr: Address, node: SlottedTree) -> list[int]:
+        used = {slot for slot, _ in node.children}
+        return [slot for slot in range(self.oracle.child_count(addr)) if slot not in used]
+
+    def weight(self, parent: Address, c: int) -> Fraction:
+        """prod over proper ancestors x of the new vertex of 1 / cbar_x."""
+        prod = 1
+        for depth in range(len(parent) + 1):
+            prod *= self.oracle.child_count(parent[:depth])
+        return Fraction(1, prod)
+
+    def attach(self, shape: SlottedTree, labels, parent: Address, slot: int):
+        return _slotted_attach(shape, parent, slot), dict(labels)
+
+    def check_shape(self, shape: Tree) -> None:
+        if not isinstance(shape, SlottedTree):
+            raise FamilyConfigError("shape is not a slotted tree")
+        for addr, node in _preorder(shape):
+            if not node.children:
+                continue
+            width = self.oracle.child_count(addr)
+            for slot, _ in node.children:
+                if slot >= width:
+                    raise FamilyConfigError(
+                        f"slot {slot} at {addr} exceeds the oracle's {width} children"
+                    )
+
+    def check_growable(self, n: int) -> None:
+        pass
+
+    def shape_probability(self, shape: SlottedTree) -> Fraction:
+        """prod 1/cbar_v^(h_v-1)."""
+        den = 1
+        for addr, h in hook_lengths(shape).items():
+            den *= self.oracle.child_count(addr) ** (h - 1) if h > 1 else 1
+        return Fraction(1, den)
+
 
 Family = Union[BinaryFamily, OrderedFamily, TbarFamily]
+
+
+def _binary_attach(node: BinaryTree, parent: Address, slot: int) -> BinaryTree:
+    if not parent:
+        if slot == 0:
+            assert node.left is None
+            return BinaryTree(BinaryTree(), node.right)
+        assert node.right is None
+        return BinaryTree(node.left, BinaryTree())
+    if parent[0] == 0:
+        return BinaryTree(_binary_attach(node.left, parent[1:], slot), node.right)
+    return BinaryTree(node.left, _binary_attach(node.right, parent[1:], slot))
+
+
+def _ordered_attach(node: OrderedTree, parent: Address, slot: int) -> OrderedTree:
+    children = list(node.children)
+    if not parent:
+        children.insert(slot, OrderedTree())
+    else:
+        step = parent[0]
+        children[step] = _ordered_attach(children[step], parent[1:], slot)
+    return OrderedTree(tuple(children))
+
+
+def _slotted_attach(node: SlottedTree, parent: Address, slot: int) -> SlottedTree:
+    children = list(node.children)
+    if not parent:
+        children.append((slot, SlottedTree()))
+        children.sort(key=lambda pair: pair[0])
+    else:
+        for i, (key, child) in enumerate(children):
+            if key == parent[0]:
+                children[i] = (key, _slotted_attach(child, parent[1:], slot))
+                break
+    return SlottedTree(tuple(children))
 
 
 def _enc(t) -> str:

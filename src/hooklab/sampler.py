@@ -2,17 +2,14 @@
 
 A state is a tree with an increasing labeling (root 1, parents before
 children).  Step k attaches a new leaf labeled k+1 at one of the addable
-sites, chosen with probability
-
-  binary   1 / 2^depth(v)
-  ordered  (m - c_p) / ((c_p + 1) * m^depth(v))
-  tbar     prod over proper ancestors x of v of 1 / cbar_x
-
-for the new vertex v with parent p, where c_p is p's child count before the
-attachment and depth of the root is 0.  At every state the site
-probabilities sum to exactly 1, so each step is a genuine distribution; the
-chain's n-th state is a uniformly chosen increasing labeling, and the
-probability of landing on a given labeled tree depends only on its shape.
+sites, chosen with the family's weight for a new child of the site's parent
+p, which depends on p's address and on c_p, p's child count before the
+attachment.  The weights, and every other family-specific rule, are methods
+of the family objects in families.py; the chain here is the same for all
+families.  At every state the site probabilities sum to exactly 1, so each
+step is a genuine distribution; the chain's n-th state is a uniformly chosen
+increasing labeling, and the probability of landing on a given labeled tree
+depends only on its shape.
 
 Draws consume one 64-bit integer per step: the unit interval is split at
 the exact cumulative probabilities and u/2^64 is located among them, so the
@@ -24,27 +21,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Iterator, Optional
 
-from .exact import Polynomial, RationalFunction, binomial_poly
-from .families import BinaryFamily, Family, FamilyConfigError, OrderedFamily, TbarFamily
-from .trees import (
-    Address,
-    BinaryTree,
-    LabeledTree,
-    OrderedTree,
-    SlottedTree,
-    Tree,
-    addresses,
-    check_labeling,
-    hook_lengths,
-)
-
-Probability = Union[Fraction, RationalFunction]
-
-
-class ProbabilityRangeError(ValueError):
-    """A site probability left [0, 1]; the family parameters are unusable."""
+from .families import Family, Probability
+from .identities import ConsistencyError
+from .trees import Address, LabeledTree, Tree, _preorder, check_labeling
 
 
 @dataclass(frozen=True)
@@ -66,174 +47,38 @@ class GrowthState:
 
 
 def single_root(family: Family) -> LabeledTree:
-    if isinstance(family, BinaryFamily):
-        shape: Tree = BinaryTree()
-    elif isinstance(family, OrderedFamily):
-        shape = OrderedTree()
-    elif isinstance(family, TbarFamily):
-        shape = SlottedTree()
-    else:
-        raise TypeError(f"not a family: {family!r}")
-    return LabeledTree(shape, {(): 1})
+    return LabeledTree(family.root(), {(): 1})
 
 
 def start(family: Family) -> GrowthState:
     return GrowthState(single_root(family), family)
 
 
-def addable_positions(state: GrowthState) -> list[AddableSite]:
-    """All sites a new leaf may occupy, ordered by parent address then slot."""
-    shape = state.tree.shape
-    family = state.family
-    sites: list[AddableSite] = []
-    for addr in addresses(shape):
-        node = _node_at(shape, addr)
-        if isinstance(family, BinaryFamily):
-            if node.left is None:
-                sites.append(AddableSite(addr, 0))
-            if node.right is None:
-                sites.append(AddableSite(addr, 1))
-        elif isinstance(family, OrderedFamily):
-            for slot in range(len(node.children) + 1):
-                sites.append(AddableSite(addr, slot))
-        else:
-            width = family.oracle.child_count(addr)
-            used = {slot for slot, _ in node.children}
-            for slot in range(width):
-                if slot not in used:
-                    sites.append(AddableSite(addr, slot))
-    return sites
-
-
-def _node_at(shape: Tree, addr: Address) -> Tree:
-    node = shape
-    for step in addr:
-        for key, child in node.child_items():
-            if key == step:
-                node = child
-                break
-        else:
-            raise AssertionError("address fell off the tree")
-    return node
-
-
-def site_probability(state: GrowthState, site: AddableSite) -> Probability:
-    family = state.family
-    depth = len(site.parent) + 1
-    if isinstance(family, BinaryFamily):
-        return Fraction(1, 1 << depth)
-    if isinstance(family, OrderedFamily):
-        c = len(_node_at(state.tree.shape, site.parent).children)
-        if family.m is None:
-            num = Polynomial((Fraction(-c), Fraction(1)))
-            den = Polynomial.monomial(depth) * Fraction(c + 1)
-            return RationalFunction(num, den)
-        p = (family.m - c) / ((c + 1) * family.m ** depth)
-        if p < 0 or p > 1:
-            raise ProbabilityRangeError(
-                f"ordered growth with m={family.m} gives probability {p} at a vertex with {c} children"
-            )
-        return p
-    prod = 1
-    prefix: Address = ()
-    for step in site.parent + (site.slot,):
-        prod *= family.oracle.child_count(prefix)
-        prefix = prefix + (step,)
-    # the last factor above used every proper ancestor of the new vertex
-    return Fraction(1, prod)
-
-
 def addable_sites(state: GrowthState) -> list[tuple[AddableSite, Probability]]:
-    return [(site, site_probability(state, site)) for site in addable_positions(state)]
+    """Every site a new leaf may occupy with its probability, ordered by
+    parent address then slot."""
+    family = state.family
+    sites = []
+    for parent, node in _preorder(state.tree.shape):
+        slots = family.open_slots(parent, node)
+        if slots:
+            p = family.weight(parent, len(node.child_items()))
+            for slot in slots:
+                sites.append((AddableSite(parent, slot), p))
+    return sites
 
 
 def lemma_check(state: GrowthState) -> bool:
     """Do the site probabilities of this state sum to exactly 1?"""
-    total: Probability = Fraction(0)
-    for _, p in addable_sites(state):
-        total = total + p
-    if isinstance(total, RationalFunction):
-        return total.is_constant() and total.constant_value() == 1
-    return total == 1
+    return sum(p for _, p in addable_sites(state)) == 1
 
 
 def attach(state: GrowthState, site: AddableSite) -> GrowthState:
     """Grow a new leaf at ``site``, labeling it with the next integer."""
     tree = state.tree
-    label = tree.shape.size + 1
-    if isinstance(state.family, BinaryFamily):
-        shape = _binary_attach(tree.shape, site.parent, site.slot)
-        labels = dict(tree.labels)
-    elif isinstance(state.family, OrderedFamily):
-        shape = _ordered_attach(tree.shape, site.parent, site.slot)
-        labels = _shift_labels(tree.labels, site.parent, site.slot)
-    else:
-        shape = _slotted_attach(tree.shape, site.parent, site.slot)
-        labels = dict(tree.labels)
-    labels[site.address] = label
+    shape, labels = state.family.attach(tree.shape, tree.labels, site.parent, site.slot)
+    labels[site.address] = tree.shape.size + 1
     return GrowthState(LabeledTree(shape, labels), state.family)
-
-
-def _binary_attach(node: BinaryTree, parent: Address, slot: int) -> BinaryTree:
-    if not parent:
-        if slot == 0:
-            assert node.left is None
-            return BinaryTree(BinaryTree(), node.right)
-        assert node.right is None
-        return BinaryTree(node.left, BinaryTree())
-    step = parent[0]
-    if step == 0:
-        return BinaryTree(_binary_attach(node.left, parent[1:], slot), node.right)
-    return BinaryTree(node.left, _binary_attach(node.right, parent[1:], slot))
-
-
-def _ordered_attach(node: OrderedTree, parent: Address, slot: int) -> OrderedTree:
-    if not parent:
-        children = list(node.children)
-        children.insert(slot, OrderedTree())
-        return OrderedTree(tuple(children))
-    step = parent[0]
-    children = list(node.children)
-    children[step] = _ordered_attach(children[step], parent[1:], slot)
-    return OrderedTree(tuple(children))
-
-
-def _slotted_attach(node: SlottedTree, parent: Address, slot: int) -> SlottedTree:
-    if not parent:
-        children = list(node.children)
-        children.append((slot, SlottedTree()))
-        children.sort(key=lambda pair: pair[0])
-        return SlottedTree(tuple(children))
-    step = parent[0]
-    children = list(node.children)
-    for i, (key, child) in enumerate(children):
-        if key == step:
-            children[i] = (key, _slotted_attach(child, parent[1:], slot))
-            break
-    return SlottedTree(tuple(children))
-
-
-def _shift_labels(labels, parent: Address, slot: int) -> dict[Address, int]:
-    """Re-key addresses after an ordered insertion at (parent, slot)."""
-    depth = len(parent)
-    out = {}
-    for addr, label in labels.items():
-        if len(addr) > depth and addr[:depth] == parent and addr[depth] >= slot:
-            addr = parent + (addr[depth] + 1,) + addr[depth + 1 :]
-        out[addr] = label
-    return out
-
-
-def _require_growable(family: Family, n: int) -> None:
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if isinstance(family, OrderedFamily):
-        if family.m is None:
-            raise FamilyConfigError("growing ordered trees needs a concrete m")
-        if family.m < n - 1:
-            raise FamilyConfigError(
-                f"ordered growth to size {n} needs m >= {n - 1}, got {family.m}"
-            )
 
 
 StepCallback = Callable[[int, AddableSite, Fraction], None]
@@ -246,7 +91,9 @@ def grow(
     on_step: Optional[StepCallback] = None,
 ) -> LabeledTree:
     """Run the growth chain to ``n`` vertices; returns the labeled tree."""
-    _require_growable(family, n)
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    family.check_growable(n)
     state = start(family)
     while state.tree.shape.size < n:
         sites = addable_sites(state)
@@ -267,8 +114,8 @@ def _draw(
         cum += p
         if u * cum.denominator < cum.numerator << 64:
             return site, p
-    # unreachable when the masses sum to 1: the final test is u < 2^64
-    return sites[-1]
+    # when the masses sum to 1 the final test is u < 2^64, which always holds
+    raise ConsistencyError(f"site masses sum to {cum}, not 1; u/2^64 = {u}/2^64 lies past them")
 
 
 def labeling_probability(tree: LabeledTree, family: Family) -> Probability:
@@ -276,98 +123,32 @@ def labeling_probability(tree: LabeledTree, family: Family) -> Probability:
 
     Reconstructed from the labeling alone: vertex k+1's attachment
     probability at step k is determined by its parent's state among the
-    vertices labeled 1..k.  For ordered trees c_p counts the siblings with
-    smaller labels, and the product comes out independent of which slots
+    vertices labeled 1..k, so c_p counts the siblings with smaller labels.
+    For ordered trees the product comes out independent of which slots
     those siblings sit in.
     """
     check_labeling(tree)
-    _check_in_family(tree.shape, family)
-    by_label = sorted(tree.labels.items(), key=lambda item: item[1])
-    shape = tree.shape
+    family.check_shape(tree.shape)
+    siblings: dict[Address, list[int]] = {}
+    for addr, label in tree.labels.items():
+        if addr:
+            siblings.setdefault(addr[:-1], []).append(label)
     total: Probability = Fraction(1)
-    if isinstance(family, OrderedFamily) and family.m is None:
-        total = RationalFunction.constant(1)
-    for addr, label in by_label[1:]:
-        parent = addr[:-1]
-        depth = len(addr)
-        if isinstance(family, BinaryFamily):
-            total = total * Fraction(1, 1 << depth)
-        elif isinstance(family, OrderedFamily):
-            siblings = _node_at(shape, parent).children
-            c = sum(
-                1
-                for i in range(len(siblings))
-                if tree.labels[parent + (i,)] < label
-            )
-            if family.m is None:
-                num = Polynomial((Fraction(-c), Fraction(1)))
-                den = Polynomial.monomial(depth) * Fraction(c + 1)
-                total = total * RationalFunction(num, den)
-            else:
-                p = (family.m - c) / ((c + 1) * family.m ** depth)
-                if p < 0:
-                    raise ProbabilityRangeError(
-                        f"m={family.m} cannot grow a vertex with {c} earlier siblings"
-                    )
-                total = total * p
-        else:
-            prod = 1
-            prefix: Address = ()
-            for step in addr:
-                prod *= family.oracle.child_count(prefix)
-                prefix = prefix + (step,)
-            total = total * Fraction(1, prod)
+    for parent, born in siblings.items():
+        for label in born:
+            earlier = sum(1 for other in born if other < label)
+            total = total * family.weight(parent, earlier)
     return total
-
-
-def _check_in_family(shape: Tree, family: Family) -> None:
-    if isinstance(family, BinaryFamily):
-        if not isinstance(shape, BinaryTree):
-            raise FamilyConfigError("labeling is not on a binary tree")
-    elif isinstance(family, OrderedFamily):
-        if not isinstance(shape, OrderedTree):
-            raise FamilyConfigError("labeling is not on an ordered tree")
-    else:
-        if not isinstance(shape, SlottedTree):
-            raise FamilyConfigError("labeling is not on a slotted tree")
-        for addr in addresses(shape):
-            node = _node_at(shape, addr)
-            if not node.children:
-                continue
-            width = family.oracle.child_count(addr)
-            for slot, _ in node.children:
-                if slot >= width:
-                    raise FamilyConfigError(
-                        f"slot {slot} at {addr} exceeds the oracle's {width} children"
-                    )
 
 
 def shape_probability(shape: Tree, family: Family) -> Probability:
     """Chance of any one fixed increasing labeling of ``shape``.
 
     Growth lands on every increasing labeling of a shape with the same
-    probability:
-
-      binary   prod 1/2^(h_v-1)
-      ordered  prod C(m,c_v) / m^(h_v-1)
-      tbar     prod 1/cbar_v^(h_v-1)
+    probability; each family gives it in closed form over the hook lengths.
     """
-    _check_in_family(shape, family)
-    hooks = hook_lengths(shape)
-    if isinstance(family, BinaryFamily):
-        return Fraction(1, 1 << sum(h - 1 for h in hooks.values()))
-    if isinstance(family, OrderedFamily):
-        shift = sum(h - 1 for h in hooks.values())
-        num = Polynomial.constant(1)
-        for addr in hooks:
-            num = num * binomial_poly(len(_node_at(shape, addr).children))
-        if family.m is None:
-            return RationalFunction(num, Polynomial.monomial(shift))
-        return num.evaluate(family.m) / family.m ** shift
-    den = 1
-    for addr, h in hooks.items():
-        den *= family.oracle.child_count(addr) ** (h - 1) if h > 1 else 1
-    return Fraction(1, den)
+    family.check_shape(shape)
+    return family.shape_probability(shape)
 
 
 def enumerate_labelings(family: Family, n: int) -> Iterator[LabeledTree]:
@@ -384,7 +165,8 @@ def enumerate_labelings(family: Family, n: int) -> Iterator[LabeledTree]:
         if state.tree.shape.size == n:
             yield state.tree
             return
-        for site in addable_positions(state):
-            yield from rec(attach(state, site))
+        for parent, node in _preorder(state.tree.shape):
+            for slot in family.open_slots(parent, node):
+                yield from rec(attach(state, AddableSite(parent, slot)))
 
     yield from rec(start(family))

@@ -5,10 +5,9 @@ records its exact probability, draws N samples, and tallies observed counts
 per labeled tree (the finest possible categories).  A chi-squared
 goodness-of-fit test then compares observed against expected = N * p.
 
-Sampling is deterministic for a fixed (seed, n, family, N) regardless of
-thread count: samples are split into fixed-size blocks, each block gets its
-own generator seeded by hashing (seed, block index), and blocks can run on
-any number of threads without changing the tally.
+Sampling is deterministic for a fixed (seed, n, family, N): samples are
+split into fixed-size blocks, and each block gets its own generator seeded
+by hashing (seed, block index).
 """
 
 from __future__ import annotations
@@ -17,16 +16,14 @@ import csv
 import hashlib
 import io
 import math
-import os
 import random
 import warnings
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Optional
 
-from .families import Family, FamilyConfigError, OrderedFamily
+from .families import Family
 from .identities import ConsistencyError, SizeLimitError
 from .sampler import enumerate_labelings, grow, labeling_probability
 
@@ -42,11 +39,11 @@ class LowExpectedCountWarning(UserWarning):
 def category_masses(family: Family, n: int, limit: int = CATEGORY_LIMIT) -> dict[str, Fraction]:
     """Exact probability of each labeled tree, keyed by its encoding.
 
-    Refuses category spaces larger than ``limit``; the masses always sum
-    to exactly 1, anything else is a bug.
+    Refuses families that cannot grow to size ``n`` and category spaces
+    larger than ``limit``; the masses always sum to exactly 1, anything else
+    is a bug.
     """
-    if isinstance(family, OrderedFamily) and family.m is None:
-        raise FamilyConfigError("a census needs a concrete m, not a symbolic one")
+    family.check_growable(n)
     masses: dict[str, Fraction] = {}
     for labeled in enumerate_labelings(family, n):
         if len(masses) >= limit:
@@ -89,45 +86,27 @@ def _block_rng(seed: int, block: int) -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
-def _run_block(family: Family, n: int, seed: int, block: int, count: int) -> Counter:
-    rng = _block_rng(seed, block)
-    tally: Counter = Counter()
-    for _ in range(count):
-        tally[grow(family, n, rng).enc] += 1
-    return tally
+def run_census(
+    family: Family,
+    n: int,
+    samples: int,
+    seed: int,
+    masses: Optional[dict[str, Fraction]] = None,
+) -> Census:
+    """Draw ``samples`` trees and tally them against the exact masses.
 
-
-def _thread_count() -> int:
-    raw = os.environ.get("HOOKLAB_THREADS", "")
-    try:
-        threads = int(raw)
-    except ValueError:
-        return 1
-    return max(threads, 1)
-
-
-def run_census(family: Family, n: int, samples: int, seed: int) -> Census:
-    """Draw ``samples`` trees and tally them against the exact masses."""
+    ``masses`` is ``category_masses(family, n)`` when the caller already has
+    it; otherwise it is computed here.
+    """
     if samples < 1:
         raise ValueError("need at least one sample")
-    masses = category_masses(family, n)
-    blocks = [
-        (i, min(BLOCK_SIZE, samples - i * BLOCK_SIZE))
-        for i in range((samples + BLOCK_SIZE - 1) // BLOCK_SIZE)
-    ]
-    threads = _thread_count()
+    if masses is None:
+        masses = category_masses(family, n)
     tally: Counter = Counter()
-    if threads == 1:
-        for index, count in blocks:
-            tally.update(_run_block(family, n, seed, index, count))
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(_run_block, family, n, seed, index, count)
-                for index, count in blocks
-            ]
-            for future in futures:
-                tally.update(future.result())
+    for block in range((samples + BLOCK_SIZE - 1) // BLOCK_SIZE):
+        rng = _block_rng(seed, block)
+        for _ in range(min(BLOCK_SIZE, samples - block * BLOCK_SIZE)):
+            tally[grow(family, n, rng).enc] += 1
     unknown = set(tally) - set(masses)
     if unknown:
         raise ConsistencyError(f"sampler produced trees outside the census: {sorted(unknown)[:3]}")

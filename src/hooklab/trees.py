@@ -223,10 +223,16 @@ def addresses(t: Tree | LabeledTree) -> list[Address]:
     """All vertex addresses of ``t`` in preorder."""
     if isinstance(t, LabeledTree):
         t = t.shape
-    out: list[Address] = []
+    return [addr for addr, _ in _preorder(t)]
+
+
+def _preorder(t: Tree) -> list[tuple[Address, Tree]]:
+    """(address, subtree) for every vertex, in preorder: parents before
+    children, siblings by increasing step, so addresses come out sorted."""
+    out: list[tuple[Address, Tree]] = []
 
     def walk(node: Tree, addr: Address) -> None:
-        out.append(addr)
+        out.append((addr, node))
         for step, child in node.child_items():
             walk(child, addr + (step,))
 

@@ -147,6 +147,12 @@ class TestMc:
         assert out.returncode == 2
         assert "minimum" in out.stderr
 
+    def test_m_below_n_minus_1_is_a_usage_error(self):
+        out = run("mc", "--family", "ordered", "--m", "2", "--n", "4", "--samples", "1000")
+        assert out.returncode == 2
+        assert "needs m >= 3" in out.stderr
+        assert "Traceback" not in out.stderr
+
     def test_alpha_one_fails(self):
         out = run(
             "mc", "--family", "binary", "--n", "2",

@@ -1,0 +1,67 @@
+"""Seeded output pinned byte for byte.
+
+The digests below are SHA-256 of the stdout of each command, captured
+before the sampler's family rules moved onto the family objects.  Any
+change to the site order, the site weights or the u/2^64 draw rule shows
+up here as a changed digest.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from conftest import MIXED_ORACLE_TABLE
+from hooklab.cli import main
+
+ORACLE = "@mixed"  # replaced by the path of the mixed oracle table file
+
+GOLDEN = [
+    (
+        "sample-binary",
+        "sample --family binary --n 6 --count 3 --seed 7 --verbose",
+        "10c44d205ec03d2f2990987212174708c87347e00b6f7c9cf7a99fff6466255f",
+    ),
+    (
+        "sample-ordered-m7",
+        "sample --family ordered --m 7 --n 5 --count 3 --seed 7 --verbose",
+        "d3dbf867f263ae9ccc0acdfe9223008998bae3f5d177c8271da821402561c41c",
+    ),
+    (
+        "sample-ordered-m9/2",
+        "sample --family ordered --m 9/2 --n 5 --count 2 --seed 3 --verbose",
+        "4323c917cf03e41ce65603cd591d4a83287c8947b98b8a33f916c2a64bc3f48e",
+    ),
+    (
+        "sample-tbar-mixed",
+        "sample --family tbar --oracle @mixed --n 5 --count 3 --seed 7 --verbose",
+        "2d2d097d72fb5a057043585b1beb63c75cbf0991d0c5ec50ac3b5d8bb6faa6a3",
+    ),
+    (
+        "mc-binary",
+        "mc --family binary --n 3 --samples 3000 --seed 5 --json",
+        "3d129c2fa4a9b6c96ae063e9ae6f961d6f71126d9914937843e5ebe3d49a204d",
+    ),
+    (
+        "mc-ordered-m5",
+        "mc --family ordered --m 5 --n 3 --samples 3000 --seed 5 --json",
+        "653921f65c660b207e6e56b84a535662e9bb9330f41c43a0d67de02ee334223c",
+    ),
+    (
+        "mc-tbar-mixed",
+        "mc --family tbar --oracle @mixed --n 3 --samples 3000 --seed 5 --json",
+        "2df251aa48cee237e10899936e68fec1124ff85c24cf4deda0b8ad1eeb8ebed5",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "command, digest", [g[1:] for g in GOLDEN], ids=[g[0] for g in GOLDEN]
+)
+def test_seeded_stdout_is_pinned(command, digest, tmp_path, capsys):
+    path = tmp_path / "oracle.json"
+    path.write_text(json.dumps(MIXED_ORACLE_TABLE))
+    argv = [f"file:{path}" if a == ORACLE else a for a in command.split()]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest, out

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from conftest import odd_double_factorial
 from hooklab import (
+    AddableSite,
     BinaryFamily,
+    ConsistencyError,
     ConstantBranching,
     DepthBranching,
     FamilyConfigError,
@@ -16,6 +18,7 @@ from hooklab import (
     LabeledTree,
     LabelingError,
     OrderedFamily,
+    ProbabilityRangeError,
     TbarFamily,
     addable_sites,
     check_labeling,
@@ -30,6 +33,7 @@ from hooklab import (
     start,
 )
 from hooklab.exact import Polynomial, RationalFunction
+from hooklab.sampler import _draw
 
 BINARY = BinaryFamily()
 SYMBOLIC = OrderedFamily()
@@ -181,6 +185,14 @@ class TestEqualLikelihood:
         with pytest.raises(FamilyConfigError):
             labeling_probability(lt, BINARY)
 
+    def test_ordered_probability_above_one_rejected(self):
+        # m=1/2: the depth-2 vertex would get (1/2) / (1/2)^2 = 2
+        half = OrderedFamily(Fraction(1, 2))
+        with pytest.raises(ProbabilityRangeError):
+            labeling_probability(decode("(:1(:2(:3)))"), half)
+        with pytest.raises(ProbabilityRangeError):
+            addable_sites(GrowthState(decode("(:1(:2))"), half))
+
 
 class TestLabelingEnumeration:
     def test_counts(self):
@@ -236,6 +248,24 @@ class TestGrow:
     def test_rejects_nonpositive_n(self):
         with pytest.raises(ValueError):
             grow(BINARY, 0, random.Random(0))
+
+
+class MaxRandom:
+    """Draws the largest 64-bit value, u/2^64 just below 1."""
+
+    def getrandbits(self, k):
+        return 2 ** k - 1
+
+
+class TestDraw:
+    def test_last_site_takes_the_top_of_the_interval(self):
+        sites = [(AddableSite((), 0), Fraction(1, 2)), (AddableSite((), 1), Fraction(1, 2))]
+        assert _draw(sites, MaxRandom()) == sites[-1]
+
+    def test_masses_short_of_one_raise(self):
+        sites = [(AddableSite((), 0), Fraction(1, 2)), (AddableSite((), 1), Fraction(1, 4))]
+        with pytest.raises(ConsistencyError, match="3/4"):
+            _draw(sites, MaxRandom())
 
 
 @settings(deadline=None, max_examples=60)

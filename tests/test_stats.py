@@ -1,8 +1,13 @@
+import importlib.util
 import math
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import hooklab.cli
+import hooklab.stats
 from hooklab import (
     BinaryFamily,
     Census,
@@ -41,6 +46,11 @@ class TestCategoryMasses:
         with pytest.raises(FamilyConfigError):
             category_masses(OrderedFamily(), 3)
 
+    def test_ungrowable_m_is_rejected(self):
+        # m=2 gives zero-mass labelings at n=4; growth itself refuses m < n-1
+        with pytest.raises(FamilyConfigError, match="needs m >= 3"):
+            category_masses(OrderedFamily(2), 4)
+
     def test_category_limit(self):
         with pytest.raises(Exception, match="census"):
             category_masses(BINARY, 4, limit=10)
@@ -76,13 +86,6 @@ class TestRunCensus:
     def test_bit_reproducible(self):
         a = run_census(BINARY, 4, 5_000, seed=11)
         b = run_census(BINARY, 4, 5_000, seed=11)
-        assert a == b
-
-    def test_thread_count_does_not_change_the_tally(self, monkeypatch):
-        monkeypatch.setenv("HOOKLAB_THREADS", "1")
-        a = run_census(BINARY, 3, 25_000, seed=5)
-        monkeypatch.setenv("HOOKLAB_THREADS", "4")
-        b = run_census(BINARY, 3, 25_000, seed=5)
         assert a == b
 
     def test_categories_are_sorted(self):
@@ -209,3 +212,38 @@ class TestSamplerDistribution:
         assert sum(masses.values()) == 1
         census = run_census(fam, 3, 2_000, seed=8)
         assert {e.category for e in census.entries} == set(masses)
+
+
+class TestMassesComputedOnce:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Count category_masses calls made through any module that holds it."""
+        seen = []
+        real = hooklab.stats.category_masses
+
+        def counted(family, n, *args, **kwargs):
+            seen.append((family.label, n))
+            return real(family, n, *args, **kwargs)
+
+        for module in (hooklab.stats, hooklab.cli):
+            monkeypatch.setattr(module, "category_masses", counted)
+        return seen, counted
+
+    def test_cli_mc(self, calls, capsys):
+        seen, _ = calls
+        argv = ["mc", "--family", "binary", "--n", "3", "--samples", "500", "--seed", "2"]
+        assert hooklab.cli.main(argv) == 0
+        assert seen == [("binary", 3)]
+        assert "min_samples=40" in capsys.readouterr().out
+
+    def test_mc_suite(self, calls, monkeypatch, capsys):
+        seen, counted = calls
+        path = Path(__file__).resolve().parents[1] / "scripts" / "mc_suite.py"
+        spec = importlib.util.spec_from_file_location("mc_suite", path)
+        suite = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(suite)
+        monkeypatch.setattr(suite, "category_masses", counted)
+        monkeypatch.setattr(sys, "argv", ["mc_suite.py", "--samples", "5120"])
+        suite.main()
+        assert seen == [("binary", 5), ("ordered", 4), ("tbar", 4)]
+        assert len(capsys.readouterr().out.strip().split("\n")) == 3
