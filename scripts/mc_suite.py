@@ -8,7 +8,6 @@ Usage:
 
 import argparse
 import json
-import math
 import time
 
 from hooklab import (
@@ -18,9 +17,9 @@ from hooklab import (
     TbarFamily,
     category_masses,
     chi_squared_gof,
+    min_samples,
     run_census,
 )
-from hooklab.stats import EXPECTED_FLOOR
 
 
 def main() -> int:
@@ -38,9 +37,9 @@ def main() -> int:
     all_passed = True
     for family, n in runs:
         masses = category_masses(family, n)
-        floor = math.ceil(EXPECTED_FLOOR / min(masses.values()))
-        if args.samples < floor:
-            print(f"{family.label} n={n}: need at least {floor} samples")
+        minimum = min_samples(masses)
+        if args.samples < minimum:
+            print(f"{family.label} n={n}: need at least {minimum} samples")
             all_passed = False
             continue
         started = time.perf_counter()

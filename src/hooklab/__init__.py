@@ -1,7 +1,7 @@
 """Exact verification of hook-length tree identities, plus the random
 growth process whose step probabilities realize them."""
 
-from .exact import PoleError, Polynomial, RationalFunction, binomial_poly
+from .exact import PoleError, RationalFunction, binomial_poly
 from .families import (
     BinaryFamily,
     BranchingOracle,

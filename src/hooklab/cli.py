@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import random
 import sys
 from fractions import Fraction
@@ -48,7 +47,13 @@ from .sampler import (
     lemma_check,
     shape_probability,
 )
-from .stats import category_masses, chi_squared_gof, run_census
+from .stats import (
+    EXPECTED_FLOOR,
+    category_masses,
+    chi_squared_gof,
+    min_samples,
+    run_census,
+)
 from .trees import Tree
 
 
@@ -75,6 +80,14 @@ def _format_value(v) -> str:
     if isinstance(v, (list, tuple)):
         return ",".join(str(x) for x in v)
     return str(v)
+
+
+def positive_int(text: str) -> int:
+    """argparse type of the sizes ``--n`` and ``--n-max``."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
 
 
 def _parse_m(text: str | None, fallback: Fraction | None) -> Fraction | None:
@@ -201,8 +214,7 @@ def _cmd_verify_labelprob(args) -> int:
                 closed = False
             for p in probs:
                 total = p if total is None else total + p
-        mass_ok = _is_one(total)
-        holds = equal and closed and mass_ok
+        holds = equal and closed and total == 1
         bad += 0 if holds else 1
         _emit(
             {
@@ -219,14 +231,6 @@ def _cmd_verify_labelprob(args) -> int:
             args.json,
         )
     return 1 if bad else 0
-
-
-def _is_one(total) -> bool:
-    if total is None:
-        return False
-    if isinstance(total, Fraction):
-        return total == 1
-    return total.is_constant() and total.constant_value() == 1
 
 
 def _site_path(site) -> str:
@@ -260,12 +264,12 @@ def cmd_mc(args) -> int:
         raise UsageError("Monte Carlo needs a concrete m, not 'symbolic'")
     family = _build_family(args.family, m, args.oracle)
     masses = category_masses(family, args.n)
-    floor = min(masses.values())
-    minimum = math.ceil(5 / floor)
+    minimum = min_samples(masses)
     if args.samples < minimum:
         raise UsageError(
             f"--samples {args.samples} is below the minimum {minimum} needed to keep "
-            f"every expected count at 5 (smallest category mass {floor})"
+            f"every expected count at {EXPECTED_FLOOR} (smallest category mass "
+            f"{min(masses.values())})"
         )
     census = run_census(family, args.n, args.samples, args.seed, masses=masses)
     report = chi_squared_gof(census, alpha=args.alpha)
@@ -308,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "identity", choices=["han", "yang", "tbar", "han2", "lemma", "labelprob"]
     )
-    p_verify.add_argument("--n-max", type=int, default=None)
+    p_verify.add_argument("--n-max", type=positive_int, default=None)
     p_verify.add_argument("--family", choices=["binary", "ordered", "tbar"], default=None)
     p_verify.add_argument("--m", default=None)
     p_verify.add_argument("--oracle", default=None)
@@ -317,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sample = sub.add_parser("sample", help="draw labeled trees from the growth chain")
     p_sample.add_argument("--family", choices=["binary", "ordered", "tbar"], default="binary")
-    p_sample.add_argument("--n", type=int, required=True)
+    p_sample.add_argument("--n", type=positive_int, required=True)
     p_sample.add_argument("--count", type=int, default=1)
     p_sample.add_argument("--seed", type=int, default=0)
     p_sample.add_argument("--m", default=None)
@@ -327,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_mc = sub.add_parser("mc", help="chi-squared test of the sampler")
     p_mc.add_argument("--family", choices=["binary", "ordered", "tbar"], default="binary")
-    p_mc.add_argument("--n", type=int, required=True)
+    p_mc.add_argument("--n", type=positive_int, required=True)
     p_mc.add_argument("--samples", type=int, default=100_000)
     p_mc.add_argument("--seed", type=int, default=0)
     p_mc.add_argument("--alpha", type=float, default=0.001)
@@ -337,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.set_defaults(func=cmd_mc)
 
     p_census = sub.add_parser("census", help="completion labeling counts and weights")
-    p_census.add_argument("--n", type=int, required=True)
+    p_census.add_argument("--n", type=positive_int, required=True)
     p_census.add_argument("--json", action="store_true")
     p_census.set_defaults(func=cmd_census)
 

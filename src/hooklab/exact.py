@@ -5,11 +5,12 @@ form with a positive denominator, and ``str()`` renders ``"p/q"`` with the
 ``"/q"`` part omitted when the denominator is 1.  That rendering is used
 verbatim in all CLI output.
 
-On top of the scalars this module provides dense univariate polynomials over
-the rationals in the weight variable ``m``, and rational functions ``num/den``
-kept in canonical form: ``gcd(num, den) = 1`` and ``den`` monic.  Canonical
-form makes equality structural, so "this sum of rational functions is the
-constant 1/n!" can be asserted exactly instead of by sampling.
+Symbolic values in the weight variable ``m`` are Laurent polynomials over
+the rationals: finite sums of ``c * m**k`` with ``k`` of either sign.  That
+is all the mathematics needs, because every value built here (site,
+labeling and shape probabilities, yang terms, and sums of these) has a
+denominator of the form ``c * m**k``.  The stored form is unique, so
+"this sum is the constant 1/n!" is decided by ``==`` with no gcd.
 
 All values are immutable after construction; arithmetic goes through the
 usual operators.
@@ -18,9 +19,8 @@ usual operators.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Union
-
-Rational = Fraction
 
 Scalar = Union[int, Fraction]
 
@@ -29,270 +29,88 @@ class PoleError(ZeroDivisionError):
     """Evaluation of a rational function at a root of its denominator."""
 
 
-class Polynomial:
-    """Univariate polynomial over the rationals in the variable ``m``.
+class RationalFunction:
+    """Laurent polynomial ``sum(coeffs[i] * m**(low + i))`` in ``m``.
 
-    Coefficients are stored densely, lowest degree first, with no trailing
-    zeros; the zero polynomial stores an empty tuple.
+    ``coeffs`` has no zeros at either end, and the zero function stores
+    ``()`` with ``low = 0``.  Any input lands on that one representation,
+    so ``==`` and ``hash`` decide equality of functions.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "low")
 
     coeffs: tuple[Fraction, ...]
+    low: int
 
-    def __init__(self, coeffs: Iterable[Scalar] = ()):
+    def __init__(self, coeffs: Iterable[Scalar] = (), low: int = 0):
         cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    @classmethod
-    def constant(cls, value: Scalar) -> "Polynomial":
-        return cls((value,))
-
-    @classmethod
-    def variable(cls) -> "Polynomial":
-        """The polynomial ``m``."""
-        return cls((0, 1))
-
-    @classmethod
-    def monomial(cls, degree: int, coefficient: Scalar = 1) -> "Polynomial":
-        """The polynomial ``coefficient * m**degree``."""
-        if degree < 0:
-            raise ValueError("degree must be nonnegative")
-        return cls((0,) * degree + (coefficient,))
-
-    @property
-    def degree(self) -> int:
-        """Degree, with the zero polynomial assigned -1."""
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def leading_coefficient(self) -> Fraction:
-        if not self.coeffs:
-            return Fraction(0)
-        return self.coeffs[-1]
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Polynomial):
-            return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return self == Polynomial.constant(other)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(("Polynomial", self.coeffs))
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(-c for c in self.coeffs)
-
-    def __add__(self, other: "Polynomial | Scalar") -> "Polynomial":
-        other = _as_poly(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Polynomial(out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: "Polynomial | Scalar") -> "Polynomial":
-        return self + (-_as_poly(other))
-
-    def __rsub__(self, other: Scalar) -> "Polynomial":
-        return _as_poly(other) - self
-
-    def __mul__(self, other: "Polynomial | Scalar") -> "Polynomial":
-        other = _as_poly(other)
-        if not self.coeffs or not other.coeffs:
-            return Polynomial()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Polynomial(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> "Polynomial":
-        if exponent < 0:
-            raise ValueError("negative polynomial power")
-        result = Polynomial.constant(1)
-        for _ in range(exponent):
-            result = result * self
-        return result
-
-    def __divmod__(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
-        """Long division: self = q * other + r with deg r < deg other."""
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        div = other.coeffs
-        lead = other.leading_coefficient
-        q_len = len(rem) - len(div) + 1
-        if q_len <= 0:
-            return Polynomial(), self
-        quot = [Fraction(0)] * q_len
-        for k in range(q_len - 1, -1, -1):
-            c = rem[k + len(div) - 1] / lead
-            quot[k] = c
-            if c:
-                for i, d in enumerate(div):
-                    rem[k + i] -= c * d
-        return Polynomial(quot), Polynomial(rem[: len(div) - 1])
-
-    def __floordiv__(self, other: "Polynomial") -> "Polynomial":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other: "Polynomial") -> "Polynomial":
-        return divmod(self, other)[1]
-
-    def monic(self) -> "Polynomial":
-        """Scale to leading coefficient 1 (zero stays zero)."""
-        if self.is_zero() or self.leading_coefficient == 1:
-            return self
-        lead = self.leading_coefficient
-        return Polynomial(c / lead for c in self.coeffs)
-
-    def gcd(self, other: "Polynomial") -> "Polynomial":
-        """Monic greatest common divisor (Euclid over the rationals)."""
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic()
-
-    def evaluate(self, point: Scalar) -> Fraction:
-        """Exact evaluation by Horner's rule."""
-        point = Fraction(point)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * point + c
-        return acc
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for deg in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[deg]
-            if c == 0:
-                continue
-            if deg == 0:
-                parts.append(str(c) if c > 0 or len(self.coeffs) == 1 else f"({c})")
-            elif deg == 1:
-                parts.append(f"({c})m")
-            else:
-                parts.append(f"({c})m^{deg}")
-        return " + ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"Polynomial({[str(c) for c in self.coeffs]})"
-
-
-def _as_poly(value: "Polynomial | Scalar") -> Polynomial:
-    if isinstance(value, Polynomial):
-        return value
-    return Polynomial.constant(value)
-
-
-def binomial_poly(k: int) -> Polynomial:
-    """The binomial coefficient ``C(m, k)`` as a polynomial in ``m``.
-
-    Equals ``m (m-1) ... (m-k+1) / k!``; degree exactly ``k``.  At an integer
-    ``m0 >= k`` it evaluates to the ordinary binomial coefficient.
-    """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    result = Polynomial.constant(1)
-    for i in range(k):
-        result = result * Polynomial((-i, 1))
-        result = result * Fraction(1, i + 1)
-    return result
-
-
-class RationalFunction:
-    """Quotient of two polynomials in ``m``, kept in canonical form.
-
-    Canonical form: ``gcd(num, den) = 1`` with ``den`` monic, and the zero
-    function is ``0/1``.  Construction from any un-reduced pair lands on the
-    same representation, so ``==`` decides equality of rational functions.
-    """
-
-    __slots__ = ("num", "den")
-
-    num: Polynomial
-    den: Polynomial
-
-    def __init__(
-        self,
-        num: Polynomial | Scalar,
-        den: Polynomial | Scalar = 1,
-    ):
-        num = _as_poly(num)
-        den = _as_poly(den)
-        if den.is_zero():
-            raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero():
-            self.num = Polynomial()
-            self.den = Polynomial.constant(1)
-            return
-        g = num.gcd(den)
-        if g.degree > 0:
-            num = num // g
-            den = den // g
-        lead = den.leading_coefficient
-        if lead != 1:
-            num = num * (1 / lead)
-            den = den * (1 / lead)
-        self.num = num
-        self.den = den
+        start, end = 0, len(cs)
+        while end and cs[end - 1] == 0:
+            end -= 1
+        while start < end and cs[start] == 0:
+            start += 1
+        self.coeffs = tuple(cs[start:end])
+        self.low = low + start if self.coeffs else 0
 
     @classmethod
     def constant(cls, value: Scalar) -> "RationalFunction":
-        return cls(Polynomial.constant(value))
+        return cls((value,))
 
     @classmethod
     def variable(cls) -> "RationalFunction":
-        return cls(Polynomial.variable())
+        """The function ``m``."""
+        return cls((1,), 1)
+
+    @classmethod
+    def monomial(cls, power: int, coefficient: Scalar = 1) -> "RationalFunction":
+        """The function ``coefficient * m**power``; ``power`` may be negative."""
+        return cls((coefficient,), power)
+
+    @property
+    def degree(self) -> int:
+        """Highest power of ``m``, with the zero function assigned -1."""
+        return self.low + len(self.coeffs) - 1
+
+    @property
+    def num(self) -> "RationalFunction":
+        """Numerator of the reduced form ``num / m**k``: a polynomial."""
+        return RationalFunction(self.coeffs, max(self.low, 0))
+
+    @property
+    def den(self) -> "RationalFunction":
+        """Denominator of the reduced form: the monic monomial ``m**k``."""
+        return RationalFunction.monomial(max(-self.low, 0))
 
     def is_constant(self) -> bool:
-        return self.num.degree <= 0 and self.den.degree == 0
+        return self.low == 0 and len(self.coeffs) <= 1
 
     def constant_value(self) -> Fraction:
         """The value of a constant function (raises otherwise)."""
         if not self.is_constant():
             raise ValueError(f"not a constant rational function: {self}")
-        if self.num.is_zero():
-            return Fraction(0)
-        return self.num.coeffs[0]
+        return self.coeffs[0] if self.coeffs else Fraction(0)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, RationalFunction):
-            return self.num == other.num and self.den == other.den
+            return self.low == other.low and self.coeffs == other.coeffs
         if isinstance(other, (int, Fraction)):
             return self == RationalFunction.constant(other)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(("RationalFunction", self.num.coeffs, self.den.coeffs))
+        return hash(("RationalFunction", self.coeffs, self.low))
 
     def __neg__(self) -> "RationalFunction":
-        return RationalFunction(-self.num, self.den)
+        return RationalFunction((-c for c in self.coeffs), self.low)
 
     def __add__(self, other: "RationalFunction | Scalar") -> "RationalFunction":
         other = _as_ratfunc(other)
-        return RationalFunction(
-            self.num * other.den + other.num * self.den,
-            self.den * other.den,
-        )
+        low = min(self.low, other.low)
+        out = [Fraction(0)] * (max(self.degree, other.degree) - low + 1)
+        for f in (self, other):
+            for i, c in enumerate(f.coeffs, f.low - low):
+                out[i] += c
+        return RationalFunction(out, low)
 
     __radd__ = __add__
 
@@ -304,28 +122,66 @@ class RationalFunction:
 
     def __mul__(self, other: "RationalFunction | Scalar") -> "RationalFunction":
         other = _as_ratfunc(other)
-        return RationalFunction(self.num * other.num, self.den * other.den)
+        if not self.coeffs or not other.coeffs:
+            return RationalFunction()
+        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                out[i + j] += a * b
+        return RationalFunction(out, self.low + other.low)
 
     __rmul__ = __mul__
 
     def evaluate(self, point: Scalar) -> Fraction:
-        """Exact evaluation of the reduced form at ``point``."""
+        """Exact value at ``point`` by Horner's rule; m = 0 is a pole when
+        a negative power is present."""
         point = Fraction(point)
-        den_value = self.den.evaluate(point)
-        if den_value == 0:
+        if point == 0 and self.low < 0:
             raise PoleError(f"evaluation at pole m = {point}")
-        return self.num.evaluate(point) / den_value
+        acc = Fraction(0)
+        for c in reversed(self.coeffs):
+            acc = acc * point + c
+        return acc * point ** self.low
 
     def __str__(self) -> str:
-        if self.den.degree == 0:
-            return str(self.num)
-        return f"({self.num}) / ({self.den})"
+        if self.low < 0:
+            return f"({self.num}) / ({self.den})"
+        if not self.coeffs:
+            return "0"
+        parts = []
+        for power in range(self.degree, self.low - 1, -1):
+            c = self.coeffs[power - self.low]
+            if c == 0:
+                continue
+            if power == 0:
+                parts.append(str(c) if c > 0 or self.degree == 0 else f"({c})")
+            elif power == 1:
+                parts.append(f"({c})m")
+            else:
+                parts.append(f"({c})m^{power}")
+        return " + ".join(parts)
 
     def __repr__(self) -> str:
-        return f"RationalFunction({self.num!r}, {self.den!r})"
+        return f"RationalFunction({[str(c) for c in self.coeffs]}, low={self.low})"
 
 
 def _as_ratfunc(value: "RationalFunction | Scalar") -> RationalFunction:
     if isinstance(value, RationalFunction):
         return value
     return RationalFunction.constant(value)
+
+
+@lru_cache(maxsize=None)
+def binomial_poly(k: int) -> RationalFunction:
+    """The binomial coefficient ``C(m, k)`` as a polynomial in ``m``.
+
+    Equals ``m (m-1) ... (m-k+1) / k!``; degree exactly ``k``.  At an integer
+    ``m0 >= k`` it evaluates to the ordinary binomial coefficient.  Values
+    are immutable, so each ``k`` is built once.
+    """
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    result = RationalFunction.constant(1)
+    for i in range(k):
+        result = result * RationalFunction((-i, 1)) * Fraction(1, i + 1)
+    return result

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Union
 
-from .exact import Polynomial, RationalFunction, binomial_poly
+from .exact import RationalFunction, binomial_poly
 from .trees import Address, BinaryTree, OrderedTree, SlottedTree, Tree, _preorder, hook_lengths
 
 
@@ -229,9 +229,7 @@ class OrderedFamily:
         raises unless it lies in [0, 1]."""
         depth = len(parent) + 1
         if self.m is None:
-            num = Polynomial((Fraction(-c), Fraction(1)))
-            den = Polynomial.monomial(depth) * Fraction(c + 1)
-            return RationalFunction(num, den)
+            return RationalFunction((Fraction(-c, c + 1), Fraction(1, c + 1)), -depth)
         p = (self.m - c) / ((c + 1) * self.m ** depth)
         if p < 0 or p > 1:
             raise ProbabilityRangeError(
@@ -265,12 +263,10 @@ class OrderedFamily:
     def shape_probability(self, shape: OrderedTree) -> Probability:
         """prod C(m,c_v) / m^(h_v-1)."""
         shift = sum(h - 1 for h in hook_lengths(shape).values())
-        num = Polynomial.constant(1)
+        p = RationalFunction.monomial(-shift)
         for _, node in _preorder(shape):
-            num = num * binomial_poly(len(node.children))
-        if self.m is None:
-            return RationalFunction(num, Polynomial.monomial(shift))
-        return num.evaluate(self.m) / self.m ** shift
+            p = p * binomial_poly(len(node.children))
+        return p if self.m is None else p.evaluate(self.m)
 
 
 @dataclass(frozen=True)

@@ -58,11 +58,10 @@ def category_masses(family: Family, n: int, limit: int = CATEGORY_LIMIT) -> dict
     return masses
 
 
-def min_samples(family: Family, n: int) -> int:
-    """Smallest N keeping every expected count at or above the floor."""
-    masses = category_masses(family, n)
-    smallest = min(masses.values())
-    return math.ceil(EXPECTED_FLOOR / smallest)
+def min_samples(masses: dict[str, Fraction]) -> int:
+    """Smallest N keeping every expected count ``N * p`` of the category
+    masses ``masses`` at or above the floor."""
+    return math.ceil(EXPECTED_FLOOR / min(masses.values()))
 
 
 @dataclass(frozen=True)

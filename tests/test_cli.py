@@ -83,6 +83,9 @@ class TestVerify:
         assert run("verify", "lemma", "--family", "binary", "--m", "3").returncode == 2
         assert run("verify", "tbar", "--oracle", "nope:1").returncode == 2
         assert run("verify", "unknown").returncode == 2
+        assert run("verify", "han", "--n-max", "0").returncode == 2
+        assert run("verify", "han", "--n-max", "-3").returncode == 2
+        assert run("verify", "lemma", "--n-max", "0").returncode == 2
 
 
 class TestSample:
@@ -126,6 +129,7 @@ class TestSample:
         assert run("sample", "--family", "ordered", "--n", "3", "--m", "symbolic").returncode == 2
         assert run("sample", "--family", "ordered", "--n", "9", "--m", "2").returncode == 2
         assert run("sample", "--family", "binary", "--n", "3", "--oracle", "const:2").returncode == 2
+        assert run("sample", "--family", "binary", "--n", "0").returncode == 2
 
 
 class TestMc:
@@ -146,6 +150,11 @@ class TestMc:
         out = run("mc", "--family", "binary", "--n", "5", "--samples", "100", "--seed", "1")
         assert out.returncode == 2
         assert "minimum" in out.stderr
+
+    def test_size_below_1_is_a_usage_error(self):
+        out = run("mc", "--family", "binary", "--n", "0", "--samples", "1000")
+        assert out.returncode == 2
+        assert "Traceback" not in out.stderr
 
     def test_m_below_n_minus_1_is_a_usage_error(self):
         out = run("mc", "--family", "ordered", "--m", "2", "--n", "4", "--samples", "1000")
@@ -187,6 +196,7 @@ class TestCensus:
 
     def test_n_bound(self):
         assert run("census", "--n", "9").returncode == 2
+        assert run("census", "--n", "0").returncode == 2
 
 
 class TestExitCodeContract:

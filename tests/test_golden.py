@@ -1,9 +1,12 @@
-"""Seeded output pinned byte for byte.
+"""Seeded and symbolic output pinned byte for byte.
 
-The digests below are SHA-256 of the stdout of each command, captured
-before the sampler's family rules moved onto the family objects.  Any
-change to the site order, the site weights or the u/2^64 draw rule shows
-up here as a changed digest.
+The digests below are SHA-256 of the stdout of each command.  The seeded
+ones were captured before the sampler's family rules moved onto the family
+objects: any change to the site order, the site weights or the u/2^64 draw
+rule shows up here as a changed digest.  The symbolic ones (yang terms and
+sums, ordered labeling masses in m) were captured while rational functions
+were still reduced by polynomial gcd, so they pin the rendering of every
+value in m that the CLI prints.
 """
 
 import hashlib
@@ -12,6 +15,7 @@ import json
 import pytest
 
 from conftest import MIXED_ORACLE_TABLE
+from hooklab import enum_ordered, yang_term
 from hooklab.cli import main
 
 ORACLE = "@mixed"  # replaced by the path of the mixed oracle table file
@@ -52,7 +56,20 @@ GOLDEN = [
         "mc --family tbar --oracle @mixed --n 3 --samples 3000 --seed 5 --json",
         "2df251aa48cee237e10899936e68fec1124ff85c24cf4deda0b8ad1eeb8ebed5",
     ),
+    (
+        "verify-yang",
+        "verify yang --n-max 7 --json",
+        "b4985dccb756fd8cc312bfefb245042eafb9ca1ce820eccce273976c63cde89b",
+    ),
+    (
+        "labelprob-ordered-symbolic",
+        "verify labelprob --family ordered --m symbolic --n-max 5",
+        "1b45a0ff1fb135aee83fb15bdc9c8b9c960b3bdb38f7a16ecbe54ac41d1a57f9",
+    ),
 ]
+
+# one line str(yang_term(t)) per ordered tree, n = 1..6 in enumeration order
+YANG_TERMS = "9e3259baad086fe894a04f715f5656cac946fff93fb8914004759969b9595f39"
 
 
 @pytest.mark.parametrize(
@@ -65,3 +82,8 @@ def test_seeded_stdout_is_pinned(command, digest, tmp_path, capsys):
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest, out
+
+
+def test_yang_terms_are_pinned():
+    text = "".join(f"{yang_term(t)}\n" for n in range(1, 7) for t in enum_ordered(n))
+    assert hashlib.sha256(text.encode()).hexdigest() == YANG_TERMS, text

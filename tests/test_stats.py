@@ -59,11 +59,11 @@ class TestCategoryMasses:
 class TestMinSamples:
     def test_binary_n5(self):
         # rarest shape is the path: probability 2^-10
-        assert min_samples(BINARY, 5) == 5 * 1024
+        assert min_samples(category_masses(BINARY, 5)) == 5 * 1024
 
     def test_ordered_n4_m10(self):
         # rarest labeled tree has probability 1/1000
-        assert min_samples(OrderedFamily(10), 4) == 5000
+        assert min_samples(category_masses(OrderedFamily(10), 4)) == 5000
 
 
 class TestRunCensus:
