@@ -21,6 +21,10 @@ def timed(fn, *args):
     return value, time.perf_counter() - started
 
 
+def inverse_factorial(k: int) -> Fraction:
+    return Fraction(1, factorial(k))
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--han-max", type=int, default=12)
@@ -30,32 +34,22 @@ def main() -> int:
     ap.add_argument("--oracle", default="const:2")
     args = ap.parse_args()
 
-    failures = 0
-
-    for n in range(1, args.han_max + 1):
-        value, dt = timed(han_lhs, n)
-        ok = value == Fraction(1, factorial(n))
-        failures += not ok
-        print(f"han   n={n:2d}  lhs={value}  ok={ok}  ({dt:.3f}s)")
-
-    for n in range(1, args.yang_max + 1):
-        value, dt = timed(yang_lhs, n)
-        ok = value == Fraction(1, factorial(n))
-        failures += not ok
-        print(f"yang  n={n:2d}  lhs={value}  ok={ok}  ({dt:.3f}s)")
-
     oracle = parse_oracle(args.oracle)
-    for n in range(1, args.tbar_max + 1):
-        value, dt = timed(tbar_lhs, oracle, n)
-        ok = value == Fraction(1, factorial(n))
-        failures += not ok
-        print(f"tbar  n={n:2d}  lhs={value}  ok={ok}  ({dt:.3f}s)  [{oracle}]")
+    # (name, largest n, lhs of n, expected value at n, line suffix)
+    sweeps = (
+        ("han", args.han_max, han_lhs, inverse_factorial, ""),
+        ("yang", args.yang_max, yang_lhs, inverse_factorial, ""),
+        ("tbar", args.tbar_max, lambda n: tbar_lhs(oracle, n), inverse_factorial, f"  [{oracle}]"),
+        ("han2", args.han2_max, han2_lhs, lambda n: inverse_factorial(2 * n + 1), ""),
+    )
 
-    for n in range(1, args.han2_max + 1):
-        value, dt = timed(han2_lhs, n)
-        ok = value == Fraction(1, factorial(2 * n + 1))
-        failures += not ok
-        print(f"han2  n={n:2d}  lhs={value}  ok={ok}  ({dt:.3f}s)")
+    failures = 0
+    for name, n_max, lhs, expected, suffix in sweeps:
+        for n in range(1, n_max + 1):
+            value, dt = timed(lhs, n)
+            ok = value == expected(n)
+            failures += not ok
+            print(f"{name:<5} n={n:2d}  lhs={value}  ok={ok}  ({dt:.3f}s){suffix}")
 
     print(f"{'all identities hold' if not failures else f'{failures} FAILURES'}")
     return 1 if failures else 0

@@ -83,11 +83,19 @@ def _format_value(v) -> str:
 
 
 def positive_int(text: str) -> int:
-    """argparse type of the sizes ``--n`` and ``--n-max``."""
+    """argparse type of the sizes ``--n`` and ``--n-max`` and of ``--count``."""
     n = int(text)
     if n < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
     return n
+
+
+def unit_interval(text: str) -> float:
+    """argparse type of ``--alpha``: a significance level in (0, 1]."""
+    alpha = float(text)
+    if not 0 < alpha <= 1:
+        raise argparse.ArgumentTypeError(f"must lie in (0, 1], got {text}")
+    return alpha
 
 
 def _parse_m(text: str | None, fallback: Fraction | None) -> Fraction | None:
@@ -124,113 +132,95 @@ def _reject_family_flags(args, *, allow_oracle: bool = False) -> None:
         raise UsageError(f"--oracle does not apply to 'verify {args.identity}'")
 
 
-def cmd_verify(args) -> int:
-    identity = args.identity
-    failures = 0
-    if identity in ("han", "yang", "tbar", "han2"):
-        n_max = args.n_max if args.n_max is not None else {
-            "han": 10, "yang": 7, "tbar": 7, "han2": 10,
-        }[identity]
-        if identity == "tbar":
-            if args.family is not None or args.m is not None:
-                raise UsageError("'verify tbar' takes only --oracle, --n-max, --json")
-            oracle = parse_oracle(args.oracle or "const:2")
-        else:
-            _reject_family_flags(args)
-        for n in range(1, n_max + 1):
-            if identity == "han":
-                report = verify_han(n)
-            elif identity == "yang":
-                report = verify_yang(n)
-            elif identity == "han2":
-                report = verify_han2(n)
-            else:
-                report = verify_tbar(oracle, n)
-            _emit(report.to_json_dict(), args.json)
-            failures += 0 if report.holds else 1
-        return 1 if failures else 0
-    if identity == "lemma":
-        return _cmd_verify_lemma(args)
-    return _cmd_verify_labelprob(args)
-
-
-def _sweep_family(args, default_n_max: int) -> tuple[Family, int]:
+def _sweep_family(args) -> Family:
     name = args.family or "binary"
     if name != "ordered" and args.m is not None:
         raise UsageError("--m only applies to the ordered family")
     m = _parse_m(args.m, None) if name == "ordered" else None
-    family = _build_family(name, m, args.oracle)
-    n_max = args.n_max if args.n_max is not None else default_n_max
-    return family, n_max
+    return _build_family(name, m, args.oracle)
 
 
-def _lemma_states(family: Family, n: int) -> tuple[int, int]:
-    """Lemma summary for one size: (states checked, states that failed)."""
+def _identity(report) -> tuple[dict, bool]:
+    return report.to_json_dict(), report.holds
+
+
+def _lemma(family: Family, n: int) -> tuple[dict, bool]:
+    """Does the lemma hold at every reachable state of size n?"""
     states = failures = 0
     for labeled in enumerate_labelings(family, n):
         states += 1
-        if not lemma_check(GrowthState(labeled, family)):
-            failures += 1
-    return states, failures
+        failures += not lemma_check(GrowthState(labeled, family))
+    holds = failures == 0
+    record = {"check": "lemma", "family": family.label, "n": n, "states": states, "holds": holds}
+    return record, holds
 
 
-def _cmd_verify_lemma(args) -> int:
-    family, n_max = _sweep_family(args, 5)
-    bad = 0
+def _labelprob(family: Family, n: int) -> tuple[dict, bool]:
+    """Is every labeling of a size-n shape equally likely, at the shape's
+    closed form, with total mass 1?"""
+    shapes: dict[str, tuple[Tree, list]] = {}
+    for labeled in enumerate_labelings(family, n):
+        p = labeling_probability(labeled, family)
+        entry = shapes.setdefault(labeled.shape.enc, (labeled.shape, []))
+        entry[1].append(p)
+    equal = closed = True
+    total = None
+    labelings = 0
+    for shape, probs in shapes.values():
+        labelings += len(probs)
+        first = probs[0]
+        if any(p != first for p in probs[1:]):
+            equal = False
+        if first != shape_probability(shape, family):
+            closed = False
+        for p in probs:
+            total = p if total is None else total + p
+    holds = equal and closed and total == 1
+    record = {
+        "check": "labelprob",
+        "family": family.label,
+        "n": n,
+        "shapes": len(shapes),
+        "labelings": labelings,
+        "equal_per_shape": equal,
+        "matches_closed_form": closed,
+        "total_mass": str(total),
+        "holds": holds,
+    }
+    return record, holds
+
+
+# verify target -> (default --n-max, largest --n-max, check of one size n).
+# A check takes the oracle (identities) or the growth family (sweeps) and n,
+# and returns the record to print and whether it holds.  The largest n keeps
+# each exhaustive enumeration to seconds.
+VERIFY = {
+    "han": (10, 12, lambda oracle, n: _identity(verify_han(n))),
+    "han2": (10, 11, lambda oracle, n: _identity(verify_han2(n))),
+    "yang": (7, 8, lambda oracle, n: _identity(verify_yang(n))),
+    "tbar": (7, 8, lambda oracle, n: _identity(verify_tbar(oracle, n))),
+    "lemma": (5, 7, _lemma),
+    "labelprob": (5, 7, _labelprob),
+}
+
+
+def cmd_verify(args) -> int:
+    identity = args.identity
+    default, bound, check = VERIFY[identity]
+    if identity in ("lemma", "labelprob"):
+        context = _sweep_family(args)
+    else:
+        _reject_family_flags(args, allow_oracle=identity == "tbar")
+        context = parse_oracle(args.oracle or "const:2") if identity == "tbar" else None
+    n_max = default if args.n_max is None else args.n_max
+    if n_max > bound:
+        raise UsageError(f"'verify {identity}' is limited to --n-max <= {bound}, got {n_max}")
+    failures = 0
     for n in range(1, n_max + 1):
-        states, failures = _lemma_states(family, n)
-        bad += failures
-        _emit(
-            {
-                "check": "lemma",
-                "family": family.label,
-                "n": n,
-                "states": states,
-                "holds": failures == 0,
-            },
-            args.json,
-        )
-    return 1 if bad else 0
-
-
-def _cmd_verify_labelprob(args) -> int:
-    family, n_max = _sweep_family(args, 5)
-    bad = 0
-    for n in range(1, n_max + 1):
-        shapes: dict[str, tuple[Tree, list]] = {}
-        for labeled in enumerate_labelings(family, n):
-            p = labeling_probability(labeled, family)
-            entry = shapes.setdefault(labeled.shape.enc, (labeled.shape, []))
-            entry[1].append(p)
-        equal = closed = True
-        total = None
-        labelings = 0
-        for shape, probs in shapes.values():
-            labelings += len(probs)
-            first = probs[0]
-            if any(p != first for p in probs[1:]):
-                equal = False
-            if first != shape_probability(shape, family):
-                closed = False
-            for p in probs:
-                total = p if total is None else total + p
-        holds = equal and closed and total == 1
-        bad += 0 if holds else 1
-        _emit(
-            {
-                "check": "labelprob",
-                "family": family.label,
-                "n": n,
-                "shapes": len(shapes),
-                "labelings": labelings,
-                "equal_per_shape": equal,
-                "matches_closed_form": closed,
-                "total_mass": str(total),
-                "holds": holds,
-            },
-            args.json,
-        )
-    return 1 if bad else 0
+        record, holds = check(context, n)
+        _emit(record, args.json)
+        failures += not holds
+    return 1 if failures else 0
 
 
 def _site_path(site) -> str:
@@ -322,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample = sub.add_parser("sample", help="draw labeled trees from the growth chain")
     p_sample.add_argument("--family", choices=["binary", "ordered", "tbar"], default="binary")
     p_sample.add_argument("--n", type=positive_int, required=True)
-    p_sample.add_argument("--count", type=int, default=1)
+    p_sample.add_argument("--count", type=positive_int, default=1)
     p_sample.add_argument("--seed", type=int, default=0)
     p_sample.add_argument("--m", default=None)
     p_sample.add_argument("--oracle", default=None)
@@ -334,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--n", type=positive_int, required=True)
     p_mc.add_argument("--samples", type=int, default=100_000)
     p_mc.add_argument("--seed", type=int, default=0)
-    p_mc.add_argument("--alpha", type=float, default=0.001)
+    p_mc.add_argument("--alpha", type=unit_interval, default=0.001)
     p_mc.add_argument("--m", default=None)
     p_mc.add_argument("--oracle", default=None)
     p_mc.add_argument("--json", action="store_true")

@@ -1,7 +1,8 @@
 """Tree families: branching oracles, family specs, exhaustive enumerators.
 
 Each family spec also owns its rules for the growth chain (see sampler.py),
-so the chain itself never branches on the family.
+so the chain itself never branches on the family, and its hook-length
+summand (see identities.py).
 
 The three families are binary trees, ordered trees weighted by a variable m,
 and rooted subtrees of a fixed infinite ordered tree.  The infinite tree is
@@ -20,10 +21,11 @@ import heapq
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 from typing import Iterator, Union
 
 from .exact import RationalFunction, binomial_poly
-from .trees import Address, BinaryTree, OrderedTree, SlottedTree, Tree, _preorder, hook_lengths
+from .trees import Address, BinaryTree, OrderedTree, SlottedTree, Tree, _preorder, _subtrees
 
 
 class FamilyConfigError(ValueError):
@@ -166,10 +168,12 @@ class ProbabilityRangeError(ValueError):
 
 # Each family owns its growth rules: the one-vertex shape, the open child
 # slots of a node, the probability ("weight") of a new vertex, attaching a
-# leaf, the shape-membership and growability checks, and the closed-form
-# probability of any one increasing labeling of a shape.  A weight depends
+# leaf, and the shape-membership and growability checks.  A weight depends
 # only on the new vertex's parent: its address and c, the number of children
 # it had before the attachment, so every open slot of a vertex weighs the same.
+# The hook-length summand hook_term(shape) is prod w_v/h_v as (numerator,
+# integer denominator), with h_v = node.size: growth lands on each of a
+# shape's n!/prod h_v increasing labelings with probability prod w_v.
 
 
 @dataclass(frozen=True)
@@ -201,9 +205,14 @@ class BinaryFamily:
     def check_growable(self, n: int) -> None:
         pass
 
-    def shape_probability(self, shape: BinaryTree) -> Fraction:
-        """prod 1/2^(h_v-1)."""
-        return Fraction(1, 1 << sum(h - 1 for h in hook_lengths(shape).values()))
+    def hook_term(self, shape: BinaryTree) -> tuple[int, int]:
+        """prod 1/(h_v * 2^(h_v-1)) as (1, denominator)."""
+        den = 1
+        shift = 0
+        for node in _subtrees(shape):
+            den *= node.size
+            shift += node.size - 1
+        return 1, den << shift
 
 
 @dataclass(frozen=True)
@@ -217,6 +226,10 @@ class OrderedFamily:
     def __post_init__(self):
         if self.m is not None:
             object.__setattr__(self, "m", Fraction(self.m))
+            if self.m == 0:
+                raise FamilyConfigError(
+                    "ordered weights divide by m^depth, so m must be nonzero, got m=0"
+                )
 
     def root(self) -> OrderedTree:
         return OrderedTree()
@@ -260,13 +273,32 @@ class OrderedFamily:
                 f"ordered growth to size {n} needs m >= {n - 1}, got {self.m}"
             )
 
-    def shape_probability(self, shape: OrderedTree) -> Probability:
-        """prod C(m,c_v) / m^(h_v-1)."""
-        shift = sum(h - 1 for h in hook_lengths(shape).values())
-        p = RationalFunction.monomial(-shift)
-        for _, node in _preorder(shape):
-            p = p * binomial_poly(len(node.children))
-        return p if self.m is None else p.evaluate(self.m)
+    def hook_term(self, shape: OrderedTree) -> tuple[int | RationalFunction, int]:
+        """prod C(m,c_v) / (h_v * m^(h_v-1)) as (numerator, denominator).
+
+        Symbolic m: a Laurent polynomial over prod h_v.  Concrete m = p/q:
+        integers, from C(p/q, c) = p(p-q)...(p-(c-1)q) / (q^c c!) and
+        sum c_v = n-1.
+        """
+        m = self.m
+        num = RationalFunction.constant(1) if m is None else 1
+        den = 1
+        shift = 0
+        for node in _subtrees(shape):
+            c = len(node.children)
+            den *= node.size
+            shift += node.size - 1
+            if m is None:
+                if c:
+                    num = num * binomial_poly(c)
+            else:
+                for i in range(c):
+                    num *= m.numerator - i * m.denominator
+                den *= factorial(c)
+        if m is None:
+            return num * RationalFunction.monomial(-shift), den
+        return (num * m.denominator ** shift,
+                den * m.denominator ** (shape.size - 1) * m.numerator ** shift)
 
 
 @dataclass(frozen=True)
@@ -308,12 +340,18 @@ class TbarFamily:
     def check_growable(self, n: int) -> None:
         pass
 
-    def shape_probability(self, shape: SlottedTree) -> Fraction:
-        """prod 1/cbar_v^(h_v-1)."""
+    def hook_term(self, shape: SlottedTree) -> tuple[int, int]:
+        """prod 1/(h_v * cbar_v^(h_v-1)) as (1, denominator); leaves give 1,
+        so the oracle is queried only at vertices with children."""
         den = 1
-        for addr, h in hook_lengths(shape).items():
-            den *= self.oracle.child_count(addr) ** (h - 1) if h > 1 else 1
-        return Fraction(1, den)
+        todo = [((), shape)]
+        for addr, node in todo:
+            if node.children:
+                h = node.size
+                den *= h * self.oracle.child_count(addr) ** (h - 1)
+                for slot, child in node.children:
+                    todo.append((addr + (slot,), child))
+        return 1, den
 
 
 Family = Union[BinaryFamily, OrderedFamily, TbarFamily]

@@ -1,7 +1,9 @@
 """Exact hook-length sums over whole tree families.
 
-Each verifier enumerates a family exhaustively, accumulates the hook-length
-terms in exact arithmetic, and compares against the closed form:
+The identities are one statement.  Growth lands on each of the n!/prod h_v
+increasing labelings of a shape T with the same probability P(T) = prod w_v,
+so summing the hook-length summand P(T)/prod h_v over every shape of size n
+gives 1/n!:
 
   binary   sum of prod 1/(h_v * 2^(h_v-1))            equals 1/n!
   ordered  sum of prod C(m,c_v) / (h_v * m^(h_v-1))   equals 1/n!  (in m)
@@ -9,23 +11,42 @@ terms in exact arithmetic, and compares against the closed form:
   binary'  sum of prod 1/((2h_v+1) * 2^(2h_v-1))      equals 1/(2n+1)!
 
 h_v is the hook length of v (vertices in the subtree rooted at v, including
-v itself), c_v its child count, cbar_v the branching oracle's child count at
-v's ambient address.  The ordered sum is a rational function of m that is
-secretly constant; it is summed symbolically and compared as such.
+v itself, stored as ``node.size``), c_v its child count, cbar_v the
+branching oracle's child count at v's ambient address.  The first three
+summands are the families' ``hook_term`` methods (families.py).  binary' has
+the same form over the hooks 2h_v+1 of the completed tree (see
+``completion_count``); its summand ``_han2_term`` lives here.  The ordered
+sum is a Laurent polynomial in m that is secretly constant; it is summed
+symbolically and compared as such.
+
+``_hook_sum`` is the one sum: a summand is a pair (numerator, integer
+denominator), numerators are added per denominator, and a Fraction is
+formed only once per distinct denominator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
-from typing import Iterator, Union
+from math import factorial, prod
+from typing import Callable, Iterable, Union
 
-from .exact import RationalFunction, binomial_poly
-from .families import BranchingOracle, enum_binary, enum_ordered, enum_tbar
-from .trees import Address, BinaryTree, OrderedTree, SlottedTree, Tree
+from .exact import RationalFunction
+from .families import (
+    BinaryFamily,
+    BranchingOracle,
+    OrderedFamily,
+    TbarFamily,
+    enum_binary,
+    enum_ordered,
+    enum_tbar,
+)
+from .trees import BinaryTree, OrderedTree, Tree, _subtrees
 
 BRUTE_FORCE_BOUND = 11
+
+Value = Union[Fraction, RationalFunction]
+Term = Callable[[Tree], tuple]  # shape -> (numerator, integer denominator)
 
 
 class ConsistencyError(RuntimeError):
@@ -36,141 +57,69 @@ class SizeLimitError(ValueError):
     """Input exceeds a hard size bound for an exponential-cost routine."""
 
 
-def _hooks(node: Tree, out: list[int]) -> int:
-    """Append the hook lengths of ``node``'s subtree to ``out``; return its size."""
-    h = 1
-    for _, child in node.child_items():
-        h += _hooks(child, out)
-    out.append(h)
-    return h
-
-
 def hook_values(t: Tree) -> list[int]:
     """Hook lengths of all vertices, as a multiset in no particular order."""
-    out: list[int] = []
-    _hooks(t, out)
-    return out
+    return [node.size for node in _subtrees(t)]
+
+
+def _hook_sum(shapes: Iterable[Tree], term: Term) -> tuple[Value, int]:
+    """Sum of ``term`` over ``shapes``, and the number of shapes.
+
+    ``term(shape)`` is (numerator, integer denominator); the numerators of
+    equal denominators are added first.
+    """
+    by_den: dict = {}
+    count = 0
+    for shape in shapes:
+        num, den = term(shape)
+        seen = by_den.get(den)
+        by_den[den] = num if seen is None else seen + num
+        count += 1
+    return sum((num * Fraction(1, den) for den, num in by_den.items()), Fraction(0)), count
+
+
+def _han2_term(t: BinaryTree) -> tuple[int, int]:
+    """prod 1/((2h_v+1) * 2^(2h_v-1)) as (1, denominator)."""
+    den = 1
+    shift = 0
+    for node in _subtrees(t):
+        den *= 2 * node.size + 1
+        shift += 2 * node.size - 1
+    return 1, den << shift
 
 
 def han_lhs(n: int) -> Fraction:
-    return _han_sum(n)[0]
-
-
-def _han_sum(n: int) -> tuple[Fraction, int]:
-    # All terms divide n! * 2^(n(n-1)/2): hook products divide n! (the
-    # labeling count n!/prod h_v is an integer) and the 2-exponent
-    # sum(h_v - 1) is at most n(n-1)/2.  Accumulate an integer numerator.
-    common = factorial(n) * 2 ** (n * (n - 1) // 2)
-    num = 0
-    count = 0
-    for t in enum_binary(n):
-        hooks = hook_values(t)
-        den = 1
-        shift = 0
-        for h in hooks:
-            den *= h
-            shift += h - 1
-        num += common // (den << shift)
-        count += 1
-    return Fraction(num, common), count
+    return _hook_sum(enum_binary(n), BinaryFamily().hook_term)[0]
 
 
 def han2_lhs(n: int) -> Fraction:
-    return _han2_sum(n)[0]
-
-
-def _han2_sum(n: int) -> tuple[Fraction, int]:
-    # prod(2h_v+1) divides (2n+1)! because it is the hook product of the
-    # completed tree's non-leaf hooks times the 2n+1 leaf hooks of 1; the
-    # 2-exponent sum(2h_v-1) is at most n^2.
-    common = factorial(2 * n + 1) * 2 ** (n * n)
-    num = 0
-    count = 0
-    for t in enum_binary(n):
-        hooks = hook_values(t)
-        den = 1
-        shift = 0
-        for h in hooks:
-            den *= 2 * h + 1
-            shift += 2 * h - 1
-        num += common // (den << shift)
-        count += 1
-    return Fraction(num, common), count
+    return _hook_sum(enum_binary(n), _han2_term)[0]
 
 
 def tbar_lhs(oracle: BranchingOracle, n: int) -> Fraction:
-    return _tbar_sum(oracle, n)[0]
-
-
-def _tbar_sum(oracle: BranchingOracle, n: int) -> tuple[Fraction, int]:
-    total = Fraction(0)
-    count = 0
-    for t in enum_tbar(oracle, n):
-        total += Fraction(1, _tbar_denominator(oracle, t, ()))
-        count += 1
-    return total, count
-
-
-def _tbar_denominator(oracle: BranchingOracle, node: SlottedTree, addr: Address) -> int:
-    den = 1
-    h = 1
-    for slot, child in node.children:
-        den *= _tbar_denominator(oracle, child, addr + (slot,))
-        h += child.size
-    return den * h * oracle.child_count(addr) ** (h - 1) if h > 1 else den * h
+    return _hook_sum(enum_tbar(oracle, n), TbarFamily(oracle).hook_term)[0]
 
 
 def yang_term(t: OrderedTree) -> RationalFunction:
     """The ordered-tree summand prod C(m,c_v) / (h_v * m^(h_v-1)), in m."""
-    hooks: list[int] = []
-    _hooks(t, hooks)
-    hook_prod = 1
-    shift = 0
-    for h in hooks:
-        hook_prod *= h
-        shift += h - 1
-    term = RationalFunction.monomial(-shift, Fraction(1, hook_prod))
-    for c in _child_counts(t):
-        term = term * binomial_poly(c)
-    return term
-
-
-def _child_counts(node: OrderedTree) -> Iterator[int]:
-    yield len(node.children)
-    for child in node.children:
-        yield from _child_counts(child)
+    return _hook_sum((t,), OrderedFamily().hook_term)[0]
 
 
 def yang_lhs(n: int) -> RationalFunction:
-    return _yang_sum(n)[0]
-
-
-def _yang_sum(n: int) -> tuple[RationalFunction, int]:
-    total = RationalFunction.constant(0)
-    count = 0
-    for t in enum_ordered(n):
-        total = total + yang_term(t)
-        count += 1
-    return total, count
+    return _hook_sum(enum_ordered(n), OrderedFamily().hook_term)[0]
 
 
 def yang_sum_at(n: int, point: Fraction) -> Fraction:
-    """Evaluate the ordered-tree sum term by term at a concrete m."""
-    total = Fraction(0)
-    for t in enum_ordered(n):
-        total += yang_term(t).evaluate(point)
-    return total
+    """The ordered-tree sum with every summand evaluated at a concrete m."""
+    return _hook_sum(enum_ordered(n), OrderedFamily(point).hook_term)[0]
 
 
 def hook_count(t: Tree) -> int:
     """Number of increasing labelings, n! / prod h_v, checked integral."""
-    hooks = hook_values(t)
-    prod = 1
-    for h in hooks:
-        prod *= h
-    q, r = divmod(factorial(t.size), prod)
+    hook_prod = prod(hook_values(t))
+    q, r = divmod(factorial(t.size), hook_prod)
     if r:
-        raise ConsistencyError(f"hook product {prod} does not divide {t.size}!")
+        raise ConsistencyError(f"hook product {hook_prod} does not divide {t.size}!")
     return q
 
 
@@ -181,13 +130,10 @@ def completion_count(t: BinaryTree) -> int:
     vertices whose new leaves all have hook 1 and whose old vertices have
     hook 2h_v+1.
     """
-    hooks = hook_values(t)
-    prod = 1
-    for h in hooks:
-        prod *= 2 * h + 1
-    q, r = divmod(factorial(2 * t.size + 1), prod)
+    hook_prod = prod(2 * h + 1 for h in hook_values(t))
+    q, r = divmod(factorial(2 * t.size + 1), hook_prod)
     if r:
-        raise ConsistencyError(f"completion hooks {prod} do not divide {2 * t.size + 1}!")
+        raise ConsistencyError(f"completion hooks {hook_prod} do not divide {2 * t.size + 1}!")
     return q
 
 
@@ -220,7 +166,7 @@ def brute_force_labelings(t: Tree, max_size: int = BRUTE_FORCE_BOUND) -> int:
 class IdentityReport:
     identity: str
     n: int
-    lhs: Union[Fraction, RationalFunction]
+    lhs: Value
     expected: Fraction
     holds: bool
     term_count: int
@@ -236,28 +182,29 @@ class IdentityReport:
         }
 
 
+def _verify(
+    identity: str, n: int, shapes: Iterable[Tree], term: Term, size: int
+) -> IdentityReport:
+    """Report on ``sum of term over shapes == 1/size!``."""
+    lhs, count = _hook_sum(shapes, term)
+    expected = Fraction(1, factorial(size))
+    return IdentityReport(identity, n, lhs, expected, lhs == expected, count)
+
+
 def verify_han(n: int) -> IdentityReport:
-    lhs, count = _han_sum(n)
-    expected = Fraction(1, factorial(n))
-    return IdentityReport("han", n, lhs, expected, lhs == expected, count)
+    return _verify("han", n, enum_binary(n), BinaryFamily().hook_term, n)
 
 
 def verify_yang(n: int) -> IdentityReport:
-    lhs, count = _yang_sum(n)
-    expected = Fraction(1, factorial(n))
-    return IdentityReport("yang", n, lhs, expected, lhs == expected, count)
+    return _verify("yang", n, enum_ordered(n), OrderedFamily().hook_term, n)
 
 
 def verify_tbar(oracle: BranchingOracle, n: int) -> IdentityReport:
-    lhs, count = _tbar_sum(oracle, n)
-    expected = Fraction(1, factorial(n))
-    return IdentityReport("tbar", n, lhs, expected, lhs == expected, count)
+    return _verify("tbar", n, enum_tbar(oracle, n), TbarFamily(oracle).hook_term, n)
 
 
 def verify_han2(n: int) -> IdentityReport:
-    lhs, count = _han2_sum(n)
-    expected = Fraction(1, factorial(2 * n + 1))
-    return IdentityReport("han2", n, lhs, expected, lhs == expected, count)
+    return _verify("han2", n, enum_binary(n), _han2_term, 2 * n + 1)
 
 
 @dataclass(frozen=True)

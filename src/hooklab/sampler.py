@@ -21,10 +21,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Callable, Iterator, Optional
 
 from .families import Family, Probability
-from .identities import ConsistencyError
+from .identities import ConsistencyError, hook_values
 from .trees import Address, LabeledTree, Tree, _preorder, check_labeling
 
 
@@ -145,10 +146,11 @@ def shape_probability(shape: Tree, family: Family) -> Probability:
     """Chance of any one fixed increasing labeling of ``shape``.
 
     Growth lands on every increasing labeling of a shape with the same
-    probability; each family gives it in closed form over the hook lengths.
+    probability: the family's hook-length summand times prod h_v.
     """
     family.check_shape(shape)
-    return family.shape_probability(shape)
+    num, den = family.hook_term(shape)
+    return num * Fraction(prod(hook_values(shape)), den)
 
 
 def enumerate_labelings(family: Family, n: int) -> Iterator[LabeledTree]:

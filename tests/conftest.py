@@ -1,8 +1,17 @@
 import json
+import os
+from pathlib import Path
 
 import pytest
 
 from hooklab import parse_oracle
+
+# The CLI and script tests run hooklab in subprocesses; let them import it
+# from this checkout's src/ as the test process does (pyproject's pythonpath).
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p
+)
 
 
 def catalan(n: int) -> int:

@@ -87,6 +87,21 @@ class TestVerify:
         assert run("verify", "han", "--n-max", "-3").returncode == 2
         assert run("verify", "lemma", "--n-max", "0").returncode == 2
 
+    def test_n_max_above_the_bound_is_a_usage_error(self):
+        for args, bound in ((("han", "--n-max", "13"), 12),
+                            (("lemma", "--family", "tbar", "--n-max", "8"), 7)):
+            out = run("verify", *args)
+            assert out.returncode == 2
+            assert f"--n-max <= {bound}" in out.stderr
+            assert out.stdout == ""
+
+    def test_ordered_m_zero_is_a_usage_error(self):
+        for check in ("lemma", "labelprob"):
+            out = run("verify", check, "--family", "ordered", "--m", "0", "--n-max", "3")
+            assert out.returncode == 2
+            assert "m must be nonzero" in out.stderr
+            assert "Traceback" not in out.stderr
+
 
 class TestSample:
     def test_single_vertex(self):
@@ -131,6 +146,13 @@ class TestSample:
         assert run("sample", "--family", "binary", "--n", "3", "--oracle", "const:2").returncode == 2
         assert run("sample", "--family", "binary", "--n", "0").returncode == 2
 
+    def test_count_below_1_is_a_usage_error(self):
+        for count in ("0", "-2"):
+            out = run("sample", "--family", "binary", "--n", "3", "--count", count)
+            assert out.returncode == 2
+            assert "--count" in out.stderr
+            assert out.stdout == ""
+
 
 class TestMc:
     def test_fair_coin(self):
@@ -161,6 +183,14 @@ class TestMc:
         assert out.returncode == 2
         assert "needs m >= 3" in out.stderr
         assert "Traceback" not in out.stderr
+
+    def test_alpha_outside_the_unit_interval_is_a_usage_error(self):
+        for alpha in ("2", "0", "-0.5", "nan"):
+            out = run("mc", "--family", "binary", "--n", "2", "--samples", "10000",
+                      "--alpha", alpha)
+            assert out.returncode == 2
+            assert "--alpha" in out.stderr
+            assert out.stdout == ""
 
     def test_alpha_one_fails(self):
         out = run(

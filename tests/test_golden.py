@@ -66,6 +66,26 @@ GOLDEN = [
         "verify labelprob --family ordered --m symbolic --n-max 5",
         "1b45a0ff1fb135aee83fb15bdc9c8b9c960b3bdb38f7a16ecbe54ac41d1a57f9",
     ),
+    (
+        "verify-han",
+        "verify han --n-max 10 --json",
+        "f90590dc7287cf4f36e1b97edebdc7616182b5345b401ee350ec4be8a9db8568",
+    ),
+    (
+        "verify-han2",
+        "verify han2 --n-max 9 --json",
+        "89203a8a96220a49fa9360c95b3bc5cc4d466323d518b25a728a69e07441d0e4",
+    ),
+    (
+        "verify-tbar-depth",
+        "verify tbar --oracle depth:2,3 --n-max 7 --json",
+        "15a236538e68ce710c32f9ab2aee8082bdc8aeac2d21054e298a8fd6cdad7a9b",
+    ),
+    (
+        "labelprob-tbar-depth",
+        "verify labelprob --family tbar --oracle depth:2,3 --n-max 5 --json",
+        "86909558c6cfcf8d30e1416ddfc58c89957c65fbec92acb8a8f10a5799b86fa4",
+    ),
 ]
 
 # one line str(yang_term(t)) per ordered tree, n = 1..6 in enumeration order

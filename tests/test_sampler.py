@@ -23,15 +23,20 @@ from hooklab import (
     addable_sites,
     check_labeling,
     decode,
+    enum_binary,
+    enum_ordered,
+    enum_tbar,
     enumerate_labelings,
     grow,
     hook_count,
+    hook_lengths,
     labeling_probability,
     lemma_check,
     shape_probability,
     single_root,
     start,
 )
+from hooklab.exact import RationalFunction
 from hooklab.sampler import _draw
 
 BINARY = BinaryFamily()
@@ -181,6 +186,51 @@ class TestEqualLikelihood:
             labeling_probability(decode("(:1(:2(:3)))"), half)
         with pytest.raises(ProbabilityRangeError):
             addable_sites(GrowthState(decode("(:1(:2))"), half))
+
+
+def hook_product(shape, family):
+    """P(shape) written out over its hook lengths h_v and child counts c_v:
+    prod 1/2^(h_v-1) (binary), prod C(m,c_v)/m^(h_v-1) (ordered),
+    prod 1/cbar_v^(h_v-1) (tbar)."""
+    hooks = hook_lengths(shape)
+    children = Counter(addr[:-1] for addr in hooks if addr)
+    p = Fraction(1)
+    for addr, h in hooks.items():
+        if isinstance(family, BinaryFamily):
+            p = p * Fraction(1, 2 ** (h - 1))
+        elif isinstance(family, TbarFamily):
+            p = p * Fraction(1, family.oracle.child_count(addr) ** (h - 1))
+        else:
+            m = RationalFunction.variable() if family.m is None else family.m
+            for i in range(children[addr]):
+                p = p * (m - i) * Fraction(1, i + 1)
+            if h > 1:
+                p = p * (RationalFunction.monomial(1 - h) if family.m is None
+                         else 1 / family.m ** (h - 1))
+    return p
+
+
+class TestPaperStatement:
+    """Growth lands on each of the n!/prod h_v increasing labelings of a
+    shape T with probability P(T), so sum_T hook_count(T) * P(T) = 1."""
+
+    def cases(self, mixed_oracle):
+        cases = [(BINARY, enum_binary)]
+        for m in (None, Fraction(3), Fraction(7, 2)):
+            cases.append((OrderedFamily(m), enum_ordered))
+        for oracle in (ConstantBranching(2), DepthBranching((2, 3)), mixed_oracle):
+            cases.append((TbarFamily(oracle), lambda n, o=oracle: enum_tbar(o, n)))
+        return cases
+
+    def test_labelings_times_shape_probability_sum_to_one(self, mixed_oracle):
+        for family, shapes in self.cases(mixed_oracle):
+            for n in range(1, 7):
+                total = 0
+                for shape in shapes(n):
+                    p = shape_probability(shape, family)
+                    assert p == hook_product(shape, family), (family, shape.enc)
+                    total = total + hook_count(shape) * p
+                assert total == 1, (family, n)
 
 
 class TestLabelingEnumeration:
