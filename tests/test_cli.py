@@ -95,6 +95,25 @@ class TestVerify:
             assert f"--n-max <= {bound}" in out.stderr
             assert out.stdout == ""
 
+    def test_ordered_m_below_the_largest_child_count_is_a_usage_error(self):
+        for check, m, n_max, most in (
+            ("lemma", "3", "5", 4),
+            ("labelprob", "3", "6", 4),
+            ("lemma", "1/2", "3", 2),
+            ("labelprob", "1/2", "3", 1),
+        ):
+            out = run("verify", check, "--family", "ordered", "--m", m, "--n-max", n_max)
+            assert out.returncode == 2, (check, m, n_max)
+            assert out.stdout == ""
+            assert f"n={n_max}" in out.stderr and f"m={m}" in out.stderr
+            assert f"m >= {most}" in out.stderr
+            assert "Traceback" not in out.stderr
+
+    def test_ordered_m_at_the_largest_child_count_still_runs(self):
+        out = run("verify", "lemma", "--family", "ordered", "--m", "4", "--n-max", "5")
+        assert out.returncode == 0
+        assert out.stdout.count("holds=true") == 5
+
     def test_ordered_m_zero_is_a_usage_error(self):
         for check in ("lemma", "labelprob"):
             out = run("verify", check, "--family", "ordered", "--m", "0", "--n-max", "3")

@@ -3,7 +3,10 @@
 The digests below are SHA-256 of the stdout of each command.  The seeded
 ones were captured before the sampler's family rules moved onto the family
 objects: any change to the site order, the site weights or the u/2^64 draw
-rule shows up here as a changed digest.  The symbolic ones (yang terms and
+rule shows up here as a changed digest.  The n=24 samples and the n=5 mc
+gate were captured before the flat integer growth kernel replaced the
+per-step tree rebuild; the ordered one prints every site and p, so it pins
+the re-keying of later siblings too.  The symbolic ones (yang terms and
 sums, ordered labeling masses in m) were captured while rational functions
 were still reduced by polynomial gcd, so they pin the rendering of every
 value in m that the CLI prints.
@@ -55,6 +58,26 @@ GOLDEN = [
         "mc-tbar-mixed",
         "mc --family tbar --oracle @mixed --n 3 --samples 3000 --seed 5 --json",
         "2df251aa48cee237e10899936e68fec1124ff85c24cf4deda0b8ad1eeb8ebed5",
+    ),
+    (
+        "sample-binary-n24",
+        "sample --family binary --n 24 --count 5 --seed 11",
+        "29a44baf85e7ecb8f8f1e1dc6d0758c8829f49ae5382572cadf236b667606c10",
+    ),
+    (
+        "sample-ordered-m24-n24",
+        "sample --family ordered --m 24 --n 24 --count 3 --seed 11 --verbose",
+        "ce019958bc6641ba0a755f3e9c6b47a252b9db0a5b798622c7abac7b5a654c37",
+    ),
+    (
+        "sample-tbar-depth-n24",
+        "sample --family tbar --oracle depth:2,3 --n 24 --count 5 --seed 11",
+        "548d038d829d5fe1a10e3667a5209618812b77c1519b8477db7c9dcc3d65b3b2",
+    ),
+    (
+        "mc-binary-n5",
+        "mc --family binary --n 5 --samples 6000 --seed 5 --json",
+        "fd29aa7a9e4ffe5b9ca7bfc6f44c024673c6f3f47ea30c08354d89e0d5808af0",
     ),
     (
         "verify-yang",

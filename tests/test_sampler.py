@@ -1,3 +1,4 @@
+import copy
 import random
 from collections import Counter
 from fractions import Fraction
@@ -21,6 +22,7 @@ from hooklab import (
     ProbabilityRangeError,
     TbarFamily,
     addable_sites,
+    attach,
     check_labeling,
     decode,
     enum_binary,
@@ -37,7 +39,7 @@ from hooklab import (
     start,
 )
 from hooklab.exact import RationalFunction
-from hooklab.sampler import _draw
+from hooklab.sampler import _draw, _Flat
 
 BINARY = BinaryFamily()
 SYMBOLIC = OrderedFamily()
@@ -296,15 +298,100 @@ class MaxRandom:
         return 2 ** k - 1
 
 
+class HalfRandom:
+    """Draws u/2^64 = 1/2 exactly."""
+
+    def getrandbits(self, k):
+        return 2 ** (k - 1)
+
+
 class TestDraw:
+    """The integer draw: sites are (vertex, slot, weight), masses weight/D."""
+
     def test_last_site_takes_the_top_of_the_interval(self):
-        sites = [(AddableSite((), 0), Fraction(1, 2)), (AddableSite((), 1), Fraction(1, 2))]
-        assert _draw(sites, MaxRandom()) == sites[-1]
+        sites = [(0, 0, 1), (0, 1, 1)]
+        assert _draw(sites, 2, MaxRandom()) == sites[-1]
+
+    def test_a_cumulative_boundary_belongs_to_the_next_site(self):
+        sites = [(0, 0, 1), (0, 1, 1)]
+        assert _draw(sites, 2, HalfRandom()) == sites[1]
 
     def test_masses_short_of_one_raise(self):
-        sites = [(AddableSite((), 0), Fraction(1, 2)), (AddableSite((), 1), Fraction(1, 4))]
+        sites = [(0, 0, 2), (0, 1, 1)]
         with pytest.raises(ConsistencyError, match="3/4"):
-            _draw(sites, MaxRandom())
+            _draw(sites, 4, MaxRandom())
+
+
+def reference_grow(family, n, rng, steps):
+    """The growth chain as it stood before the flat kernel: the exhaustive
+    path's start, addable_sites and attach, and a draw that locates u/2^64
+    among the Fraction-cumulative probabilities; records every step."""
+    state = start(family)
+    while state.tree.size < n:
+        u = rng.getrandbits(64)
+        cum = Fraction(0)
+        for site, p in addable_sites(state):
+            cum += p
+            if u * cum.denominator < cum.numerator << 64:
+                break
+        else:
+            raise AssertionError(f"site masses sum to {cum}")
+        steps.append((state.tree.size + 1, site, p))
+        state = attach(state, site)
+    return state.tree
+
+
+class TestFlatKernel:
+    """grow's flat state against the exhaustive path it replaces."""
+
+    def cases(self, mixed_oracle):
+        """(family, largest grow size) pairs; ordered growth needs m >= n-1."""
+        return [
+            (BINARY, 12),
+            (OrderedFamily(7), 8),
+            (OrderedFamily(Fraction(9, 2)), 5),
+            (TbarFamily(DepthBranching((2, 3))), 12),
+            (TbarFamily(mixed_oracle), 12),
+        ]
+
+    def walk(self, state, flat, n, reached):
+        """Depth-first over every state up to size n, in the order
+        enumerate_labelings grows them, checking the kernel's sites (their
+        order, parent address, slot and weight / D) against addable_sites."""
+        family = state.family
+        assert flat.tree() == state.tree
+        reached.setdefault(state.tree.size, []).append(state.tree)
+        try:
+            expected = [(site.parent, site.slot, p) for site, p in addable_sites(state)]
+        except ProbabilityRangeError:
+            with pytest.raises(ProbabilityRangeError):
+                flat.sites()
+            assert state.tree.size == n  # only the leaves weigh out of range
+            return
+        sites, D = flat.sites()
+        assert [(flat.addr[v], slot, Fraction(w, D)) for v, slot, w in sites] == expected
+        if state.tree.size == n:
+            return
+        for v, slot, _ in sites:
+            twin = copy.deepcopy(flat, {id(family): family})
+            twin.attach(v, slot)
+            self.walk(attach(state, AddableSite(flat.addr[v], slot)), twin, n, reached)
+
+    def test_sites_match_addable_sites_at_every_state(self, mixed_oracle):
+        for family, _ in self.cases(mixed_oracle):
+            reached = {}
+            self.walk(start(family), _Flat(family), 6, reached)
+            for n in range(1, 7):
+                assert reached[n] == list(enumerate_labelings(family, n)), (family, n)
+
+    def test_grow_equals_the_reference_chain(self, mixed_oracle):
+        for family, n in self.cases(mixed_oracle):
+            for seed in range(200):
+                steps, expected = [], []
+                tree = grow(family, n, random.Random(seed), on_step=lambda *step: steps.append(step))
+                reference = reference_grow(family, n, random.Random(seed), expected)
+                assert tree.enc == reference.enc, (family, seed)
+                assert steps == expected, (family, seed)
 
 
 @settings(deadline=None, max_examples=60)
