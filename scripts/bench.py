@@ -5,7 +5,7 @@ Two tables, both in CPU seconds of this process (time.process_time):
 
   grow     trees/s of ``grow`` per family: the Monte-Carlo gate's sizes
            (binary n=5, ordered m=10 n=4, tbar depth:2,3 n=4) and the
-           ``sample`` sizes (n=24; ordered with m=24); 9 rounds over all
+           ``sample`` sizes (n=24; ordered with m=24); 25 rounds over all
            rows, reporting the best round (trees/s) and the median
   census   ``run_census`` on the three configurations of acceptance
            criterion 10 (200000 draws, seed 1), the category masses timed
@@ -42,7 +42,7 @@ from hooklab import (
 )
 
 ROOT = Path(__file__).resolve().parents[1]
-ROUNDS = 9
+ROUNDS = 25
 SAMPLES = 200_000  # criterion 10's
 
 # (row, family, n, trees per repeat)
