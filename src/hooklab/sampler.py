@@ -23,13 +23,13 @@ u/2^64 < cum/D); ``start``, ``addable_sites`` and ``attach`` certify it.
 from __future__ import annotations
 
 import random
-from bisect import bisect_left, insort
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
 from typing import Callable, Iterator, Optional
 
-from .families import Family, Probability
+from .families import Family, Probability, insert_child
 from .identities import ConsistencyError, hook_values
 from .trees import Address, LabeledTree, Tree, _preorder, check_labeling
 
@@ -66,9 +66,10 @@ def addable_sites(state: GrowthState) -> list[tuple[AddableSite, Probability]]:
     family = state.family
     sites = []
     for parent, node in _preorder(state.tree.shape):
-        slots = family.open_slots(parent, node.child_items())
+        items = node.child_items()
+        slots = family.open_slots(parent, items)
         if slots:
-            p = family.weight(parent, len(node.child_items()))
+            p = family.weight(parent, len(items))
             for slot in slots:
                 sites.append((AddableSite(parent, slot), p))
     return sites
@@ -113,23 +114,20 @@ class _Flat:
         return [(v, s, p.numerator * (D // p.denominator)) for v, free, p in live for s in free], D
 
     def attach(self, v: int, slot: int) -> None:
-        """Grow the next vertex at ``slot`` of ``v``; if the slot is used, the
-        child there and its later siblings move one slot on."""
-        kids, depth, new = self.kids[v], len(self.addr[v]), len(self.addr)
-        i = bisect_left(kids, (slot,))
-        if i < len(kids) and kids[i][0] == slot:
-            kids[i:] = [(s + 1, child) for s, child in kids[i:]]
-            todo = [child for _, child in kids[i:]]
-            for x in todo:
-                a = self.addr[x]
-                self.addr[x] = a[:depth] + (a[depth] + 1,) + a[depth + 1 :]
-                self.open[x] = None
-                todo += [child for _, child in self.kids[x]]
-        kids.insert(i, (slot, new))
+        """Grow the next vertex at ``slot`` of ``v`` as ``insert_child`` puts
+        it; the subtrees of children it moves on are re-addressed."""
+        depth, new = len(self.addr[v]), len(self.addr)
+        self.kids[v] = insert_child(self.kids[v], slot, new)
         self.addr.append(self.addr[v] + (slot,))
         self.kids.append([])
         self.open[v] = None
         self.open.append(None)
+        todo = [child for s, child in self.kids[v] if self.addr[child][depth] != s]
+        for x in todo:
+            a = self.addr[x]
+            self.addr[x] = a[:depth] + (a[depth] + 1,) + a[depth + 1 :]
+            self.open[x] = None
+            todo += [child for _, child in self.kids[x]]
         insort(self.order, new, key=self.addr.__getitem__)
 
     def tree(self) -> LabeledTree:

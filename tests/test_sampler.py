@@ -104,6 +104,46 @@ class TestReferenceSites:
         assert keys == sorted(keys)
 
 
+class TestAttach:
+    """attach against literal encodings; grow's flat state builds its tree
+    with the same family.node, so TestFlatKernel cannot catch a wrong one."""
+
+    CASES = [
+        (BINARY, [((), 1), ((1,), 0), ((), 0), ((1, 0), 1), ((0,), 1)], [
+            "(:1.,(:2.,.))",
+            "(:1.,(:2(:3.,.),.))",
+            "(:1(:4.,.),(:2(:3.,.),.))",
+            "(:1(:4.,.),(:2(:3.,(:5.,.)),.))",
+            "(:1(:4.,(:6.,.)),(:2(:3.,(:5.,.)),.))",
+        ]),
+        # used slots: each leaf goes before the child there, later siblings
+        # and their subtrees' labels move one slot on
+        (OrderedFamily(9), [((), 0), ((), 0), ((1,), 0), ((), 1), ((2,), 0), ((), 3)], [
+            "(:1(:2))",
+            "(:1(:3)(:2))",
+            "(:1(:3)(:2(:4)))",
+            "(:1(:3)(:5)(:2(:4)))",
+            "(:1(:3)(:5)(:2(:6)(:4)))",
+            "(:1(:3)(:5)(:2(:6)(:4))(:7))",
+        ]),
+        (TbarFamily(DepthBranching((2, 3))), [((), 1), ((1,), 2), ((), 0), ((1,), 0), ((0,), 1)], [
+            "(:1[1](:2))",
+            "(:1[1](:2[2](:3)))",
+            "(:1[0](:4)[1](:2[2](:3)))",
+            "(:1[0](:4)[1](:2[0](:5)[2](:3)))",
+            "(:1[0](:4[1](:6))[1](:2[0](:5)[2](:3)))",
+        ]),
+    ]
+
+    def test_attach_builds_the_literal_trees(self):
+        for family, sites, encodings in self.CASES:
+            state = start(family)
+            for (parent, slot), enc in zip(sites, encodings, strict=True):
+                state = attach(state, AddableSite(parent, slot))
+                check_labeling(state.tree)
+                assert state.tree.enc == enc, (family, parent, slot)
+
+
 class TestLemma:
     def test_single_root_every_family(self, mixed_oracle):
         for family in (
