@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Time the growth sampler and write BENCH_<label>.json.
+"""Time the growth sampler and the exhaustive sweeps, write BENCH_<label>.json.
 
-Two tables, both in CPU seconds of this process (time.process_time):
+Three tables, all in CPU seconds of this process (time.process_time):
 
   grow     trees/s of ``grow`` per family: the Monte-Carlo gate's sizes
            (binary n=5, ordered m=10 n=4, tbar depth:2,3 n=4) and the
@@ -10,6 +10,9 @@ Two tables, both in CPU seconds of this process (time.process_time):
   census   ``run_census`` on the three configurations of acceptance
            criterion 10 (200000 draws, seed 1), the category masses timed
            apart, as ``cmd_mc`` computes them once beforehand
+  sweeps   ``verify lemma`` and ``verify labelprob`` through ``cli.main``
+           with stdout discarded: binary to n=7, tbar depth:2,3 to n=6 and
+           ordered with symbolic m to n=5; 5 rounds, best and median
 
 Shared hosts switch between fast and slow spells lasting 10-30 s, which
 moves back-to-back repeats together; rounds spread each row's repeats over
@@ -22,6 +25,7 @@ Usage:
 """
 
 import argparse
+import contextlib
 import json
 import os
 import platform
@@ -40,6 +44,7 @@ from hooklab import (
     grow,
     run_census,
 )
+from hooklab.cli import main as cli_main
 
 ROOT = Path(__file__).resolve().parents[1]
 ROUNDS = 25
@@ -55,6 +60,17 @@ GROW = [
     ("tbar depth:2,3 n=24", TbarFamily(DepthBranching((2, 3))), 24, 200),
 ]
 
+SWEEP_ROUNDS = 5
+SWEEPS = [
+    (f"{check} {name}", ["verify", check, *args])
+    for name, args in [
+        ("binary n<=7", ["--family", "binary", "--n-max", "7"]),
+        ("tbar depth:2,3 n<=6", ["--family", "tbar", "--oracle", "depth:2,3", "--n-max", "6"]),
+        ("ordered symbolic n<=5", ["--family", "ordered", "--m", "symbolic", "--n-max", "5"]),
+    ]
+    for check in ("lemma", "labelprob")
+]
+
 CENSUS = [
     ("binary n=5", BinaryFamily(), 5),
     ("ordered m=10 n=4", OrderedFamily(10), 4),
@@ -66,6 +82,13 @@ def _seconds(work) -> float:
     started = time.process_time()
     work()
     return time.process_time() - started
+
+
+def _sweep(argv: list[str]) -> None:
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        status = cli_main(argv)
+    if status != 0:
+        raise SystemExit(f"{' '.join(argv)} exited {status}")
 
 
 def _commit() -> str:
@@ -108,6 +131,17 @@ def main() -> int:
                             "census_seconds": round(census_s, 3)})
         print(json.dumps(census_rows[-1]), flush=True)
 
+    sweep_times = {row: [] for row, _ in SWEEPS}
+    for _ in range(SWEEP_ROUNDS):
+        for row, argv in SWEEPS:
+            sweep_times[row].append(_seconds(lambda: _sweep(argv)))
+    sweep_rows = []
+    for row, argv in SWEEPS:
+        sweep_rows.append({"row": row, "argv": argv,
+                           "best_seconds": round(min(sweep_times[row]), 4),
+                           "median_seconds": round(statistics.median(sweep_times[row]), 4)})
+        print(json.dumps(sweep_rows[-1]), flush=True)
+
     doc = {
         "label": args.label,
         "commit": _commit(),
@@ -121,6 +155,8 @@ def main() -> int:
         "grow": grow_rows,
         "census": census_rows,
         "census_total_seconds": round(sum(r["census_seconds"] for r in census_rows), 3),
+        "sweep_rounds": SWEEP_ROUNDS,
+        "sweeps": sweep_rows,
     }
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(doc, indent=2) + "\n")

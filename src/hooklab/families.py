@@ -109,8 +109,9 @@ def parse_oracle(spec: str) -> BranchingOracle:
     """Parse an oracle spec: ``const:K``, ``depth:K1,K2,...`` or ``file:PATH``.
 
     The file form is a JSON object mapping slash-joined addresses such as
-    ``"0/2/1"`` (the root is ``""``) to child counts, plus a mandatory
-    ``"default"`` entry holding a const/depth spec for unlisted addresses.
+    ``"0/2/1"`` (the root is ``""``) to child counts, which are JSON
+    integers, plus a mandatory ``"default"`` entry holding a const/depth spec
+    for unlisted addresses.
     """
     kind, sep, rest = spec.partition(":")
     if not sep:
@@ -136,16 +137,18 @@ def parse_oracle(spec: str) -> BranchingOracle:
             raise OracleSyntaxError("the 'default' entry must be a const or depth spec")
         entries = []
         for key, value in sorted(data.items()):
+            if type(value) is not int:  # JSON true is a bool, which Python counts as an int
+                raise OracleSyntaxError(f"child count {value!r} at {key!r} is not a JSON integer")
             entries.append((_parse_address(key), _parse_count(value)))
         return TableBranching(tuple(entries), default)
     raise OracleSyntaxError(f"unknown oracle kind {kind!r}")
 
 
-def _parse_count(token) -> int:
-    try:
-        count = int(token)
-    except (TypeError, ValueError):
-        raise OracleSyntaxError(f"bad child count {token!r}") from None
+def _parse_count(token: str | int) -> int:
+    """A child count: ASCII digits in a spec, a JSON integer in a file."""
+    if isinstance(token, str) and not (token.isascii() and token.isdigit()):
+        raise OracleSyntaxError(f"bad child count {token!r}")
+    count = int(token)
     if count < 1:
         raise OracleSyntaxError(f"child count {token!r} must be at least 1")
     return count
@@ -154,10 +157,10 @@ def _parse_count(token) -> int:
 def _parse_address(key: str) -> Address:
     if key == "":
         return ()
-    try:
-        return tuple(int(part) for part in key.split("/"))
-    except ValueError:
-        raise OracleSyntaxError(f"bad address key {key!r}") from None
+    steps = key.split("/")
+    if not all(step.isascii() and step.isdigit() for step in steps):
+        raise OracleSyntaxError(f"bad address key {key!r}: steps are nonnegative integers")
+    return tuple(map(int, steps))
 
 
 Probability = Union[Fraction, RationalFunction]
@@ -169,9 +172,9 @@ class ProbabilityRangeError(ValueError):
 
 # Each family owns its growth rules: the one-vertex shape, a vertex's open
 # slots from its address and (slot, child) pairs (a used slot puts the leaf
-# before its child), the probability ("weight") of a new vertex, attaching a
-# leaf, building a node, and the shape and growability checks.  A weight
-# depends only on the parent's address and child count c, not on the slot.
+# before its child), the probability ("weight") of a new vertex, building a
+# node, and the shape and growability checks.  A weight depends only on the
+# parent's address and child count c, not on the slot.
 # The hook-length summand hook_term(shape) is prod w_v/h_v as (numerator,
 # integer denominator), with h_v = node.size: growth lands on each of a
 # shape's n!/prod h_v increasing labelings with probability prod w_v.
@@ -191,9 +194,6 @@ class BinaryFamily:
     def weight(self, parent: Address, c: int) -> Fraction:
         """1 / 2^depth of the new vertex."""
         return Fraction(1, 2 << len(parent))
-
-    def attach(self, shape: BinaryTree, labels, parent: Address, slot: int):
-        return _grown(self, shape, parent, slot), dict(labels)
 
     def node(self, children) -> BinaryTree:
         kids = [None, None]
@@ -255,17 +255,6 @@ class OrderedFamily:
                 f"depth-{depth} vertex whose parent has {c} earlier children"
             )
         return p
-
-    def attach(self, shape: OrderedTree, labels, parent: Address, slot: int):
-        """The insertion shifts later siblings (``insert_child``), so their
-        labels are re-keyed."""
-        depth = len(parent)
-        shifted = {}
-        for addr, label in labels.items():
-            if len(addr) > depth and addr[:depth] == parent and addr[depth] >= slot:
-                addr = parent + (addr[depth] + 1,) + addr[depth + 1 :]
-            shifted[addr] = label
-        return _grown(self, shape, parent, slot), shifted
 
     def node(self, children) -> OrderedTree:
         return OrderedTree(tuple(child for _, child in children))
@@ -330,9 +319,6 @@ class TbarFamily:
             prod *= self.oracle.child_count(parent[:depth])
         return Fraction(1, prod)
 
-    def attach(self, shape: SlottedTree, labels, parent: Address, slot: int):
-        return _grown(self, shape, parent, slot), dict(labels)
-
     def node(self, children) -> SlottedTree:
         return SlottedTree(tuple(children))
 
@@ -378,16 +364,6 @@ def insert_child(children: list, slot: int, child) -> list:
     if later and later[0][0] == slot:
         later = [(s + 1, c) for s, c in later]
     return children[:i] + [(slot, child)] + later
-
-
-def _grown(family: Family, node: Tree, parent: Address, slot: int) -> Tree:
-    """``node`` with a new leaf at ``slot`` of the vertex at ``parent``."""
-    items = node.child_items()
-    if not parent:
-        return family.node(insert_child(items, slot, family.root()))
-    i = bisect_left(items, (parent[0],))
-    items[i] = (parent[0], _grown(family, items[i][1], parent[1:], slot))
-    return family.node(items)
 
 
 def _enc(t) -> str:

@@ -23,7 +23,7 @@ u/2^64 < cum/D); ``start``, ``addable_sites`` and ``attach`` certify it.
 from __future__ import annotations
 
 import random
-from bisect import insort
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
@@ -41,10 +41,6 @@ class AddableSite:
     parent: Address
     slot: int
 
-    @property
-    def address(self) -> Address:
-        return self.parent + (self.slot,)
-
 
 @dataclass(frozen=True)
 class GrowthState:
@@ -53,7 +49,7 @@ class GrowthState:
 
 
 def single_root(family: Family) -> LabeledTree:
-    return LabeledTree(family.root(), {(): 1})
+    return LabeledTree._of(family.root(), (1,))
 
 
 def start(family: Family) -> GrowthState:
@@ -83,9 +79,25 @@ def lemma_check(state: GrowthState) -> bool:
 def attach(state: GrowthState, site: AddableSite) -> GrowthState:
     """Grow a new leaf at ``site``, labeling it with the next integer."""
     tree = state.tree
-    shape, labels = state.family.attach(tree.shape, tree.labels, site.parent, site.slot)
-    labels[site.address] = tree.shape.size + 1
-    return GrowthState(LabeledTree(shape, labels), state.family)
+    shape, i = _grown(state.family, tree.shape, site.parent, site.slot)
+    labels = tree.preorder
+    return GrowthState(LabeledTree._of(shape, labels[:i] + (len(labels) + 1,) + labels[i:]),
+                       state.family)
+
+
+def _grown(family: Family, node: Tree, parent: Address, slot: int) -> tuple[Tree, int]:
+    """``node`` with a new leaf at ``slot`` of the vertex at ``parent``, as
+    ``insert_child`` puts it, and the new leaf's preorder index in it: 1 plus
+    the sizes of the earlier siblings at each step down the path."""
+    items = node.child_items()
+    step = parent[0] if parent else slot
+    i = bisect_left(items, (step,))
+    before = 1 + sum(child.size for _, child in items[:i])
+    if not parent:
+        return family.node(insert_child(items, slot, family.root())), before
+    child, index = _grown(family, items[i][1], parent[1:], slot)
+    items[i] = (step, child)
+    return family.node(items), before + index
 
 
 StepCallback = Callable[[int, AddableSite, Fraction], None]
@@ -134,7 +146,7 @@ class _Flat:
         nodes: list = [None] * len(self.addr)
         for v in reversed(range(len(nodes))):  # children have larger labels
             nodes[v] = self.family.node([(s, nodes[c]) for s, c in self.kids[v]])
-        return LabeledTree(nodes[0], {a: v + 1 for v, a in enumerate(self.addr)})
+        return LabeledTree._of(nodes[0], tuple(v + 1 for v in self.order))
 
 
 def grow(
@@ -180,12 +192,15 @@ def labeling_probability(tree: LabeledTree, family: Family) -> Probability:
     """
     check_labeling(tree)
     family.check_shape(tree.shape)
-    siblings: dict[Address, list[int]] = {}
-    for addr, label in tree.labels.items():
-        if addr:
-            siblings.setdefault(addr[:-1], []).append(label)
+    labels = tree.preorder
     total: Probability = Fraction(1)
-    for parent, born in siblings.items():
+    todo = [((), tree.shape, 0)]  # (address, vertex, its preorder index)
+    for parent, node, i in todo:
+        born, j = [], i + 1
+        for step, child in node.child_items():
+            born.append(labels[j])
+            todo.append((parent + (step,), child, j))
+            j += child.size
         for label in born:
             earlier = sum(1 for other in born if other < label)
             total = total * family.weight(parent, earlier)

@@ -15,10 +15,12 @@ Every tree carries its canonical encoding, computed at construction:
     ordered  node = "(" node* ")"
     slotted  node = "(" ("[" slot "]" node)* ")"
 
-A labeled tree additionally writes ":k" directly after each "(".  Equal
-trees have equal encodings and vice versa; the strings are ASCII-only and
-whitespace-free and are the wire format of all CLI output.  Trees are
-immutable after construction and safe to share across threads.
+Each "(" of an encoding opens one vertex, and the vertices open in
+preorder.  A labeled tree is a shape plus its labels in that order, and its
+encoding writes ":k" directly after each "(".  Equal trees have equal
+encodings and vice versa; the strings are ASCII-only and whitespace-free and
+are the wire format of all CLI output.  Trees are immutable after
+construction and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -152,22 +154,37 @@ Tree = Union[BinaryTree, OrderedTree, SlottedTree]
 
 
 class LabeledTree:
-    """A tree shape together with a vertex -> label assignment.
+    """A tree shape with its labels in preorder (``preorder``), the order in
+    which the "(" of ``shape.enc`` open the vertices.
 
-    ``labels`` maps each vertex address of ``shape`` to an integer.  For an
-    increasing labeling the labels are a bijection onto 1..n, the root gets 1
-    and every child's label exceeds its parent's; use ``check_labeling`` to
-    enforce that, construction itself only requires the addresses to match.
+    ``labels``, vertex address -> label, must cover exactly the vertices of
+    ``shape``.  For an increasing labeling the labels are a bijection onto
+    1..n, the root gets 1 and every child's label exceeds its parent's;
+    ``check_labeling`` enforces that.
     """
 
-    __slots__ = ("shape", "labels")
+    __slots__ = ("shape", "preorder")
 
     def __init__(self, shape: Tree, labels: Mapping[Address, int]):
         labels = dict(labels)
-        if set(labels) != set(addresses(shape)):
+        order = addresses(shape)
+        if set(labels) != set(order):
             raise LabelingError("labels must cover exactly the vertices of the shape")
         self.shape = shape
-        self.labels = labels
+        self.preorder = tuple(labels[addr] for addr in order)
+
+    @classmethod
+    def _of(cls, shape: Tree, preorder: tuple[int, ...]) -> "LabeledTree":
+        """For builders with one label per vertex by construction."""
+        tree = cls.__new__(cls)
+        tree.shape = shape
+        tree.preorder = preorder
+        return tree
+
+    @property
+    def labels(self) -> dict[Address, int]:
+        """A fresh vertex address -> label dict."""
+        return dict(zip(addresses(self.shape), self.preorder))
 
     @property
     def size(self) -> int:
@@ -175,32 +192,16 @@ class LabeledTree:
 
     @property
     def enc(self) -> str:
-        return self._encode(self.shape, ())
-
-    def _encode(self, node: Tree, addr: Address) -> str:
-        head = f"(:{self.labels[addr]}"
-        if isinstance(node, BinaryTree):
-            left = self._encode(node.left, addr + (0,)) if node.left else "."
-            right = self._encode(node.right, addr + (1,)) if node.right else "."
-            return f"{head}{left},{right})"
-        if isinstance(node, SlottedTree):
-            inner = "".join(
-                f"[{slot}]{self._encode(c, addr + (slot,))}"
-                for slot, c in node.children
-            )
-            return f"{head}{inner})"
-        inner = "".join(
-            self._encode(c, addr + (i,)) for i, c in enumerate(node.children)
-        )
-        return f"{head}{inner})"
+        head, *opened = self.shape.enc.split("(")
+        return head + "".join(map("(:{}{}".format, self.preorder, opened))
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, LabeledTree):
-            return self.shape == other.shape and self.labels == other.labels
+            return self.shape == other.shape and self.preorder == other.preorder
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(("LabeledTree", type(self.shape).__name__, self.enc))
+        return hash((self.shape, self.preorder))
 
     def __repr__(self) -> str:
         return f"<LabeledTree {self.enc}>"
@@ -208,15 +209,20 @@ class LabeledTree:
 
 def check_labeling(labeled: LabeledTree) -> None:
     """Raise LabelingError unless ``labeled`` is an increasing labeling."""
-    labels = labeled.labels
-    n = labeled.size
-    if sorted(labels.values()) != list(range(1, n + 1)):
+    labels = labeled.preorder
+    if sorted(labels) != list(range(1, len(labels) + 1)):
         raise LabelingError("labels must be a bijection onto 1..n")
-    if labels[()] != 1:
+    if labels[0] != 1:
         raise LabelingError("root must be labeled 1")
-    for addr, label in labels.items():
-        if addr and labels[addr[:-1]] >= label:
-            raise LabelingError(f"label at {addr} does not exceed its parent's")
+    todo = [(labeled.shape, 0)]  # (vertex, its preorder index)
+    for node, i in todo:
+        j = i + 1
+        for _, child in node.child_items():
+            if labels[j] <= labels[i]:
+                addr = addresses(labeled.shape)[j]
+                raise LabelingError(f"label at {addr} does not exceed its parent's")
+            todo.append((child, j))
+            j += child.size
 
 
 def addresses(t: Tree | LabeledTree) -> list[Address]:
@@ -331,11 +337,11 @@ def decode(text: str, family: str | None = None) -> Tree | LabeledTree:
     if family not in ("binary", "ordered", "slotted"):
         raise ValueError(f"unknown family {family!r}")
     parser = _Parser(text, family)
-    shape = parser.parse_node(())
+    shape = parser.parse_node()
     if parser.pos != len(text):
         raise TreeParseError("trailing characters after tree", parser.pos)
     if parser.labels is not None:
-        return LabeledTree(shape, parser.labels)
+        return LabeledTree._of(shape, tuple(parser.labels))
     return shape
 
 
@@ -344,7 +350,8 @@ class _Parser:
         self.text = text
         self.family = family
         self.pos = 0
-        self.labels: dict[Address, int] | None = None
+        # labels in parse order, which is preorder; None for a bare shape
+        self.labels: list[int] | None = [] if text.startswith("(:") else None
 
     def error(self, message: str) -> TreeParseError:
         return TreeParseError(message, self.pos)
@@ -360,31 +367,32 @@ class _Parser:
         self.pos += 1
 
     def parse_int(self) -> int:
+        """ASCII digits without a leading zero, so the encoding stays
+        canonical."""
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos] in "0123456789":
             self.pos += 1
         if self.pos == start:
             raise self.error("expected an integer")
+        if self.text[start] == "0" and self.pos - start > 1:
+            raise TreeParseError("integer has a leading zero", start)
         return int(self.text[start : self.pos])
 
-    def parse_label(self, addr: Address, first: bool) -> None:
+    def parse_label(self) -> None:
         has_label = self.pos < len(self.text) and self.text[self.pos] == ":"
-        if first:
-            self.labels = {} if has_label else None
         if (self.labels is not None) != has_label:
             raise self.error("labels must appear on every vertex or none")
         if has_label:
             self.pos += 1
-            assert self.labels is not None
-            self.labels[addr] = self.parse_int()
+            self.labels.append(self.parse_int())
 
-    def parse_node(self, addr: Address) -> Tree:
+    def parse_node(self) -> Tree:
         self.expect("(")
-        self.parse_label(addr, first=addr == ())
+        self.parse_label()
         if self.family == "binary":
-            left = self.parse_binary_sub(addr + (0,))
+            left = self.parse_binary_sub()
             self.expect(",")
-            right = self.parse_binary_sub(addr + (1,))
+            right = self.parse_binary_sub()
             self.expect(")")
             return BinaryTree(left, right)
         if self.family == "slotted":
@@ -397,23 +405,21 @@ class _Parser:
                     raise self.error("slots must be strictly increasing")
                 last_slot = slot
                 self.expect("]")
-                children.append((slot, self.parse_node(addr + (slot,))))
+                children.append((slot, self.parse_node()))
             self.expect(")")
             return SlottedTree(tuple(children))
         children = []
-        index = 0
         while self.peek() == "(":
-            children.append(self.parse_node(addr + (index,)))
-            index += 1
+            children.append(self.parse_node())
         self.expect(")")
         return OrderedTree(tuple(children))
 
-    def parse_binary_sub(self, addr: Address) -> Optional[BinaryTree]:
+    def parse_binary_sub(self) -> Optional[BinaryTree]:
         if self.peek() == ".":
             self.pos += 1
             return None
         if self.peek() == "(":
-            node = self.parse_node(addr)
+            node = self.parse_node()
             assert isinstance(node, BinaryTree)
             return node
         raise self.error("expected '.' or '('")

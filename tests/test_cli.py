@@ -87,6 +87,14 @@ class TestVerify:
         assert run("verify", "han", "--n-max", "-3").returncode == 2
         assert run("verify", "lemma", "--n-max", "0").returncode == 2
 
+    def test_oracle_file_with_a_fractional_count_is_a_usage_error(self, tmp_path):
+        path = tmp_path / "oracle.json"
+        path.write_text(json.dumps({"": 2.7, "default": "const:2"}))
+        out = run("verify", "tbar", "--oracle", f"file:{path}", "--n-max", "3")
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert "2.7" in out.stderr
+
     def test_n_max_above_the_bound_is_a_usage_error(self):
         for args, bound in ((("han", "--n-max", "13"), 12),
                             (("lemma", "--family", "tbar", "--n-max", "8"), 7)):

@@ -1,4 +1,5 @@
 import json
+import re
 from collections import Counter
 from dataclasses import FrozenInstanceError
 
@@ -89,6 +90,28 @@ class TestParseOracle:
         badkey.write_text(json.dumps({"0/x": 2, "default": "const:2"}))
         with pytest.raises(OracleSyntaxError, match="'0/x'"):
             parse_oracle(f"file:{badkey}")
+
+    def test_counts_are_integers(self, tmp_path):
+        # int() used to turn 2.7 into 2 and true into 1
+        for count in (2.7, True, "2", None):
+            path = tmp_path / "counts.json"
+            path.write_text(json.dumps({"0": count, "default": "const:2"}))
+            with pytest.raises(OracleSyntaxError, match=re.escape(repr(count))):
+                parse_oracle(f"file:{path}")
+        for spec in ("const:+2", "const: 2", "const:2.0", "depth:2,٣", "const:"):
+            with pytest.raises(OracleSyntaxError, match="bad child count"):
+                parse_oracle(spec)
+        path = tmp_path / "negative.json"
+        path.write_text(json.dumps({"0": -1, "default": "const:2"}))
+        with pytest.raises(OracleSyntaxError, match="at least 1"):
+            parse_oracle(f"file:{path}")
+
+    def test_address_steps_are_nonnegative_integers(self, tmp_path):
+        for key in ("0/-1", "-1", "0/+1", "0/ 1", "0//1", "0/"):
+            path = tmp_path / "steps.json"
+            path.write_text(json.dumps({key: 2, "default": "const:2"}))
+            with pytest.raises(OracleSyntaxError, match=re.escape(repr(key))):
+                parse_oracle(f"file:{path}")
 
 
 class TestEnumBinary:

@@ -1,4 +1,5 @@
 import random
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -8,11 +9,13 @@ from hooklab import (
     AddressError,
     BinaryFamily,
     BinaryTree,
+    DepthBranching,
     LabeledTree,
     LabelingError,
     OrderedFamily,
     OrderedTree,
     SlottedTree,
+    TbarFamily,
     TreeParseError,
     addresses,
     check_labeling,
@@ -22,7 +25,9 @@ from hooklab import (
     encode,
     enum_binary,
     enum_ordered,
+    enumerate_labelings,
     grow,
+    hook_count,
     hook_lengths,
     subtree_at,
 )
@@ -84,6 +89,20 @@ class TestEncoding:
         for bad in ["", "(", "(.,.))", "((),", "(.,)", "(a)"]:
             with pytest.raises(TreeParseError):
                 decode(bad)
+        # integers are ASCII digits without a leading zero, so that the
+        # encoding stays canonical
+        for bad, family, position in [
+            ("(:²)", None, 2),
+            ("(:01)", None, 2),
+            ("(:1(:02.,.),.)", None, 5),
+            ("([01]())", "slotted", 2),
+            ("([٣]())", "slotted", 2),
+        ]:
+            with pytest.raises(TreeParseError) as err:
+                decode(bad, family)
+            assert err.value.position == position, bad
+        assert decode("([0]())", "slotted").enc == "([0]())"
+        assert decode("([10]())", "slotted").enc == "([10]())"
 
     def test_slot_order_must_increase(self):
         with pytest.raises(TreeParseError):
@@ -200,6 +219,66 @@ class TestLabeling:
     def test_labels_must_cover_addresses(self):
         with pytest.raises(LabelingError):
             LabeledTree(CHERRY, {(): 1, (0,): 2})
+
+
+def reference_enc(lt):
+    """The labeled encoding as a recursive walk over the address -> label
+    dict, one branch per shape class."""
+    labels = lt.labels
+
+    def walk(node, addr):
+        head = f"(:{labels[addr]}"
+        if isinstance(node, BinaryTree):
+            left = walk(node.left, addr + (0,)) if node.left else "."
+            right = walk(node.right, addr + (1,)) if node.right else "."
+            return f"{head}{left},{right})"
+        if isinstance(node, SlottedTree):
+            inner = "".join(f"[{s}]{walk(c, addr + (s,))}" for s, c in node.children)
+            return f"{head}{inner})"
+        return head + "".join(walk(c, addr + (i,)) for i, c in enumerate(node.children)) + ")"
+
+    return walk(lt.shape, ())
+
+
+class TestPreorderLabels:
+    """Labels stored in preorder, against the address -> label form."""
+
+    def test_every_grown_state_matches_the_address_form(self, mixed_oracle):
+        cases = [
+            (BinaryFamily(), "binary"),
+            (OrderedFamily(7), "ordered"),  # used slots: insertions move siblings on
+            (TbarFamily(DepthBranching((2, 3))), "slotted"),
+            (TbarFamily(mixed_oracle), "slotted"),
+        ]
+        for family, kind in cases:
+            for n in range(1, 7):
+                for lt in enumerate_labelings(family, n):
+                    assert lt.enc == reference_enc(lt)
+                    assert decode(lt.enc, kind) == lt
+                    again = LabeledTree(lt.shape, lt.labels)
+                    assert again == lt
+                    assert hash(again) == hash(lt)
+
+    def test_check_labeling_accepts_exactly_the_increasing_labelings(self):
+        for n in range(1, 6):
+            for shape in [*enum_binary(n), *enum_ordered(n)]:
+                order = addresses(shape)
+                accepted = 0
+                for perm in permutations(range(1, n + 1)):
+                    labels = dict(zip(order, perm))
+                    lt = LabeledTree(shape, labels)
+                    late = [a for a in order if a and labels[a] <= labels[a[:-1]]]
+                    if perm[0] == 1 and not late:
+                        check_labeling(lt)
+                        accepted += 1
+                        continue
+                    with pytest.raises(LabelingError) as err:
+                        check_labeling(lt)
+                    if perm[0] == 1:  # the message names an offending vertex
+                        assert str(err.value) in {
+                            f"label at {a} does not exceed its parent's" for a in late
+                        }
+                assert accepted == hook_count(shape), shape.enc
 
 
 @st.composite
