@@ -166,7 +166,6 @@ class LabeledTree:
     __slots__ = ("shape", "preorder")
 
     def __init__(self, shape: Tree, labels: Mapping[Address, int]):
-        labels = dict(labels)
         order = addresses(shape)
         if set(labels) != set(order):
             raise LabelingError("labels must cover exactly the vertices of the shape")
