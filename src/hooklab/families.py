@@ -140,7 +140,12 @@ def parse_oracle(spec: str) -> BranchingOracle:
             if type(value) is not int:  # JSON true is a bool, which Python counts as an int
                 raise OracleSyntaxError(f"child count {value!r} at {key!r} is not a JSON integer")
             entries.append((_parse_address(key), _parse_count(value)))
-        return TableBranching(tuple(entries), default)
+        oracle = TableBranching(tuple(entries), default)
+        for key, (addr, _) in zip(sorted(data), entries):
+            for depth, step in enumerate(addr):
+                if step >= oracle.child_count(addr[:depth]):
+                    raise OracleSyntaxError(f"address key {key!r} steps past its parent's children")
+        return oracle
     raise OracleSyntaxError(f"unknown oracle kind {kind!r}")
 
 
@@ -158,8 +163,9 @@ def _parse_address(key: str) -> Address:
     if key == "":
         return ()
     steps = key.split("/")
-    if not all(step.isascii() and step.isdigit() for step in steps):
-        raise OracleSyntaxError(f"bad address key {key!r}: steps are nonnegative integers")
+    if not all(step.isascii() and step.isdigit() and step == str(int(step)) for step in steps):
+        raise OracleSyntaxError(f"bad address key {key!r}: steps are nonnegative integers "
+                                "without leading zeros")
     return tuple(map(int, steps))
 
 

@@ -18,14 +18,16 @@ per-step bias is below 2^-64 with no floating point involved.
 ``grow`` runs on a flat state private to the call, drawing with integer
 weights over each step's common denominator D (u*D < cum << 64, that is
 u/2^64 < cum/D); ``start``, ``addable_sites`` and ``attach`` certify it.
+A census draws through ``_Table``, the same chain with each step's cuts kept.
 """
 
 from __future__ import annotations
 
 import random
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm, prod
 from typing import Callable, Iterator, Optional
 
@@ -179,6 +181,46 @@ def _draw(sites: list[tuple[int, int, int]], D: int, rng: random.Random) -> tupl
     # when the weights sum to D the final test is u < 2^64, which always holds
     raise ConsistencyError(f"site masses sum to {Fraction(cum, D)}, not 1; "
                            f"u/2^64 = {u}/2^64 lies past them")
+
+
+class _Table:
+    """The growth histories to size ``n`` that draws reach, built as they do:
+    a node is (cuts, children, path), a leaf the labeled encoding.  A site's
+    cut ceil((cum << 64) / D) exceeds an integer u exactly when ``_draw``'s
+    u*D < cum << 64 holds, so ``draw`` lands where ``grow`` would."""
+
+    def __init__(self, family: Family, n: int):
+        if n < 1:
+            raise ValueError("n must be at least 1")
+        family.check_growable(n)
+        self.family, self.n = family, n
+        self.root = self._node(())
+
+    def _node(self, path: tuple[int, ...]):
+        """The node of ``path``, site indices from the root, by replay."""
+        flat = _Flat(self.family)
+        for i in path:
+            flat.attach(*flat.sites()[0][i][:2])
+        if len(path) == self.n - 1:
+            return flat.tree().enc
+        sites, D = flat.sites()
+        mass = Fraction(sum(w for _, _, w in sites), D)
+        if mass != 1:
+            raise ConsistencyError(f"site masses sum to {mass}, not 1, growing {self.family.label} "
+                                   f"trees to n={self.n} at {flat.tree().enc}")
+        cuts = [-((-cum << 64) // D) for cum in accumulate(w for _, _, w in sites)]
+        return cuts, [None] * len(cuts), path
+
+    def draw(self, rng: random.Random) -> str:
+        """One tree's encoding: per step one 64-bit integer, one bisection."""
+        node = self.root
+        for _ in range(self.n - 1):
+            cuts, kids, path = node
+            i = bisect_right(cuts, rng.getrandbits(64))
+            node = kids[i]  # the last cut is 2^64 > u; past it, IndexError
+            if node is None:
+                node = kids[i] = self._node(path + (i,))
+        return node
 
 
 def labeling_probability(tree: LabeledTree, family: Family) -> Probability:

@@ -1,9 +1,9 @@
 """Monte-Carlo validation of the growth sampler.
 
-A census enumerates every reachable labeled tree of a family at size n,
-records its exact probability, draws N samples, and tallies observed counts
-per labeled tree (the finest possible categories).  A chi-squared
-goodness-of-fit test then compares observed against expected = N * p.
+A census enumerates every reachable labeled tree of a family at size n with
+its exact probability, draws N samples through a table of growth histories,
+and tallies observed counts per labeled tree (the finest possible
+categories).  A chi-squared test then compares observed against N * p.
 
 Sampling is deterministic for a fixed (seed, n, family, N): samples are
 split into fixed-size blocks, and each block gets its own generator seeded
@@ -25,7 +25,7 @@ from typing import Optional
 
 from .families import Family
 from .identities import ConsistencyError, SizeLimitError
-from .sampler import enumerate_labelings, grow, labeling_probability
+from .sampler import _Table, enumerate_labelings, labeling_probability
 
 CATEGORY_LIMIT = 10 ** 6
 BLOCK_SIZE = 10_000
@@ -92,20 +92,20 @@ def run_census(
     seed: int,
     masses: Optional[dict[str, Fraction]] = None,
 ) -> Census:
-    """Draw ``samples`` trees and tally them against the exact masses.
-
-    ``masses`` is ``category_masses(family, n)`` when the caller already has
-    it; otherwise it is computed here.
-    """
+    """Draw ``samples`` trees through one ``sampler._Table`` and tally them
+    against the exact masses: ``masses`` when the caller already has
+    ``category_masses(family, n)``, which the exhaustive path computes here
+    otherwise."""
     if samples < 1:
         raise ValueError("need at least one sample")
+    table = _Table(family, n)
     if masses is None:
         masses = category_masses(family, n)
     tally: Counter = Counter()
     for block in range((samples + BLOCK_SIZE - 1) // BLOCK_SIZE):
         rng = _block_rng(seed, block)
         for _ in range(min(BLOCK_SIZE, samples - block * BLOCK_SIZE)):
-            tally[grow(family, n, rng).enc] += 1
+            tally[table.draw(rng)] += 1
     unknown = set(tally) - set(masses)
     if unknown:
         raise ConsistencyError(f"sampler produced trees outside the census: {sorted(unknown)[:3]}")
@@ -142,19 +142,9 @@ class GofReport:
     passed: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "n": self.n,
-            "N": self.samples,
-            "seed": self.seed,
-            "categories": self.categories,
-            "statistic": self.statistic,
-            "dof": self.dof,
-            "p_value": self.p_value,
-            "alpha": self.alpha,
-            "min_expected": self.min_expected,
-            "pass": self.passed,
-        }
+        """The fields in order, ``samples`` keyed "N" and ``passed`` "pass"."""
+        keys = {"samples": "N", "passed": "pass"}
+        return {keys.get(name, name): value for name, value in vars(self).items()}
 
 
 def chi_squared_gof(census: Census, alpha: float = 0.001) -> GofReport:

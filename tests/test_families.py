@@ -113,6 +113,36 @@ class TestParseOracle:
             with pytest.raises(OracleSyntaxError, match=re.escape(repr(key))):
                 parse_oracle(f"file:{path}")
 
+    def write(self, tmp_path, table):
+        path = tmp_path / "oracle.json"
+        path.write_text(json.dumps(table))
+        return f"file:{path}"
+
+    def test_steps_with_a_leading_zero_are_rejected(self, tmp_path):
+        for key in ("01", "0/01", "00", "1/00/1"):
+            with pytest.raises(OracleSyntaxError, match=f"{re.escape(repr(key))}.*leading zeros"):
+                parse_oracle(self.write(tmp_path, {key: 2, "default": "const:2"}))
+
+    def test_two_keys_for_one_address_are_rejected(self, tmp_path):
+        # both name (0, 1); the later key in sorted order used to win silently
+        spec = self.write(tmp_path, {"0/1": 3, "0/01": 2, "default": "const:2"})
+        with pytest.raises(OracleSyntaxError, match="'0/01'"):
+            parse_oracle(spec)
+
+    def test_steps_past_the_parent_child_count_are_rejected(self, tmp_path):
+        for table, key in (
+            ({"": 2, "7": 1, "default": "const:9"}, "7"),  # the root's own entry
+            ({"": 2, "2": 1, "default": "const:9"}, "2"),  # at the count itself
+            ({"0/1/3": 1, "default": "depth:2,2,3"}, "0/1/3"),  # the default rule
+            ({"": 2, "0": 1, "0/1": 2, "default": "const:2"}, "0/1"),  # a listed parent
+        ):
+            with pytest.raises(OracleSyntaxError, match=f"{re.escape(repr(key))} steps past"):
+                parse_oracle(self.write(tmp_path, table))
+
+    def test_steps_below_the_parent_child_count_are_kept(self, tmp_path):
+        oracle = parse_oracle(self.write(tmp_path, {"": 9, "8/2": 4, "default": "depth:2,3"}))
+        assert oracle.child_count((8, 2)) == 4
+
 
 class TestEnumBinary:
     def test_counts(self):

@@ -1,5 +1,6 @@
 import copy
 import random
+from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 
@@ -39,7 +40,7 @@ from hooklab import (
     start,
 )
 from hooklab.exact import RationalFunction
-from hooklab.sampler import _draw, _Flat
+from hooklab.sampler import _draw, _Flat, _Table
 
 BINARY = BinaryFamily()
 SYMBOLIC = OrderedFamily()
@@ -432,6 +433,96 @@ class TestFlatKernel:
                 reference = reference_grow(family, n, random.Random(seed), expected)
                 assert tree.enc == reference.enc, (family, seed)
                 assert steps == expected, (family, seed)
+
+
+class FixedRandom:
+    """Draws the same 64-bit value ``u`` every time."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def getrandbits(self, k):
+        return self.u
+
+
+class TestTable:
+    """The census table against grow and _draw, node by node."""
+
+    def cases(self, mixed_oracle):
+        """(family, largest size) pairs; ordered growth needs m >= n-1."""
+        return [
+            (BINARY, 6),
+            (OrderedFamily(7), 6),
+            (OrderedFamily(Fraction(9, 2)), 5),
+            (TbarFamily(DepthBranching((2, 3))), 6),
+            (TbarFamily(mixed_oracle), 6),
+        ]
+
+    def test_draw_lands_where_grow_does(self, mixed_oracle):
+        for family, n_max in self.cases(mixed_oracle):
+            for n in range(1, n_max + 1):
+                table = _Table(family, n)
+                for seed in range(200):
+                    ours, theirs = random.Random(seed), random.Random(seed)
+                    assert table.draw(ours) == grow(family, n, theirs).enc, (family, n, seed)
+                    assert ours.getrandbits(64) == theirs.getrandbits(64)
+
+    def build(self, table, node, visit):
+        """Build every node below ``node``, calling visit on each internal one."""
+        if isinstance(node, str):
+            return
+        visit(node)
+        cuts, kids, path = node
+        for i in range(len(kids)):
+            kids[i] = table._node(path + (i,))
+            self.build(table, kids[i], visit)
+
+    def test_cuts_pick_the_site_draw_picks(self, mixed_oracle):
+        def visit(node):
+            cuts, _, path = node
+            flat = _Flat(family)
+            for i in path:
+                flat.attach(*flat.sites()[0][i][:2])
+            sites, D = flat.sites()
+            assert len(cuts) == len(sites) and cuts[-1] == 1 << 64
+            for u in {0, 2 ** 64 - 1, *(c - 1 for c in cuts), *(c for c in cuts[:-1])}:
+                assert bisect_right(cuts, u) == sites.index(_draw(sites, D, FixedRandom(u))), (path, u)
+            seen.append(path)
+
+        for family, _ in self.cases(mixed_oracle):
+            for n in range(1, 6):
+                seen, table = [], _Table(family, n)
+                self.build(table, table.root, visit)
+                # every history to size n-1 is a node: one per labeled tree of that size
+                assert len([p for p in seen if len(p) == n - 2]) == (
+                    len(list(enumerate_labelings(family, n - 1))) if n > 1 else 0)
+
+    def test_a_draw_past_the_last_cut_raises(self):
+        table = _Table(BINARY, 3)
+        with pytest.raises(IndexError):
+            table.draw(FixedRandom(2 ** 64))
+
+    def test_a_single_vertex_draws_nothing(self):
+        table = _Table(BINARY, 1)
+        assert table.draw(FixedRandom(None)) == "(:1.,.)"
+
+    def test_size_and_growability_are_checked(self):
+        with pytest.raises(ValueError, match="at least 1"):
+            _Table(BINARY, 0)
+        with pytest.raises(FamilyConfigError, match="needs m >= 3"):
+            _Table(OrderedFamily(2), 4)
+
+    @pytest.mark.parametrize("scale, mass", [(Fraction(3, 4), "7/8"), (Fraction(5, 4), "9/8")])
+    def test_site_masses_off_one_raise_when_the_node_is_built(self, monkeypatch, scale, mass):
+        real = BinaryFamily.weight
+        # off only for children of depth-1 vertices: the root's node builds, and
+        # at (:1(:2.,.),.) the sites weigh 1/2 + 2 * scale/4
+        monkeypatch.setattr(BinaryFamily, "weight", lambda self, parent, c: real(self, parent, c)
+                            * (scale if parent else 1))
+        table = _Table(BINARY, 4)
+        with pytest.raises(ConsistencyError, match=rf"sum to {mass}, not 1, growing binary "
+                           r"trees to n=4 at \(:1\(:2\.,\.\),\.\)"):
+            table.draw(FixedRandom(0))
 
 
 @settings(deadline=None, max_examples=60)

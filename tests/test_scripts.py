@@ -11,7 +11,7 @@ def test_scripts_run_and_pass():
     for script, *args in (
         ("verify_sweep.py", "--han-max", "4", "--yang-max", "4",
          "--tbar-max", "4", "--han2-max", "4"),
-        ("mc_suite.py", "--samples", "6000", "--alpha", "1e-6"),
+        ("mc_suite.py", "--alpha", "1e-6"),  # the default 200000 draws per gate
     ):
         out = subprocess.run(
             [sys.executable, str(SCRIPTS / script), *args],

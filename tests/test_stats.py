@@ -1,6 +1,7 @@
 import importlib.util
 import math
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,11 +21,12 @@ from hooklab import (
     census_csv,
     chi2_sf,
     chi_squared_gof,
+    grow,
     min_samples,
     regularized_gamma_q,
     run_census,
 )
-from hooklab.stats import LowExpectedCountWarning, chi_squared_statistic
+from hooklab.stats import BLOCK_SIZE, LowExpectedCountWarning, _block_rng, chi_squared_statistic
 
 BINARY = BinaryFamily()
 
@@ -92,6 +94,35 @@ class TestRunCensus:
         census = run_census(BINARY, 4, 1_000, seed=2)
         cats = [e.category for e in census.entries]
         assert cats == sorted(cats)
+
+
+def reference_tally(family, n, samples, seed):
+    """The census draws as they stood before the table: one grow per draw,
+    on the same per-block generators."""
+    tally = Counter()
+    for block in range(-(-samples // BLOCK_SIZE)):
+        rng = _block_rng(seed, block)
+        for _ in range(min(BLOCK_SIZE, samples - block * BLOCK_SIZE)):
+            tally[grow(family, n, rng).enc] += 1
+    return tally
+
+
+class TestCensusTable:
+    @pytest.mark.parametrize("family, n, samples", [
+        (BINARY, 5, 5_000),
+        (OrderedFamily(10), 4, 5_000),
+        (TbarFamily(DepthBranching((2, 3))), 4, 5_000),
+        (BINARY, 3, BLOCK_SIZE + 1_000),
+    ])
+    def test_tallies_equal_one_grow_per_draw(self, family, n, samples):
+        census = run_census(family, n, samples, seed=5)
+        observed = Counter({e.category: e.observed for e in census.entries if e.observed})
+        assert observed == reference_tally(family, n, samples, 5)
+
+    def test_ungrowable_m_is_rejected_with_masses_given(self):
+        masses = category_masses(OrderedFamily(10), 4)
+        with pytest.raises(FamilyConfigError, match="needs m >= 3"):
+            run_census(OrderedFamily(2), 4, 100, seed=1, masses=masses)
 
 
 class TestChiSquared:
