@@ -109,9 +109,10 @@ def parse_oracle(spec: str) -> BranchingOracle:
     """Parse an oracle spec: ``const:K``, ``depth:K1,K2,...`` or ``file:PATH``.
 
     The file form is a JSON object mapping slash-joined addresses such as
-    ``"0/2/1"`` (the root is ``""``) to child counts, which are JSON
-    integers, plus a mandatory ``"default"`` entry holding a const/depth spec
-    for unlisted addresses.
+    ``"0/2/1"`` (the root is ``""``; no leading zeros, each step below its
+    parent's child count) to child counts, which are JSON integers, plus a
+    mandatory ``"default"`` entry holding a const/depth spec for unlisted
+    addresses.
     """
     kind, sep, rest = spec.partition(":")
     if not sep:

@@ -189,8 +189,9 @@ class TestChiSquared:
         census = run_census(BINARY, 2, 1_000, seed=1)
         report = chi_squared_gof(census)
         doc = report.to_json_dict()
-        for key in ("family", "n", "N", "categories", "statistic", "dof", "p_value", "pass"):
-            assert key in doc
+        assert list(doc) == ["family", "n", "N", "seed", "categories", "statistic", "dof",
+                             "p_value", "alpha", "min_expected", "pass"]
+        assert (doc["N"], doc["pass"]) == (1_000, report.passed)
 
 
 class TestIncompleteGamma:
