@@ -20,8 +20,9 @@ Three tables, all in CPU seconds of this process (time.process_time):
 Shared hosts switch between fast and slow spells lasting 10-30 s, which
 moves back-to-back repeats together; rounds spread each row's repeats over
 the run, and the best round compares two commits at the host's fast speed.
-The file also records the machine, the number of cores, the Python version
-and the commit of the checkout the script sits in.
+The file also records the machine, the number of cores, the Python version,
+the commit of the checkout the script sits in and ``src_lines``, the line
+count of its src/hooklab/*.py.
 
 Usage:
     python3 scripts/bench.py --label NAME
@@ -157,6 +158,8 @@ def main() -> int:
     doc = {
         "label": args.label,
         "commit": _commit(),
+        "src_lines": sum(len(f.read_text().splitlines())
+                         for f in (ROOT / "src" / "hooklab").glob("*.py")),
         "machine": platform.machine(),
         "platform": platform.platform(),
         "processor": platform.processor(),

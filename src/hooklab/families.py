@@ -112,7 +112,7 @@ def parse_oracle(spec: str) -> BranchingOracle:
     ``"0/2/1"`` (the root is ``""``; no leading zeros, each step below its
     parent's child count) to child counts, which are JSON integers, plus a
     mandatory ``"default"`` entry holding a const/depth spec for unlisted
-    addresses.
+    addresses.  No key may appear twice.
     """
     kind, sep, rest = spec.partition(":")
     if not sep:
@@ -125,7 +125,7 @@ def parse_oracle(spec: str) -> BranchingOracle:
     if kind == "file":
         try:
             with open(rest, encoding="ascii") as fh:
-                data = json.load(fh)
+                data = json.load(fh, object_pairs_hook=_distinct_keys)
         except OSError as exc:
             raise OracleSyntaxError(f"cannot read oracle file {rest!r}: {exc}") from exc
         except json.JSONDecodeError as exc:
@@ -148,6 +148,16 @@ def parse_oracle(spec: str) -> BranchingOracle:
                     raise OracleSyntaxError(f"address key {key!r} steps past its parent's children")
         return oracle
     raise OracleSyntaxError(f"unknown oracle kind {kind!r}")
+
+
+def _distinct_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object as a dict; a key it gives twice is an error, not the last one."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise OracleSyntaxError(f"oracle file repeats the key {key!r}")
+        data[key] = value
+    return data
 
 
 def _parse_count(token: str | int) -> int:

@@ -11,14 +11,14 @@ step is a genuine distribution; the chain's n-th state is a uniformly chosen
 increasing labeling, and the probability of landing on a given labeled tree
 depends only on its shape.
 
-Draws consume one 64-bit integer per step: the unit interval is split at
-the exact cumulative probabilities and u/2^64 is located among them, so the
-per-step bias is below 2^-64 with no floating point involved.
-
-``grow`` runs on a flat state private to the call, drawing with integer
-weights over each step's common denominator D (u*D < cum << 64, that is
-u/2^64 < cum/D); ``start``, ``addable_sites`` and ``attach`` certify it.
-A census draws through ``_Table``, the same chain with each step's cuts kept.
+``grow`` runs on a flat state private to the call (``start``,
+``addable_sites`` and ``attach`` certify it).  Each step lists its sites
+with their cumulative integer weights cum over the step's common
+denominator D, and raises ``ConsistencyError`` unless the last cum is D.
+A draw takes one 64-bit integer u and picks the first site with
+u/2^64 < cum/D, so the per-step bias is below 2^-64 with no floating point
+involved.  A census draws through ``_Table``, the same step with each
+state's cuts kept.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ import random
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 from math import lcm, prod
+from operator import itemgetter
 from typing import Callable, Iterator, Optional
 
 from .families import Family, Probability, insert_child
@@ -106,16 +106,21 @@ StepCallback = Callable[[int, AddableSite, Fraction], None]
 
 
 class _Flat:
-    """The state of one ``grow`` call, changed in place: per vertex (label - 1)
+    """One growth to ``n`` vertices, changed in place: per vertex (label - 1)
     its current address, (slot, child vertex) pairs by slot and open slots with
     their weight, None until needed; ``order`` is preorder, i.e. address order."""
 
-    def __init__(self, family: Family):
-        self.family, self.addr, self.kids, self.order, self.open = family, [()], [[]], [0], [None]
+    def __init__(self, family: Family, n: int):
+        if n < 1:
+            raise ValueError("n must be at least 1")
+        family.check_growable(n)
+        self.family, self.n = family, n
+        self.addr, self.kids, self.order, self.open = [()], [[]], [0], [None]
 
-    def sites(self) -> tuple[list[tuple[int, int, int]], int]:
-        """(vertex, slot, weight) per site in ``addable_sites`` order, and the
-        step's common denominator D: a site's probability is weight / D."""
+    def step(self) -> tuple[list[tuple[int, int, int]], int]:
+        """(vertex, slot, cum) per site in ``addable_sites`` order and the
+        step's common denominator D: cum / D is the mass of the sites up to
+        this one.  Raises unless the masses sum to exactly 1."""
         live, D = [], 1
         for v in self.order:
             if self.open[v] is None:
@@ -125,7 +130,16 @@ class _Flat:
             if free:
                 live.append((v, free, p))
                 D = lcm(D, p.denominator)
-        return [(v, s, p.numerator * (D // p.denominator)) for v, free, p in live for s in free], D
+        sites, cum = [], 0
+        for v, free, p in live:
+            w = p.numerator * (D // p.denominator)
+            for s in free:
+                cum += w
+                sites.append((v, s, cum))
+        if cum != D:
+            raise ConsistencyError(f"site masses sum to {Fraction(cum, D)}, not 1, growing "
+                                   f"{self.family.label} trees to n={self.n} at {self.tree().enc}")
+        return sites, D
 
     def attach(self, v: int, slot: int) -> None:
         """Grow the next vertex at ``slot`` of ``v`` as ``insert_child`` puts
@@ -151,64 +165,39 @@ class _Flat:
         return LabeledTree._of(nodes[0], tuple(v + 1 for v in self.order))
 
 
-def grow(
-    family: Family,
-    n: int,
-    rng: random.Random,
-    on_step: Optional[StepCallback] = None,
-) -> LabeledTree:
+def grow(family: Family, n: int, rng: random.Random,
+         on_step: Optional[StepCallback] = None) -> LabeledTree:
     """Run the growth chain to ``n`` vertices; returns the labeled tree."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    family.check_growable(n)
-    flat = _Flat(family)
+    flat = _Flat(family, n)
     for label in range(2, n + 1):
-        v, slot, _ = _draw(*flat.sites(), rng)
+        sites, D = flat.step()
+        # the first site with u/2^64 < cum/D; for integers, u*D < cum << 64 iff (u*D) >> 64 < cum
+        v, slot, _ = sites[bisect_right(sites, (rng.getrandbits(64) * D) >> 64, key=itemgetter(2))]
         if on_step is not None:
             on_step(label, AddableSite(flat.addr[v], slot), flat.open[v][1])
         flat.attach(v, slot)
     return flat.tree()
 
 
-def _draw(sites: list[tuple[int, int, int]], D: int, rng: random.Random) -> tuple[int, int, int]:
-    """Pick a site: locate u/2^64 among the cumulative weights over D."""
-    u = rng.getrandbits(64)
-    cum = 0
-    for site in sites:
-        cum += site[2]
-        if u * D < cum << 64:
-            return site
-    # when the weights sum to D the final test is u < 2^64, which always holds
-    raise ConsistencyError(f"site masses sum to {Fraction(cum, D)}, not 1; "
-                           f"u/2^64 = {u}/2^64 lies past them")
-
-
 class _Table:
     """The growth histories to size ``n`` that draws reach, built as they do:
     a node is (cuts, children, path), a leaf the labeled encoding.  A site's
-    cut ceil((cum << 64) / D) exceeds an integer u exactly when ``_draw``'s
-    u*D < cum << 64 holds, so ``draw`` lands where ``grow`` would."""
+    cut ceil((cum << 64) / D) exceeds an integer u exactly when
+    u/2^64 < cum/D, so ``draw`` lands where ``grow`` would."""
 
     def __init__(self, family: Family, n: int):
-        if n < 1:
-            raise ValueError("n must be at least 1")
-        family.check_growable(n)
         self.family, self.n = family, n
-        self.root = self._node(())
+        self.root = self._node(())  # its _Flat checks n
 
     def _node(self, path: tuple[int, ...]):
         """The node of ``path``, site indices from the root, by replay."""
-        flat = _Flat(self.family)
+        flat = _Flat(self.family, self.n)
         for i in path:
-            flat.attach(*flat.sites()[0][i][:2])
+            flat.attach(*flat.step()[0][i][:2])
         if len(path) == self.n - 1:
             return flat.tree().enc
-        sites, D = flat.sites()
-        mass = Fraction(sum(w for _, _, w in sites), D)
-        if mass != 1:
-            raise ConsistencyError(f"site masses sum to {mass}, not 1, growing {self.family.label} "
-                                   f"trees to n={self.n} at {flat.tree().enc}")
-        cuts = [-((-cum << 64) // D) for cum in accumulate(w for _, _, w in sites)]
+        sites, D = flat.step()
+        cuts = [-((-cum << 64) // D) for _, _, cum in sites]
         return cuts, [None] * len(cuts), path
 
     def draw(self, rng: random.Random) -> str:

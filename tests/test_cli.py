@@ -103,6 +103,14 @@ class TestVerify:
         assert out.stdout == ""
         assert "'7'" in out.stderr
 
+    def test_oracle_file_with_a_repeated_key_is_a_usage_error(self, tmp_path):
+        path = tmp_path / "oracle.json"
+        path.write_text('{"": 2, "": 3, "default": "const:2"}')
+        out = run("verify", "tbar", "--oracle", f"file:{path}", "--n-max", "3")
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert "repeats the key ''" in out.stderr
+
     def test_n_max_above_the_bound_is_a_usage_error(self):
         for args, bound in ((("han", "--n-max", "13"), 12),
                             (("lemma", "--family", "tbar", "--n-max", "8"), 7)):

@@ -129,6 +129,16 @@ class TestParseOracle:
         with pytest.raises(OracleSyntaxError, match="'0/01'"):
             parse_oracle(spec)
 
+    def test_a_repeated_key_is_rejected(self, tmp_path):
+        # json.load keeps the last of two equal keys: this file used to parse to
+        # table:{=3};default:const:2
+        for text, key in (('{"": 2, "": 3, "default": "const:2"}', ""),
+                          ('{"0": 2, "default": "const:2", "default": "const:3"}', "default")):
+            path = tmp_path / "repeated.json"
+            path.write_text(text)
+            with pytest.raises(OracleSyntaxError, match=f"repeats the key {re.escape(repr(key))}"):
+                parse_oracle(f"file:{path}")
+
     def test_steps_past_the_parent_child_count_are_rejected(self, tmp_path):
         for table, key in (
             ({"": 2, "7": 1, "default": "const:9"}, "7"),  # the root's own entry

@@ -3,6 +3,7 @@ import random
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -40,7 +41,7 @@ from hooklab import (
     start,
 )
 from hooklab.exact import RationalFunction
-from hooklab.sampler import _draw, _Flat, _Table
+from hooklab.sampler import _Flat, _Table
 
 BINARY = BinaryFamily()
 SYMBOLIC = OrderedFamily()
@@ -294,6 +295,16 @@ class TestLabelingEnumeration:
             seen.add(lt.enc)
 
 
+class FixedRandom:
+    """Draws the same 64-bit value ``u`` every time."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def getrandbits(self, k):
+        return self.u
+
+
 class TestGrow:
     def test_seed_reproducibility(self):
         for fam in (BINARY, OrderedFamily(6), TbarFamily(DepthBranching((2, 3)))):
@@ -331,36 +342,14 @@ class TestGrow:
         with pytest.raises(ValueError):
             grow(BINARY, 0, random.Random(0))
 
-
-class MaxRandom:
-    """Draws the largest 64-bit value, u/2^64 just below 1."""
-
-    def getrandbits(self, k):
-        return 2 ** k - 1
-
-
-class HalfRandom:
-    """Draws u/2^64 = 1/2 exactly."""
-
-    def getrandbits(self, k):
-        return 2 ** (k - 1)
-
-
-class TestDraw:
-    """The integer draw: sites are (vertex, slot, weight), masses weight/D."""
-
     def test_last_site_takes_the_top_of_the_interval(self):
-        sites = [(0, 0, 1), (0, 1, 1)]
-        assert _draw(sites, 2, MaxRandom()) == sites[-1]
+        # the root's two sites weigh 1/2 each: u/2^64 just below 1 is the right child's
+        assert grow(BINARY, 2, FixedRandom(2 ** 64 - 1)).enc == "(:1.,(:2.,.))"
 
     def test_a_cumulative_boundary_belongs_to_the_next_site(self):
-        sites = [(0, 0, 1), (0, 1, 1)]
-        assert _draw(sites, 2, HalfRandom()) == sites[1]
-
-    def test_masses_short_of_one_raise(self):
-        sites = [(0, 0, 2), (0, 1, 1)]
-        with pytest.raises(ConsistencyError, match="3/4"):
-            _draw(sites, 4, MaxRandom())
+        # u/2^64 = 1/2 is the left child's cumulative mass, so the right child takes it
+        assert grow(BINARY, 2, FixedRandom(2 ** 63)).enc == "(:1.,(:2.,.))"
+        assert grow(BINARY, 2, FixedRandom(2 ** 63 - 1)).enc == "(:1(:2.,.),.)"
 
 
 def reference_grow(family, n, rng, steps):
@@ -397,20 +386,22 @@ class TestFlatKernel:
 
     def walk(self, state, flat, n, reached):
         """Depth-first over every state up to size n, in the order
-        enumerate_labelings grows them, checking the kernel's sites (their
-        order, parent address, slot and weight / D) against addable_sites."""
+        enumerate_labelings grows them, checking the kernel's step (its sites'
+        order, parent address, slot and cum / D) against addable_sites."""
         family = state.family
         assert flat.tree() == state.tree
         reached.setdefault(state.tree.size, []).append(state.tree)
         try:
-            expected = [(site.parent, site.slot, p) for site, p in addable_sites(state)]
+            listed = addable_sites(state)
         except ProbabilityRangeError:
             with pytest.raises(ProbabilityRangeError):
-                flat.sites()
+                flat.step()
             assert state.tree.size == n  # only the leaves weigh out of range
             return
-        sites, D = flat.sites()
-        assert [(flat.addr[v], slot, Fraction(w, D)) for v, slot, w in sites] == expected
+        expected = [(site.parent, site.slot, cum)
+                    for (site, _), cum in zip(listed, accumulate(p for _, p in listed))]
+        sites, D = flat.step()
+        assert [(flat.addr[v], slot, Fraction(cum, D)) for v, slot, cum in sites] == expected
         if state.tree.size == n:
             return
         for v, slot, _ in sites:
@@ -419,9 +410,11 @@ class TestFlatKernel:
             self.walk(attach(state, AddableSite(flat.addr[v], slot)), twin, n, reached)
 
     def test_sites_match_addable_sites_at_every_state(self, mixed_oracle):
-        for family, _ in self.cases(mixed_oracle):
+        for family, size in self.cases(mixed_oracle):
             reached = {}
-            self.walk(start(family), _Flat(family), 6, reached)
+            # ordered m=9/2 grows only to 5; the walk steps past that to see its
+            # leaves weigh out of range
+            self.walk(start(family), _Flat(family, min(size, 6)), 6, reached)
             for n in range(1, 7):
                 assert reached[n] == list(enumerate_labelings(family, n)), (family, n)
 
@@ -435,18 +428,8 @@ class TestFlatKernel:
                 assert steps == expected, (family, seed)
 
 
-class FixedRandom:
-    """Draws the same 64-bit value ``u`` every time."""
-
-    def __init__(self, u):
-        self.u = u
-
-    def getrandbits(self, k):
-        return self.u
-
-
 class TestTable:
-    """The census table against grow and _draw, node by node."""
+    """The census table against grow and the exact draw rule, node by node."""
 
     def cases(self, mixed_oracle):
         """(family, largest size) pairs; ordered growth needs m >= n-1."""
@@ -480,13 +463,16 @@ class TestTable:
     def test_cuts_pick_the_site_draw_picks(self, mixed_oracle):
         def visit(node):
             cuts, _, path = node
-            flat = _Flat(family)
+            flat = _Flat(family, n)
             for i in path:
-                flat.attach(*flat.sites()[0][i][:2])
-            sites, D = flat.sites()
+                flat.attach(*flat.step()[0][i][:2])
+            sites, D = flat.step()
             assert len(cuts) == len(sites) and cuts[-1] == 1 << 64
             for u in {0, 2 ** 64 - 1, *(c - 1 for c in cuts), *(c for c in cuts[:-1])}:
-                assert bisect_right(cuts, u) == sites.index(_draw(sites, D, FixedRandom(u))), (path, u)
+                # the first site whose cumulative mass exceeds u/2^64
+                first = next(i for i, (_, _, cum) in enumerate(sites)
+                             if Fraction(u, 2 ** 64) < Fraction(cum, D))
+                assert bisect_right(cuts, u) == first, (path, u)
             seen.append(path)
 
         for family, _ in self.cases(mixed_oracle):
@@ -516,13 +502,13 @@ class TestTable:
     def test_site_masses_off_one_raise_when_the_node_is_built(self, monkeypatch, scale, mass):
         real = BinaryFamily.weight
         # off only for children of depth-1 vertices: the root's node builds, and
-        # at (:1(:2.,.),.) the sites weigh 1/2 + 2 * scale/4
+        # at (:1(:2.,.),.) the sites weigh 1/2 + 2 * scale/4; grow's step raises there too
         monkeypatch.setattr(BinaryFamily, "weight", lambda self, parent, c: real(self, parent, c)
                             * (scale if parent else 1))
-        table = _Table(BINARY, 4)
-        with pytest.raises(ConsistencyError, match=rf"sum to {mass}, not 1, growing binary "
-                           r"trees to n=4 at \(:1\(:2\.,\.\),\.\)"):
-            table.draw(FixedRandom(0))
+        for draw in (_Table(BINARY, 4).draw, lambda rng: grow(BINARY, 4, rng)):
+            with pytest.raises(ConsistencyError, match=rf"^site masses sum to {mass}, not 1, "
+                               r"growing binary trees to n=4 at \(:1\(:2\.,\.\),\.\)$"):
+                draw(FixedRandom(0))
 
 
 @settings(deadline=None, max_examples=60)
