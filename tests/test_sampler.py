@@ -352,6 +352,22 @@ class TestGrow:
         assert grow(BINARY, 2, FixedRandom(2 ** 63 - 1)).enc == "(:1(:2.,.),.)"
 
 
+class TestDraw:
+    """The draw's one mass check, in _Flat.step: every site list is checked
+    before a site is picked, the root's first."""
+
+    def test_masses_short_of_one_raise(self, monkeypatch):
+        real = BinaryFamily.weight
+        monkeypatch.setattr(BinaryFamily, "weight",
+                            lambda self, parent, c: real(self, parent, c) * Fraction(3, 4))
+        with pytest.raises(ConsistencyError, match=r"^site masses sum to 3/4, not 1, "
+                           r"growing binary trees to n=2 at \(:1\.,\.\)$"):
+            _Flat(BINARY, 2).step()
+        # the largest u cannot pass the check by landing short of the missing mass
+        with pytest.raises(ConsistencyError, match="3/4"):
+            grow(BINARY, 2, FixedRandom(2 ** 64 - 1))
+
+
 def reference_grow(family, n, rng, steps):
     """The growth chain as it stood before the flat kernel: the exhaustive
     path's start, addable_sites and attach, and a draw that locates u/2^64
