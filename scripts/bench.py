@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""Time the growth sampler and the exhaustive sweeps, write BENCH_<label>.json.
+"""Time the growth sampler, the exhaustive sweeps, the tree enumerators and
+the identity checks, write BENCH_<label>.json.
 
-Three tables, all in CPU seconds of this process (time.process_time):
+Five tables, all in CPU seconds of this process (time.process_time):
 
   grow     trees/s of ``grow`` per family: the Monte-Carlo gate's sizes
            (binary n=5, ordered m=10 n=4, tbar depth:2,3 n=4) and the
@@ -16,6 +17,13 @@ Three tables, all in CPU seconds of this process (time.process_time):
   sweeps   ``verify lemma`` and ``verify labelprob`` through ``cli.main``
            with stdout discarded: binary to n=7, tbar depth:2,3 to n=6 and
            ordered with symbolic m to n=5; 5 rounds, best and median
+  enum     a count-only loop over ``enum_binary(12)``, ``enum_ordered(10)``
+           and ``enum_tbar`` at n=8 with const:3 and depth:2,3; 5 rounds,
+           best and median
+  identities  ``verify han --n-max 12``, ``han2 --n-max 11``, ``tbar
+           --n-max 8`` with const:3 and depth:2,3 and ``yang --n-max 8``
+           through ``cli.main`` with stdout discarded; 5 rounds, best and
+           median
 
 Shared hosts switch between fast and slow spells lasting 10-30 s, which
 moves back-to-back repeats together; rounds spread each row's repeats over
@@ -41,10 +49,14 @@ from pathlib import Path
 
 from hooklab import (
     BinaryFamily,
+    ConstantBranching,
     DepthBranching,
     OrderedFamily,
     TbarFamily,
     category_masses,
+    enum_binary,
+    enum_ordered,
+    enum_tbar,
     grow,
     run_census,
 )
@@ -75,6 +87,27 @@ SWEEPS = [
     for check in ("lemma", "labelprob")
 ]
 
+ENUM_ROUNDS = 5
+# (row, enumerator call)
+ENUM = [
+    ("binary n=12", lambda: enum_binary(12)),
+    ("ordered n=10", lambda: enum_ordered(10)),
+    ("tbar const:3 n=8", lambda: enum_tbar(ConstantBranching(3), 8)),
+    ("tbar depth:2,3 n=8", lambda: enum_tbar(DepthBranching((2, 3)), 8)),
+]
+
+IDENTITY_ROUNDS = 5
+IDENTITIES = [
+    (" ".join(args), ["verify", *args])
+    for args in [
+        ["han", "--n-max", "12"],
+        ["han2", "--n-max", "11"],
+        ["tbar", "--n-max", "8", "--oracle", "const:3"],
+        ["tbar", "--n-max", "8", "--oracle", "depth:2,3"],
+        ["yang", "--n-max", "8"],
+    ]
+]
+
 CENSUS_ROUNDS = 5
 # (row, family, n, draws); the first three are criterion 10's gates
 CENSUS = [
@@ -96,6 +129,27 @@ def _sweep(argv: list[str]) -> None:
         status = cli_main(argv)
     if status != 0:
         raise SystemExit(f"{' '.join(argv)} exited {status}")
+
+
+def _rounds(works, rounds: int) -> dict[str, list[float]]:
+    """The CPU seconds of every (row, work) pair in each of ``rounds`` rounds."""
+    times = {row: [] for row, _ in works}
+    for _ in range(rounds):
+        for row, work in works:
+            times[row].append(_seconds(work))
+    return times
+
+
+def _cli_rows(commands, rounds: int) -> list[dict]:
+    """Best and median CPU seconds of each (row, argv) through ``cli.main``."""
+    times = _rounds([(row, lambda argv=argv: _sweep(argv)) for row, argv in commands], rounds)
+    rows = []
+    for row, argv in commands:
+        rows.append({"row": row, "argv": argv,
+                     "best_seconds": round(min(times[row]), 4),
+                     "median_seconds": round(statistics.median(times[row]), 4)})
+        print(json.dumps(rows[-1]), flush=True)
+    return rows
 
 
 def _commit() -> str:
@@ -144,16 +198,18 @@ def main() -> int:
                             "median_seconds": round(statistics.median(census_times[row]), 4)})
         print(json.dumps(census_rows[-1]), flush=True)
 
-    sweep_times = {row: [] for row, _ in SWEEPS}
-    for _ in range(SWEEP_ROUNDS):
-        for row, argv in SWEEPS:
-            sweep_times[row].append(_seconds(lambda: _sweep(argv)))
-    sweep_rows = []
-    for row, argv in SWEEPS:
-        sweep_rows.append({"row": row, "argv": argv,
-                           "best_seconds": round(min(sweep_times[row]), 4),
-                           "median_seconds": round(statistics.median(sweep_times[row]), 4)})
-        print(json.dumps(sweep_rows[-1]), flush=True)
+    sweep_rows = _cli_rows(SWEEPS, SWEEP_ROUNDS)
+
+    enum_times = _rounds(
+        [(row, lambda call=call: sum(1 for _ in call())) for row, call in ENUM], ENUM_ROUNDS)
+    enum_rows = []
+    for row, call in ENUM:
+        enum_rows.append({"row": row, "trees": sum(1 for _ in call()),
+                          "best_seconds": round(min(enum_times[row]), 4),
+                          "median_seconds": round(statistics.median(enum_times[row]), 4)})
+        print(json.dumps(enum_rows[-1]), flush=True)
+
+    identity_rows = _cli_rows(IDENTITIES, IDENTITY_ROUNDS)
 
     doc = {
         "label": args.label,
@@ -174,6 +230,10 @@ def main() -> int:
         "census_total_seconds": round(sum(r["best_seconds"] for r in census_rows[:3]), 3),
         "sweep_rounds": SWEEP_ROUNDS,
         "sweeps": sweep_rows,
+        "enum_rounds": ENUM_ROUNDS,
+        "enum": enum_rows,
+        "identity_rounds": IDENTITY_ROUNDS,
+        "identities": identity_rows,
     }
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(doc, indent=2) + "\n")

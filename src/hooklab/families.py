@@ -11,13 +11,18 @@ count (always finite and at least 1), and enumeration and sampling query it
 lazily, never deeper than the tree size they are producing.
 
 Enumerators yield each tree exactly once in lexicographic order of its
-canonical encoding, and they stream: sub-streams for the possible subtree
-sizes are merged lazily instead of materializing the family.
+canonical encoding, and they stream, holding no list of trees.  Encodings
+are prefix-free, so two trees compare at their first differing child, and
+the character after a shared prefix decides: for binary trees a present
+child "(" sorts before an absent one ".", for ordered trees another child
+"(" before the closing ")", for slotted trees the closing ")" before another
+"[slot]".  So one generator per family yields every tree of sizes 1..k at an
+address in encoding order, and the exact-size stream draws its first child
+from it; no merge of per-size streams is needed.
 """
 
 from __future__ import annotations
 
-import heapq
 import json
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -383,77 +388,79 @@ def insert_child(children: list, slot: int, child) -> list:
     return children[:i] + [(slot, child)] + later
 
 
-def _enc(t) -> str:
-    return t.enc
-
-
 def enum_binary(n: int) -> Iterator[BinaryTree]:
     """All binary trees on ``n`` vertices, once each, encoding-ordered."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    return _binary(n)
+    return _binary(n, True)
 
 
-def _binary(n: int) -> Iterator[BinaryTree]:
-    if n == 1:
+def _binary(n: int, exact: bool) -> Iterator[BinaryTree]:
+    """Binary trees of size ``n``, or unless ``exact`` of sizes 1..n, in
+    encoding order: a present child's "(" sorts before an absent one's "."."""
+    if n > 1:
+        for left in _binary(n - 1, False):
+            rest = n - 1 - left.size
+            if rest:
+                for right in _binary(rest, exact):
+                    yield BinaryTree(left, right)
+            if not (exact and rest):
+                yield BinaryTree(left, None)
+        for right in _binary(n - 1, exact):
+            yield BinaryTree(None, right)
+    if n == 1 or not exact:
         yield BinaryTree()
-        return
-    # Encodings interleave across left-subtree sizes, so merge the
-    # per-size streams; an absent left child ('.') sorts after any node.
-    for left in heapq.merge(*(_binary(i) for i in range(1, n)), key=_enc):
-        rest = n - 1 - left.size
-        if rest == 0:
-            yield BinaryTree(left, None)
-        else:
-            for right in _binary(rest):
-                yield BinaryTree(left, right)
-    for right in _binary(n - 1):
-        yield BinaryTree(None, right)
 
 
 def enum_ordered(n: int) -> Iterator[OrderedTree]:
     """All ordered trees on ``n`` vertices, once each, encoding-ordered."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    return _ordered(n)
+    return _ordered(n, True)
 
 
-def _ordered(n: int) -> Iterator[OrderedTree]:
-    for children in _ordered_seq(n - 1):
+def _ordered(n: int, exact: bool) -> Iterator[OrderedTree]:
+    """Ordered trees of size ``n``, or unless ``exact`` of sizes 1..n, in
+    encoding order."""
+    for children in _ordered_seq(n - 1, exact):
         yield OrderedTree(children)
 
 
-def _ordered_seq(total: int) -> Iterator[tuple[OrderedTree, ...]]:
-    """Child sequences of combined size ``total``, ordered by concatenated
-    encoding."""
-    if total == 0:
+def _ordered_seq(total: int, exact: bool) -> Iterator[tuple[OrderedTree, ...]]:
+    """Child sequences of combined size ``total`` (unless ``exact``, at most
+    ``total``), ordered by concatenated encoding with the parent's ")" after
+    it: another child's "(" sorts before that ")", so a sequence comes after
+    every longer one it starts."""
+    if total:
+        for first in _ordered(total, False):
+            for rest in _ordered_seq(total - first.size, exact):
+                yield (first,) + rest
+    if total == 0 or not exact:
         yield ()
-        return
-    firsts = heapq.merge(*(_ordered(i) for i in range(1, total + 1)), key=_enc)
-    for first in firsts:
-        for rest in _ordered_seq(total - first.size):
-            yield (first,) + rest
 
 
 def enum_tbar(oracle: BranchingOracle, n: int) -> Iterator[SlottedTree]:
     """All size-``n`` rooted subtrees of the oracle's infinite tree.
 
     Subtrees are identified by their ambient vertex sets, which the slot
-    paths preserve.  The oracle is queried only at vertices that receive
+    paths preserve.  The oracle is queried only at vertices that may receive
     children, so never at depth n-1 or beyond.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    return _slotted(oracle, (), n)
+    return _slotted(oracle, (), n, True)
 
 
-def _slotted(oracle: BranchingOracle, addr: Address, size: int) -> Iterator[SlottedTree]:
-    if size == 1:
+def _slotted(oracle: BranchingOracle, addr: Address, size: int,
+             exact: bool) -> Iterator[SlottedTree]:
+    """Subtrees at ``addr`` of ``size`` vertices, or unless ``exact`` of
+    1..size, in encoding order: the leaf "()" first, as ")" sorts before "["."""
+    if size == 1 or not exact:
         yield SlottedTree()
-        return
-    width = oracle.child_count(addr)
-    for children in _slot_seq(oracle, addr, 0, width, size - 1):
-        yield SlottedTree(children)
+    if size > 1:
+        width = oracle.child_count(addr)
+        for children in _slot_seq(oracle, addr, 0, width, size - 1, exact):
+            yield SlottedTree(children)
 
 
 def _slot_seq(
@@ -462,20 +469,20 @@ def _slot_seq(
     min_slot: int,
     width: int,
     budget: int,
+    exact: bool,
 ) -> Iterator[tuple[tuple[int, SlottedTree], ...]]:
-    """(slot, subtree) sequences using slots in [min_slot, width), strictly
-    increasing, with subtree sizes summing to ``budget``; ordered by the
-    concatenated "[slot]encoding" text."""
-    if budget == 0:
-        yield ()
-        return
+    """Nonempty (slot, subtree) sequences using slots in [min_slot, width),
+    strictly increasing, with subtree sizes summing to ``budget`` (unless
+    ``exact``, at most ``budget``); ordered by the concatenated
+    "[slot]encoding" text with the parent's ")" after it, so a sequence comes
+    before every longer one it starts."""
     # "[12]..." sorts before "[1]..." because a digit precedes "]", so order
     # candidate leading slots by the slot text with the bracket appended.
     for slot in sorted(range(min_slot, width), key=lambda s: f"{s}]"):
-        subs = heapq.merge(
-            *(_slotted(oracle, addr + (slot,), i) for i in range(1, budget + 1)),
-            key=_enc,
-        )
-        for sub in subs:
-            for rest in _slot_seq(oracle, addr, slot + 1, width, budget - sub.size):
-                yield ((slot, sub),) + rest
+        for sub in _slotted(oracle, addr + (slot,), budget, False):
+            left = budget - sub.size
+            if not (exact and left):
+                yield ((slot, sub),)
+            if left:
+                for rest in _slot_seq(oracle, addr, slot + 1, width, left, exact):
+                    yield ((slot, sub),) + rest

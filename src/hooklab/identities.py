@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import factorial, prod
 from typing import Callable, Iterable, Union
 
@@ -44,6 +45,7 @@ from .families import (
 from .trees import BinaryTree, OrderedTree, Tree, _subtrees
 
 BRUTE_FORCE_BOUND = 11
+TERM_LIMIT = 10 ** 6  # terms one verify report may sum, as many as stats.CATEGORY_LIMIT
 
 Value = Union[Fraction, RationalFunction]
 Term = Callable[[Tree], tuple]  # shape -> (numerator, integer denominator)
@@ -183,10 +185,14 @@ class IdentityReport:
 
 
 def _verify(
-    identity: str, n: int, shapes: Iterable[Tree], term: Term, size: int
+    identity: str, n: int, shapes: Iterable[Tree], term: Term, size: int, where: str = ""
 ) -> IdentityReport:
-    """Report on ``sum of term over shapes == 1/size!``."""
-    lhs, count = _hook_sum(shapes, term)
+    """Report on ``sum of term over shapes == 1/size!``; raises
+    ``SizeLimitError`` once the shapes pass ``TERM_LIMIT``."""
+    lhs, count = _hook_sum(islice(shapes, TERM_LIMIT + 1), term)
+    if count > TERM_LIMIT:
+        raise SizeLimitError(f"'verify {identity}' at n={n}{where} sums more than "
+                             f"{TERM_LIMIT} terms")
     expected = Fraction(1, factorial(size))
     return IdentityReport(identity, n, lhs, expected, lhs == expected, count)
 
@@ -200,7 +206,8 @@ def verify_yang(n: int) -> IdentityReport:
 
 
 def verify_tbar(oracle: BranchingOracle, n: int) -> IdentityReport:
-    return _verify("tbar", n, enum_tbar(oracle, n), TbarFamily(oracle).hook_term, n)
+    return _verify("tbar", n, enum_tbar(oracle, n), TbarFamily(oracle).hook_term, n,
+                   f" with oracle {oracle}")
 
 
 def verify_han2(n: int) -> IdentityReport:

@@ -181,24 +181,27 @@ def grow(family: Family, n: int, rng: random.Random,
 
 class _Table:
     """The growth histories to size ``n`` that draws reach, built as they do:
-    a node is (cuts, children, path), a leaf the labeled encoding.  A site's
-    cut ceil((cum << 64) / D) exceeds an integer u exactly when
-    u/2^64 < cum/D, so ``draw`` lands where ``grow`` would."""
+    a node is [cuts, kids, path], a leaf the labeled encoding.  ``path`` is
+    the node's (vertex, slot) moves from the root, and ``kids`` holds a site's
+    move until a draw first takes it.  A site's cut ceil((cum << 64) / D)
+    exceeds an integer u exactly when u/2^64 < cum/D, so ``draw`` lands where
+    ``grow`` would."""
 
     def __init__(self, family: Family, n: int):
         self.family, self.n = family, n
         self.root = self._node(())  # its _Flat checks n
 
-    def _node(self, path: tuple[int, ...]):
-        """The node of ``path``, site indices from the root, by replay."""
+    def _node(self, path: tuple[tuple[int, int], ...]):
+        """The node of ``path`` by replay; only the node's own state is
+        stepped, so it is listed and its masses checked once."""
         flat = _Flat(self.family, self.n)
-        for i in path:
-            flat.attach(*flat.step()[0][i][:2])
+        for v, slot in path:
+            flat.attach(v, slot)
         if len(path) == self.n - 1:
             return flat.tree().enc
         sites, D = flat.step()
         cuts = [-((-cum << 64) // D) for _, _, cum in sites]
-        return cuts, [None] * len(cuts), path
+        return [cuts, [(v, slot) for v, slot, _ in sites], path]
 
     def draw(self, rng: random.Random) -> str:
         """One tree's encoding: per step one 64-bit integer, one bisection."""
@@ -207,8 +210,8 @@ class _Table:
             cuts, kids, path = node
             i = bisect_right(cuts, rng.getrandbits(64))
             node = kids[i]  # the last cut is 2^64 > u; past it, IndexError
-            if node is None:
-                node = kids[i] = self._node(path + (i,))
+            if type(node) is tuple:  # a move not yet taken
+                node = kids[i] = self._node(path + (node,))
         return node
 
 

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+from hooklab import cli, identities
+
 CMD = [sys.executable, "-m", "hooklab"]
 
 
@@ -118,6 +120,19 @@ class TestVerify:
             assert out.returncode == 2
             assert f"--n-max <= {bound}" in out.stderr
             assert out.stdout == ""
+
+    def test_a_sum_past_the_term_limit_is_a_usage_error(self, monkeypatch, capsys):
+        # const:50 has 3725 subtrees of size 3; at the real limit, 10^6, it
+        # stops at n=5 (328,350 terms at n=4), where --n-max 8 once ran on
+        monkeypatch.setattr(identities, "TERM_LIMIT", 3724)
+        assert cli.main(["verify", "tbar", "--oracle", "const:50", "--n-max", "8"]) == 2
+        out, err = capsys.readouterr()
+        assert [line.split()[1] for line in out.splitlines()] == ["n=1", "n=2"]
+        assert err == ("error: 'verify tbar' at n=3 with oracle const:50 sums more than "
+                       "3724 terms\n")
+        monkeypatch.setattr(identities, "TERM_LIMIT", 3725)
+        assert cli.main(["verify", "tbar", "--oracle", "const:50", "--n-max", "3"]) == 0
+        assert "term_count=3725" in capsys.readouterr().out
 
     def test_ordered_m_below_the_largest_child_count_is_a_usage_error(self):
         for check, m, n_max, most in (

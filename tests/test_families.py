@@ -1,3 +1,4 @@
+import heapq
 import json
 import re
 from collections import Counter
@@ -7,10 +8,14 @@ import pytest
 
 from conftest import catalan
 from hooklab import (
+    BinaryTree,
+    BranchingOracle,
     ConstantBranching,
     DepthBranching,
     FamilyConfigError,
     OracleSyntaxError,
+    OrderedTree,
+    SlottedTree,
     TableBranching,
     enum_binary,
     enum_ordered,
@@ -264,3 +269,97 @@ class TestEnumTbar:
         encs = [t.enc for t in enum_tbar(o, 2)]
         assert encs == sorted(encs)
         assert len(encs) == 13
+
+
+# The enumerators as they were before they yielded in encoding order
+# directly: per-size streams interleaved by heapq.merge on the encoding.
+# They are the reference for the trees, their order and the oracle queries.
+
+
+def _enc(t):
+    return t.enc
+
+
+def reference_binary(n):
+    if n == 1:
+        yield BinaryTree()
+        return
+    for left in heapq.merge(*(reference_binary(i) for i in range(1, n)), key=_enc):
+        rest = n - 1 - left.size
+        if rest == 0:
+            yield BinaryTree(left, None)
+        else:
+            for right in reference_binary(rest):
+                yield BinaryTree(left, right)
+    for right in reference_binary(n - 1):
+        yield BinaryTree(None, right)
+
+
+def reference_ordered(n):
+    for children in reference_ordered_seq(n - 1):
+        yield OrderedTree(children)
+
+
+def reference_ordered_seq(total):
+    if total == 0:
+        yield ()
+        return
+    for first in heapq.merge(*(reference_ordered(i) for i in range(1, total + 1)), key=_enc):
+        for rest in reference_ordered_seq(total - first.size):
+            yield (first,) + rest
+
+
+def reference_slotted(oracle, addr, size):
+    if size == 1:
+        yield SlottedTree()
+        return
+    width = oracle.child_count(addr)
+    for children in reference_slot_seq(oracle, addr, 0, width, size - 1):
+        yield SlottedTree(children)
+
+
+def reference_slot_seq(oracle, addr, min_slot, width, budget):
+    if budget == 0:
+        yield ()
+        return
+    for slot in sorted(range(min_slot, width), key=lambda s: f"{s}]"):
+        subs = heapq.merge(
+            *(reference_slotted(oracle, addr + (slot,), i) for i in range(1, budget + 1)),
+            key=_enc,
+        )
+        for sub in subs:
+            for rest in reference_slot_seq(oracle, addr, slot + 1, width, budget - sub.size):
+                yield ((slot, sub),) + rest
+
+
+class RecordingOracle(BranchingOracle):
+    """Passes every query on and records the address asked."""
+
+    def __init__(self, inner):
+        self.inner, self.asked = inner, set()
+
+    def child_count(self, addr):
+        self.asked.add(addr)
+        return self.inner.child_count(addr)
+
+
+class TestAgainstMergedReference:
+    """The merge-free enumerators yield the reference's trees in its order."""
+
+    def test_binary(self):
+        for n in range(1, 10):
+            assert [t.enc for t in enum_binary(n)] == [t.enc for t in reference_binary(n)], n
+
+    def test_ordered(self):
+        for n in range(1, 10):
+            assert [t.enc for t in enum_ordered(n)] == [t.enc for t in reference_ordered(n)], n
+
+    def test_tbar_trees_and_queried_addresses(self, mixed_oracle):
+        cases = [(parse_oracle(spec), 7) for spec in ("const:2", "const:3", "depth:2,3")]
+        cases += [(mixed_oracle, 7), (ConstantBranching(13), 3)]
+        for oracle, n_max in cases:
+            for n in range(1, n_max + 1):
+                ours, theirs = RecordingOracle(oracle), RecordingOracle(oracle)
+                got = [t.enc for t in enum_tbar(ours, n)]
+                assert got == [t.enc for t in reference_slotted(theirs, (), n)], (oracle, n)
+                assert ours.asked == theirs.asked, (oracle, n)

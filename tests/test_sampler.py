@@ -472,17 +472,19 @@ class TestTable:
             return
         visit(node)
         cuts, kids, path = node
-        for i in range(len(kids)):
-            kids[i] = table._node(path + (i,))
+        for i, move in enumerate(kids):
+            kids[i] = table._node(path + (move,))
             self.build(table, kids[i], visit)
 
     def test_cuts_pick_the_site_draw_picks(self, mixed_oracle):
         def visit(node):
-            cuts, _, path = node
+            cuts, moves, path = node
             flat = _Flat(family, n)
-            for i in path:
-                flat.attach(*flat.step()[0][i][:2])
+            for move in path:
+                assert move in [site[:2] for site in flat.step()[0]]
+                flat.attach(*move)
             sites, D = flat.step()
+            assert moves == [(v, slot) for v, slot, _ in sites]
             assert len(cuts) == len(sites) and cuts[-1] == 1 << 64
             for u in {0, 2 ** 64 - 1, *(c - 1 for c in cuts), *(c for c in cuts[:-1])}:
                 # the first site whose cumulative mass exceeds u/2^64
@@ -498,6 +500,17 @@ class TestTable:
                 # every history to size n-1 is a node: one per labeled tree of that size
                 assert len([p for p in seen if len(p) == n - 2]) == (
                     len(list(enumerate_labelings(family, n - 1))) if n > 1 else 0)
+
+    def test_each_node_steps_once(self, monkeypatch):
+        # a replay only attaches: the one step per node lists its own sites
+        calls, real = [], _Flat.step
+        monkeypatch.setattr(_Flat, "step", lambda flat: calls.append(1) or real(flat))
+        for n in range(1, 6):
+            calls.clear()
+            nodes, table = [], _Table(BINARY, n)
+            self.build(table, table.root, nodes.append)
+            assert len(calls) == len(nodes) == sum(
+                len(list(enumerate_labelings(BINARY, k))) for k in range(1, n))
 
     def test_a_draw_past_the_last_cut_raises(self):
         table = _Table(BINARY, 3)
