@@ -45,6 +45,7 @@ import random
 import statistics
 import subprocess
 import time
+from functools import partial
 from pathlib import Path
 
 from hooklab import (
@@ -131,6 +132,12 @@ def _sweep(argv: list[str]) -> None:
         raise SystemExit(f"{' '.join(argv)} exited {status}")
 
 
+def _grow(family, n: int, count: int) -> None:
+    rng = random.Random(1)
+    for _ in range(count):
+        grow(family, n, rng)
+
+
 def _rounds(works, rounds: int) -> dict[str, list[float]]:
     """The CPU seconds of every (row, work) pair in each of ``rounds`` rounds."""
     times = {row: [] for row, _ in works}
@@ -140,16 +147,18 @@ def _rounds(works, rounds: int) -> dict[str, list[float]]:
     return times
 
 
+def _row(row: str, times: list[float], **fields) -> dict:
+    """A table row: its name, ``fields``, then the best and median seconds."""
+    doc = {"row": row, **fields, "best_seconds": round(min(times), 4),
+           "median_seconds": round(statistics.median(times), 4)}
+    print(json.dumps(doc), flush=True)
+    return doc
+
+
 def _cli_rows(commands, rounds: int) -> list[dict]:
     """Best and median CPU seconds of each (row, argv) through ``cli.main``."""
-    times = _rounds([(row, lambda argv=argv: _sweep(argv)) for row, argv in commands], rounds)
-    rows = []
-    for row, argv in commands:
-        rows.append({"row": row, "argv": argv,
-                     "best_seconds": round(min(times[row]), 4),
-                     "median_seconds": round(statistics.median(times[row]), 4)})
-        print(json.dumps(rows[-1]), flush=True)
-    return rows
+    times = _rounds([(row, partial(_sweep, argv)) for row, argv in commands], rounds)
+    return [_row(row, times[row], argv=argv) for row, argv in commands]
 
 
 def _commit() -> str:
@@ -169,45 +178,24 @@ def main() -> int:
     ap.add_argument("--label", required=True)
     args = ap.parse_args()
 
-    times = {row: [] for row, *_ in GROW}
-    for _ in range(ROUNDS):
-        for row, family, n, count in GROW:
-            rng = random.Random(1)
-            times[row].append(_seconds(lambda: [grow(family, n, rng) for _ in range(count)]))
-    grow_rows = []
-    for row, _, _, count in GROW:
-        best, median = min(times[row]), statistics.median(times[row])
-        grow_rows.append({"row": row, "trees": count, "best_seconds": round(best, 4),
-                          "median_seconds": round(median, 4),
-                          "trees_per_s": round(count / best)})
-        print(json.dumps(grow_rows[-1]), flush=True)
+    times = _rounds([(row, partial(_grow, family, n, count))
+                     for row, family, n, count in GROW], ROUNDS)
+    grow_rows = [_row(row, times[row], trees=count, trees_per_s=round(count / min(times[row])))
+                 for row, _, _, count in GROW]
 
     masses = {row: {} for row, *_ in CENSUS}
     masses_s = {row: _seconds(lambda: masses[row].update(category_masses(family, n)))
                 for row, family, n, _ in CENSUS}
-    census_times = {row: [] for row, *_ in CENSUS}
-    for _ in range(CENSUS_ROUNDS):
-        for row, family, n, draws in CENSUS:
-            census_times[row].append(
-                _seconds(lambda: run_census(family, n, draws, 1, masses=masses[row])))
-    census_rows = []
-    for row, _, _, draws in CENSUS:
-        census_rows.append({"row": row, "samples": draws,
-                            "masses_seconds": round(masses_s[row], 4),
-                            "best_seconds": round(min(census_times[row]), 4),
-                            "median_seconds": round(statistics.median(census_times[row]), 4)})
-        print(json.dumps(census_rows[-1]), flush=True)
+    times = _rounds([(row, partial(run_census, family, n, draws, 1, masses=masses[row]))
+                     for row, family, n, draws in CENSUS], CENSUS_ROUNDS)
+    census_rows = [_row(row, times[row], samples=draws, masses_seconds=round(masses_s[row], 4))
+                   for row, _, _, draws in CENSUS]
 
     sweep_rows = _cli_rows(SWEEPS, SWEEP_ROUNDS)
 
-    enum_times = _rounds(
+    times = _rounds(
         [(row, lambda call=call: sum(1 for _ in call())) for row, call in ENUM], ENUM_ROUNDS)
-    enum_rows = []
-    for row, call in ENUM:
-        enum_rows.append({"row": row, "trees": sum(1 for _ in call()),
-                          "best_seconds": round(min(enum_times[row]), 4),
-                          "median_seconds": round(statistics.median(enum_times[row]), 4)})
-        print(json.dumps(enum_rows[-1]), flush=True)
+    enum_rows = [_row(row, times[row], trees=sum(1 for _ in call())) for row, call in ENUM]
 
     identity_rows = _cli_rows(IDENTITIES, IDENTITY_ROUNDS)
 

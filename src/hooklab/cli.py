@@ -98,29 +98,27 @@ def unit_interval(text: str) -> float:
     return alpha
 
 
-def _parse_m(text: str | None, fallback: Fraction | None) -> Fraction | None:
-    if text is None:
-        return fallback
-    if text == "symbolic":
-        return None
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise UsageError(f"--m must be an integer, a fraction like 7/2, or 'symbolic'; got {text!r}")
-
-
-def _build_family(name: str, m: Fraction | None, oracle_spec: str | None) -> Family:
-    if name == "binary":
-        if oracle_spec is not None:
-            raise UsageError("--oracle only applies to the tbar family")
-        return BinaryFamily()
-    if name == "ordered":
-        if oracle_spec is not None:
-            raise UsageError("--oracle only applies to the tbar family")
-        return OrderedFamily(m)
+def _family(args, m_default: Fraction | None) -> Family:
+    """The growth family of ``--family``, ``--m`` and ``--oracle``; an unset
+    ``--m`` is ``m_default``."""
+    name = args.family or "binary"
+    if name != "ordered" and args.m is not None:
+        raise UsageError("--m only applies to the ordered family")
     if name == "tbar":
-        return TbarFamily(parse_oracle(oracle_spec or "const:2"))
-    raise UsageError(f"unknown family {name!r}")
+        return TbarFamily(parse_oracle(args.oracle or "const:2"))
+    if args.oracle is not None:
+        raise UsageError("--oracle only applies to the tbar family")
+    if name == "binary":
+        return BinaryFamily()
+    if args.m is None:
+        return OrderedFamily(m_default)
+    if args.m == "symbolic":
+        return OrderedFamily(None)
+    try:
+        m = Fraction(args.m)
+    except (ValueError, ZeroDivisionError):
+        raise UsageError(f"--m must be an integer, a fraction like 7/2, or 'symbolic'; got {args.m!r}")
+    return OrderedFamily(m)  # which refuses m=0 itself
 
 
 def _reject_family_flags(args, *, allow_oracle: bool = False) -> None:
@@ -133,15 +131,12 @@ def _reject_family_flags(args, *, allow_oracle: bool = False) -> None:
 
 
 def _sweep_family(args, n_max: int) -> Family:
-    name = args.family or "binary"
-    if name != "ordered" and args.m is not None:
-        raise UsageError("--m only applies to the ordered family")
-    m = _parse_m(args.m, None) if name == "ordered" else None
+    family = _family(args, None)
     most = n_max - 1 if args.identity == "lemma" else n_max - 2
-    if m and m < most:  # OrderedFamily refuses m=0 itself
+    if isinstance(family, OrderedFamily) and family.m is not None and family.m < most:
         raise UsageError(f"'verify {args.identity}' to n={n_max} weighs ordered parents with "
-                         f"child counts up to {most}, so it needs m >= {most}; got m={m}")
-    return _build_family(name, m, args.oracle)
+                         f"child counts up to {most}, so it needs m >= {most}; got m={family.m}")
+    return family
 
 
 def _identity(report) -> tuple[dict, bool]:
@@ -232,12 +227,7 @@ def _site_path(site) -> str:
 
 
 def cmd_sample(args) -> int:
-    if args.family != "ordered" and args.m is not None:
-        raise UsageError("--m only applies to the ordered family")
-    m = _parse_m(args.m, Fraction(args.n)) if args.family == "ordered" else None
-    if args.family == "ordered" and m is None:
-        raise UsageError("sampling needs a concrete m, not 'symbolic'")
-    family = _build_family(args.family, m, args.oracle)
+    family = _family(args, Fraction(args.n))
     rng = random.Random(args.seed)
     for _ in range(args.count):
         if args.verbose:
@@ -251,13 +241,11 @@ def cmd_sample(args) -> int:
 
 
 def cmd_mc(args) -> int:
-    if args.family != "ordered" and args.m is not None:
-        raise UsageError("--m only applies to the ordered family")
-    m = _parse_m(args.m, Fraction(args.n)) if args.family == "ordered" else None
-    if args.family == "ordered" and m is None:
-        raise UsageError("Monte Carlo needs a concrete m, not 'symbolic'")
-    family = _build_family(args.family, m, args.oracle)
+    family = _family(args, Fraction(args.n))
     masses = category_masses(family, args.n)
+    if len(masses) < 2:
+        raise UsageError(f"there is only one labeled {family.label} tree of size {args.n}, "
+                         "so a chi-squared test has nothing to compare")
     minimum = min_samples(masses)
     if args.samples < minimum:
         raise UsageError(

@@ -116,8 +116,8 @@ def parse_oracle(spec: str) -> BranchingOracle:
     The file form is a JSON object mapping slash-joined addresses such as
     ``"0/2/1"`` (the root is ``""``; no leading zeros, each step below its
     parent's child count) to child counts, which are JSON integers, plus a
-    mandatory ``"default"`` entry holding a const/depth spec for unlisted
-    addresses.  No key may appear twice.
+    mandatory ``"default"`` entry holding a const/depth spec string for
+    unlisted addresses.  No key may appear twice.
     """
     kind, sep, rest = spec.partition(":")
     if not sep:
@@ -138,9 +138,10 @@ def parse_oracle(spec: str) -> BranchingOracle:
         if not isinstance(data, dict) or "default" not in data:
             raise OracleSyntaxError(f"oracle file {rest!r} must be an object with a 'default' entry")
         default_spec = data.pop("default")
+        if not isinstance(default_spec, str) or default_spec.startswith("file:"):
+            raise OracleSyntaxError(f"the 'default' entry of oracle file {rest!r} must be a "
+                                    f"const or depth spec string, got {default_spec!r}")
         default = parse_oracle(default_spec)
-        if isinstance(default, TableBranching):
-            raise OracleSyntaxError("the 'default' entry must be a const or depth spec")
         entries = []
         for key, value in sorted(data.items()):
             if type(value) is not int:  # JSON true is a bool, which Python counts as an int

@@ -139,16 +139,16 @@ def completion_count(t: BinaryTree) -> int:
     return q
 
 
-def brute_force_labelings(t: Tree, max_size: int = BRUTE_FORCE_BOUND) -> int:
+def brute_force_labelings(t: Tree) -> int:
     """Count increasing labelings by direct backtracking.
 
     Places labels 1..n in order; a vertex is eligible once its parent is
     labeled.  Independent of the hook formula, so it can cross-check it.
-    Refuses trees larger than ``max_size``.
+    Refuses trees larger than ``BRUTE_FORCE_BOUND``.
     """
-    if t.size > max_size:
+    if t.size > BRUTE_FORCE_BOUND:
         raise SizeLimitError(
-            f"brute-force labeling count is limited to {max_size} vertices, got {t.size}"
+            f"brute-force labeling count is limited to {BRUTE_FORCE_BOUND} vertices, got {t.size}"
         )
 
     def go(frontier: list[Tree]) -> int:
@@ -174,14 +174,9 @@ class IdentityReport:
     term_count: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "identity": self.identity,
-            "n": self.n,
-            "lhs": str(self.lhs),
-            "expected": str(self.expected),
-            "holds": self.holds,
-            "term_count": self.term_count,
-        }
+        """The fields in order, the sums ``lhs`` and ``expected`` as strings."""
+        exact = ("lhs", "expected")
+        return {name: str(value) if name in exact else value for name, value in vars(self).items()}
 
 
 def _verify(

@@ -36,19 +36,19 @@ class LowExpectedCountWarning(UserWarning):
     """Some category's expected count is below the classical floor of 5."""
 
 
-def category_masses(family: Family, n: int, limit: int = CATEGORY_LIMIT) -> dict[str, Fraction]:
+def category_masses(family: Family, n: int) -> dict[str, Fraction]:
     """Exact probability of each labeled tree, keyed by its encoding.
 
     Refuses families that cannot grow to size ``n`` and category spaces
-    larger than ``limit``; the masses always sum to exactly 1, anything else
-    is a bug.
+    larger than ``CATEGORY_LIMIT``; the masses always sum to exactly 1,
+    anything else is a bug.
     """
     family.check_growable(n)
     masses: dict[str, Fraction] = {}
     for labeled in enumerate_labelings(family, n):
-        if len(masses) >= limit:
+        if len(masses) >= CATEGORY_LIMIT:
             raise SizeLimitError(
-                f"more than {limit} labeled trees at size {n}; census would be meaningless"
+                f"more than {CATEGORY_LIMIT} labeled trees at size {n}; census would be meaningless"
             )
         p = labeling_probability(labeled, family)
         masses[labeled.enc] = Fraction(p)

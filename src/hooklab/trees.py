@@ -46,7 +46,25 @@ class TreeParseError(ValueError):
         self.position = position
 
 
-class BinaryTree:
+class _Shape:
+    """Identity of the three shape classes: two trees are equal when they
+    have the same class and the same encoding."""
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is type(self):
+            return self.enc == other.enc
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((type(self).__name__, self.enc))
+
+    def __repr__(self) -> str:
+        return f"<{type(self).__name__} {self.enc}>"
+
+
+class BinaryTree(_Shape):
     """Rooted tree where each vertex has an optional left and right child."""
 
     __slots__ = ("left", "right", "size", "enc")
@@ -72,19 +90,8 @@ class BinaryTree:
             items.append((1, self.right))
         return items
 
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, BinaryTree):
-            return self.enc == other.enc
-        return NotImplemented
 
-    def __hash__(self) -> int:
-        return hash(("BinaryTree", self.enc))
-
-    def __repr__(self) -> str:
-        return f"<BinaryTree {self.enc}>"
-
-
-class OrderedTree:
+class OrderedTree(_Shape):
     """Rooted tree with a linearly ordered sequence of children per vertex."""
 
     __slots__ = ("children", "size", "enc")
@@ -97,19 +104,8 @@ class OrderedTree:
     def child_items(self) -> list[tuple[int, "OrderedTree"]]:
         return list(enumerate(self.children))
 
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, OrderedTree):
-            return self.enc == other.enc
-        return NotImplemented
 
-    def __hash__(self) -> int:
-        return hash(("OrderedTree", self.enc))
-
-    def __repr__(self) -> str:
-        return f"<OrderedTree {self.enc}>"
-
-
-class SlottedTree:
+class SlottedTree(_Shape):
     """Ordered tree whose children occupy numbered slots.
 
     ``children`` holds (slot, subtree) pairs with strictly increasing
@@ -137,17 +133,6 @@ class SlottedTree:
 
     def child_items(self) -> list[tuple[int, "SlottedTree"]]:
         return list(self.children)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, SlottedTree):
-            return self.enc == other.enc
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(("SlottedTree", self.enc))
-
-    def __repr__(self) -> str:
-        return f"<SlottedTree {self.enc}>"
 
 
 Tree = Union[BinaryTree, OrderedTree, SlottedTree]

@@ -113,6 +113,16 @@ class TestVerify:
         assert out.stdout == ""
         assert "repeats the key ''" in out.stderr
 
+    def test_oracle_file_with_a_bad_default_is_a_usage_error(self, tmp_path):
+        path = tmp_path / "oracle.json"
+        for default in (3, f"file:{path}"):
+            path.write_text(json.dumps({"": 2, "default": default}))
+            out = run("verify", "tbar", "--oracle", f"file:{path}", "--n-max", "3")
+            assert out.returncode == 2
+            assert out.stdout == ""
+            assert "'default' entry" in out.stderr
+            assert "Traceback" not in out.stderr
+
     def test_n_max_above_the_bound_is_a_usage_error(self):
         for args, bound in ((("han", "--n-max", "13"), 12),
                             (("lemma", "--family", "tbar", "--n-max", "8"), 7)):
@@ -199,7 +209,11 @@ class TestSample:
 
     def test_usage_errors(self):
         assert run("sample", "--family", "binary", "--n", "3", "--m", "4").returncode == 2
-        assert run("sample", "--family", "ordered", "--n", "3", "--m", "symbolic").returncode == 2
+        for extra in ((), ("--verbose",)):
+            out = run("sample", "--family", "ordered", "--n", "3", "--m", "symbolic", *extra)
+            assert out.returncode == 2
+            assert out.stdout == ""
+            assert "Traceback" not in out.stderr
         assert run("sample", "--family", "ordered", "--n", "9", "--m", "2").returncode == 2
         assert run("sample", "--family", "binary", "--n", "3", "--oracle", "const:2").returncode == 2
         assert run("sample", "--family", "binary", "--n", "0").returncode == 2
@@ -235,6 +249,21 @@ class TestMc:
         out = run("mc", "--family", "binary", "--n", "0", "--samples", "1000")
         assert out.returncode == 2
         assert "Traceback" not in out.stderr
+
+    def test_symbolic_m_is_a_usage_error(self):
+        out = run("mc", "--family", "ordered", "--m", "symbolic", "--n", "3", "--samples", "1000")
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert "Traceback" not in out.stderr
+
+    def test_a_size_with_one_labeled_tree_is_a_usage_error(self):
+        # chi_squared_gof needs two categories; these used to exit 1 with its ValueError
+        for args in (("--n", "1"), ("--family", "tbar", "--oracle", "const:1", "--n", "4")):
+            out = run("mc", *args)
+            assert out.returncode == 2
+            assert out.stdout == ""
+            assert "only one labeled" in out.stderr
+            assert "Traceback" not in out.stderr
 
     def test_m_below_n_minus_1_is_a_usage_error(self):
         out = run("mc", "--family", "ordered", "--m", "2", "--n", "4", "--samples", "1000")

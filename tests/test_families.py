@@ -154,6 +154,15 @@ class TestParseOracle:
             with pytest.raises(OracleSyntaxError, match=f"{re.escape(repr(key))} steps past"):
                 parse_oracle(self.write(tmp_path, table))
 
+    def test_default_must_be_a_const_or_depth_spec_string(self, tmp_path):
+        # 3 used to crash with AttributeError, the file naming itself with
+        # RecursionError
+        path = tmp_path / "oracle.json"
+        for default in (3, None, ["const:2"], f"file:{path}"):
+            path.write_text(json.dumps({"": 2, "default": default}))
+            with pytest.raises(OracleSyntaxError, match="'default' entry .*const or depth"):
+                parse_oracle(f"file:{path}")
+
     def test_steps_below_the_parent_child_count_are_kept(self, tmp_path):
         oracle = parse_oracle(self.write(tmp_path, {"": 9, "8/2": 4, "default": "depth:2,3"}))
         assert oracle.child_count((8, 2)) == 4

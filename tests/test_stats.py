@@ -53,9 +53,10 @@ class TestCategoryMasses:
         with pytest.raises(FamilyConfigError, match="needs m >= 3"):
             category_masses(OrderedFamily(2), 4)
 
-    def test_category_limit(self):
+    def test_category_limit(self, monkeypatch):
+        monkeypatch.setattr(hooklab.stats, "CATEGORY_LIMIT", 10)
         with pytest.raises(Exception, match="census"):
-            category_masses(BINARY, 4, limit=10)
+            category_masses(BINARY, 4)
 
 
 class TestMinSamples:

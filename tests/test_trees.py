@@ -109,6 +109,31 @@ class TestEncoding:
             decode("([1]()[1]())", family="slotted")
 
 
+class TestIdentity:
+    def test_classes_with_one_encoding_differ(self):
+        assert OrderedTree().enc == SlottedTree().enc == "()"
+        assert OrderedTree() != SlottedTree()
+        assert SlottedTree() != OrderedTree()
+        assert BinaryTree() != OrderedTree()
+        assert len({OrderedTree(), SlottedTree(), BinaryTree()}) == 3
+
+    def test_equal_trees_hash_and_repr(self):
+        for make, name, enc in (
+            (lambda: BinaryTree(BinaryTree(), BinaryTree()), "BinaryTree", "((.,.),(.,.))"),
+            (lambda: OrderedTree((OrderedTree(),)), "OrderedTree", "(())"),
+            (lambda: SlottedTree(((2, SlottedTree()),)), "SlottedTree", "([2]())"),
+        ):
+            a, b = make(), make()
+            assert a is not b and a == b and not a != b
+            assert hash(a) == hash(b) == hash((name, enc))
+            assert repr(a) == f"<{name} {enc}>"
+
+    def test_unequal_encodings_differ(self):
+        assert OrderedTree((OrderedTree(),)) != OrderedTree()
+        assert BinaryTree(BinaryTree()) != BinaryTree(None, BinaryTree())
+        assert OrderedTree() != "()"
+
+
 class TestAddresses:
     def test_preorder(self):
         t = decode("((())())")
