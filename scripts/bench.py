@@ -16,7 +16,8 @@ Five tables, all in CPU seconds of this process (time.process_time):
            ``cmd_mc`` computes them once beforehand
   sweeps   ``verify lemma`` and ``verify labelprob`` through ``cli.main``
            with stdout discarded: binary to n=7, tbar depth:2,3 to n=6 and
-           ordered with symbolic m to n=5; 5 rounds, best and median
+           ordered with symbolic m to n=5 and to n=7 (the slowest sweeps);
+           5 rounds, best and median
   enum     a count-only loop over ``enum_binary(12)``, ``enum_ordered(10)``
            and ``enum_tbar`` at n=8 with const:3 and depth:2,3; 5 rounds,
            best and median
@@ -84,6 +85,7 @@ SWEEPS = [
         ("binary n<=7", ["--family", "binary", "--n-max", "7"]),
         ("tbar depth:2,3 n<=6", ["--family", "tbar", "--oracle", "depth:2,3", "--n-max", "6"]),
         ("ordered symbolic n<=5", ["--family", "ordered", "--m", "symbolic", "--n-max", "5"]),
+        ("ordered symbolic n<=7", ["--family", "ordered", "--m", "symbolic", "--n-max", "7"]),
     ]
     for check in ("lemma", "labelprob")
 ]

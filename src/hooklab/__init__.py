@@ -56,7 +56,6 @@ from .stats import (
     CensusEntry,
     GofReport,
     category_masses,
-    census_csv,
     chi2_sf,
     chi_squared_gof,
     min_samples,
@@ -64,7 +63,6 @@ from .stats import (
     run_census,
 )
 from .trees import (
-    AddressError,
     BinaryTree,
     LabeledTree,
     LabelingError,
@@ -75,10 +73,7 @@ from .trees import (
     check_labeling,
     completion,
     decode,
-    depth,
-    encode,
     hook_lengths,
-    subtree_at,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -26,6 +26,7 @@ from .families import (
     FamilyConfigError,
     OracleSyntaxError,
     OrderedFamily,
+    Probability,
     ProbabilityRangeError,
     TbarFamily,
     parse_oracle,
@@ -157,29 +158,22 @@ def _lemma(family: Family, n: int) -> tuple[dict, bool]:
 def _labelprob(family: Family, n: int) -> tuple[dict, bool]:
     """Is every labeling of a size-n shape equally likely, at the shape's
     closed form, with total mass 1?"""
-    shapes: dict[str, tuple[Tree, list]] = {}
+    first: dict[Tree, Probability] = {}  # shape -> its first labeling's probability
+    equal = True
+    total = labelings = 0
     for labeled in enumerate_labelings(family, n):
         p = labeling_probability(labeled, family)
-        entry = shapes.setdefault(labeled.shape.enc, (labeled.shape, []))
-        entry[1].append(p)
-    equal = closed = True
-    total = None
-    labelings = 0
-    for shape, probs in shapes.values():
-        labelings += len(probs)
-        first = probs[0]
-        if any(p != first for p in probs[1:]):
+        if p != first.setdefault(labeled.shape, p):
             equal = False
-        if first != shape_probability(shape, family):
-            closed = False
-        for p in probs:
-            total = p if total is None else total + p
+        total += p
+        labelings += 1
+    closed = all(p == shape_probability(shape, family) for shape, p in first.items())
     holds = equal and closed and total == 1
     record = {
         "check": "labelprob",
         "family": family.label,
         "n": n,
-        "shapes": len(shapes),
+        "shapes": len(first),
         "labelings": labelings,
         "equal_per_shape": equal,
         "matches_closed_form": closed,

@@ -30,13 +30,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import factorial, prod
-from typing import Callable, Iterable, Union
+from typing import Callable, Iterable
 
 from .exact import RationalFunction
 from .families import (
     BinaryFamily,
     BranchingOracle,
     OrderedFamily,
+    Probability,
     TbarFamily,
     enum_binary,
     enum_ordered,
@@ -45,9 +46,7 @@ from .families import (
 from .trees import BinaryTree, OrderedTree, Tree, _subtrees
 
 BRUTE_FORCE_BOUND = 11
-TERM_LIMIT = 10 ** 6  # terms one verify report may sum, as many as stats.CATEGORY_LIMIT
-
-Value = Union[Fraction, RationalFunction]
+TERM_LIMIT = 10 ** 6  # shapes one verify report sums, labeled trees one enumeration yields
 Term = Callable[[Tree], tuple]  # shape -> (numerator, integer denominator)
 
 
@@ -64,7 +63,7 @@ def hook_values(t: Tree) -> list[int]:
     return [node.size for node in _subtrees(t)]
 
 
-def _hook_sum(shapes: Iterable[Tree], term: Term) -> tuple[Value, int]:
+def _hook_sum(shapes: Iterable[Tree], term: Term) -> tuple[Probability, int]:
     """Sum of ``term`` over ``shapes``, and the number of shapes.
 
     ``term(shape)`` is (numerator, integer denominator); the numerators of
@@ -168,7 +167,7 @@ def brute_force_labelings(t: Tree) -> int:
 class IdentityReport:
     identity: str
     n: int
-    lhs: Value
+    lhs: Probability
     expected: Fraction
     holds: bool
     term_count: int

@@ -32,7 +32,8 @@ from operator import itemgetter
 from typing import Callable, Iterator, Optional
 
 from .families import Family, Probability, insert_child
-from .identities import ConsistencyError, hook_values
+from . import identities
+from .identities import ConsistencyError, SizeLimitError, hook_values
 from .trees import Address, LabeledTree, Tree, _preorder, check_labeling
 
 
@@ -257,10 +258,12 @@ def enumerate_labelings(family: Family, n: int) -> Iterator[LabeledTree]:
 
     Each increasing labeling has exactly one growth history, so there are
     no repeats.  Probabilities are never computed, so a family with
-    symbolic or out-of-range weights is enumerated here too.
+    symbolic or out-of-range weights is enumerated here too.  Raises
+    ``SizeLimitError`` in place of a tree past ``identities.TERM_LIMIT``.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
+    limit = identities.TERM_LIMIT
 
     def rec(state: GrowthState) -> Iterator[LabeledTree]:
         if state.tree.shape.size == n:
@@ -270,4 +273,7 @@ def enumerate_labelings(family: Family, n: int) -> Iterator[LabeledTree]:
             for slot in family.open_slots(parent, node.child_items()):
                 yield from rec(attach(state, AddableSite(parent, slot)))
 
-    yield from rec(start(family))
+    for count, tree in enumerate(rec(start(family)), 1):
+        if count > limit:
+            raise SizeLimitError(f"more than {limit} labeled {family.label} trees at n={n}")
+        yield tree

@@ -12,9 +12,7 @@ by hashing (seed, block index).
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import io
 import math
 import random
 import warnings
@@ -24,10 +22,9 @@ from fractions import Fraction
 from typing import Optional
 
 from .families import Family
-from .identities import ConsistencyError, SizeLimitError
+from .identities import ConsistencyError
 from .sampler import _Table, enumerate_labelings, labeling_probability
 
-CATEGORY_LIMIT = 10 ** 6
 BLOCK_SIZE = 10_000
 EXPECTED_FLOOR = 5
 
@@ -39,17 +36,13 @@ class LowExpectedCountWarning(UserWarning):
 def category_masses(family: Family, n: int) -> dict[str, Fraction]:
     """Exact probability of each labeled tree, keyed by its encoding.
 
-    Refuses families that cannot grow to size ``n`` and category spaces
-    larger than ``CATEGORY_LIMIT``; the masses always sum to exactly 1,
-    anything else is a bug.
+    Refuses families that cannot grow to size ``n`` and, through
+    ``enumerate_labelings``, more than ``identities.TERM_LIMIT`` labeled
+    trees; the masses always sum to exactly 1, anything else is a bug.
     """
     family.check_growable(n)
     masses: dict[str, Fraction] = {}
     for labeled in enumerate_labelings(family, n):
-        if len(masses) >= CATEGORY_LIMIT:
-            raise SizeLimitError(
-                f"more than {CATEGORY_LIMIT} labeled trees at size {n}; census would be meaningless"
-            )
         p = labeling_probability(labeled, family)
         masses[labeled.enc] = Fraction(p)
     total = sum(masses.values())
@@ -175,16 +168,6 @@ def chi_squared_gof(census: Census, alpha: float = 0.001) -> GofReport:
         min_expected,
         p >= alpha,
     )
-
-
-def census_csv(census: Census) -> str:
-    """CSV dump: category, observed, expected as an exact 'p/q' string."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["category", "observed", "expected"])
-    for entry in census.entries:
-        writer.writerow([entry.category, entry.observed, str(entry.expected)])
-    return buf.getvalue()
 
 
 def chi2_sf(x: float, dof: int) -> float:

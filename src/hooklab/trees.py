@@ -25,13 +25,9 @@ construction and safe to share across threads.
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping, Optional, Union
+from typing import Mapping, Optional, Union
 
 Address = tuple[int, ...]
-
-
-class AddressError(ValueError):
-    """An address does not point at a vertex of the given tree."""
 
 
 class LabelingError(ValueError):
@@ -253,27 +249,6 @@ def _subtrees(t: Tree) -> list[Tree]:
     return out
 
 
-def subtree_at(t: Tree, addr: Address) -> Tree:
-    """The subtree rooted at ``addr``; raises AddressError if absent."""
-    node = t
-    for i, step in enumerate(addr):
-        for s, child in node.child_items():
-            if s == step:
-                node = child
-                break
-        else:
-            raise AddressError(f"no vertex at address {addr!r} (failed at step {i})")
-    return node
-
-
-def depth(t: Tree | LabeledTree, addr: Address) -> int:
-    """Length of the root path to ``addr``, validated against ``t``."""
-    if isinstance(t, LabeledTree):
-        t = t.shape
-    subtree_at(t, addr)
-    return len(addr)
-
-
 def hook_lengths(t: Tree | LabeledTree) -> dict[Address, int]:
     """Map each vertex to the size of its descendant set (itself included)."""
     if isinstance(t, LabeledTree):
@@ -295,11 +270,6 @@ def completion(t: BinaryTree) -> BinaryTree:
         return BinaryTree(fill(node.left), fill(node.right))
 
     return fill(t)
-
-
-def encode(t: Tree | LabeledTree) -> str:
-    """Canonical string encoding (see the module grammar)."""
-    return t.enc
 
 
 def decode(text: str, family: str | None = None) -> Tree | LabeledTree:

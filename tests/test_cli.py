@@ -144,6 +144,20 @@ class TestVerify:
         assert cli.main(["verify", "tbar", "--oracle", "const:50", "--n-max", "3"]) == 0
         assert "term_count=3725" in capsys.readouterr().out
 
+    def test_a_sweep_past_the_term_limit_is_a_usage_error(self, monkeypatch, capsys):
+        # binary has n! labeled trees of size n: 24 at n=4, 120 at n=5
+        for check, count in (("lemma", "states"), ("labelprob", "labelings")):
+            monkeypatch.setattr(identities, "TERM_LIMIT", 24)
+            assert cli.main(["verify", check, "--n-max", "5"]) == 2
+            out, err = capsys.readouterr()
+            assert [line.split()[2] for line in out.splitlines()] == ["n=1", "n=2", "n=3", "n=4"]
+            assert f"{count}=24 " in out.splitlines()[-1]
+            assert err == "error: more than 24 labeled binary trees at n=5\n"
+            monkeypatch.setattr(identities, "TERM_LIMIT", 120)
+            assert cli.main(["verify", check, "--n-max", "5"]) == 0
+            last = capsys.readouterr().out.splitlines()[-1]
+            assert "n=5 " in last and f"{count}=120 " in last
+
     def test_ordered_m_below_the_largest_child_count_is_a_usage_error(self):
         for check, m, n_max, most in (
             ("lemma", "3", "5", 4),

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import hooklab.cli
+import hooklab.identities
 import hooklab.stats
 from hooklab import (
     BinaryFamily,
@@ -16,9 +17,9 @@ from hooklab import (
     DepthBranching,
     FamilyConfigError,
     OrderedFamily,
+    SizeLimitError,
     TbarFamily,
     category_masses,
-    census_csv,
     chi2_sf,
     chi_squared_gof,
     grow,
@@ -54,9 +55,12 @@ class TestCategoryMasses:
             category_masses(OrderedFamily(2), 4)
 
     def test_category_limit(self, monkeypatch):
-        monkeypatch.setattr(hooklab.stats, "CATEGORY_LIMIT", 10)
-        with pytest.raises(Exception, match="census"):
+        # binary n=4 has 24 labeled trees
+        monkeypatch.setattr(hooklab.identities, "TERM_LIMIT", 10)
+        with pytest.raises(SizeLimitError, match=r"^more than 10 labeled binary trees at n=4$"):
             category_masses(BINARY, 4)
+        monkeypatch.setattr(hooklab.identities, "TERM_LIMIT", 24)
+        assert len(category_masses(BINARY, 4)) == 24
 
 
 class TestMinSamples:
@@ -225,17 +229,6 @@ class TestIncompleteGamma:
             regularized_gamma_q(1.0, -1.0)
         with pytest.raises(ValueError):
             chi2_sf(1.0, 0)
-
-
-class TestCsv:
-    def test_format(self):
-        census = run_census(BINARY, 2, 9, seed=4)
-        text = census_csv(census)
-        lines = text.strip().split("\n")
-        assert lines[0] == "category,observed,expected"
-        assert len(lines) == 3
-        assert lines[1].startswith('"(:1(:2.,.),.)"')
-        assert lines[1].endswith("9/2")
 
 
 class TestSamplerDistribution:

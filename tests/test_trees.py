@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hooklab import (
-    AddressError,
     BinaryFamily,
     BinaryTree,
     DepthBranching,
@@ -21,16 +20,14 @@ from hooklab import (
     check_labeling,
     completion,
     decode,
-    depth,
-    encode,
     enum_binary,
     enum_ordered,
     enumerate_labelings,
     grow,
     hook_count,
     hook_lengths,
-    subtree_at,
 )
+from hooklab.trees import _preorder
 
 
 def leaf():
@@ -43,18 +40,18 @@ CHERRY = BinaryTree(BinaryTree(), BinaryTree())
 
 class TestEncoding:
     def test_binary_examples(self):
-        assert encode(leaf()) == "(.,.)"
-        assert encode(BinaryTree(None, leaf())) == "(.,(.,.))"
-        assert encode(LEFT_PATH_3) == "(((.,.),.),.)"
+        assert leaf().enc == "(.,.)"
+        assert BinaryTree(None, leaf()).enc == "(.,(.,.))"
+        assert LEFT_PATH_3.enc == "(((.,.),.),.)"
 
     def test_ordered_examples(self):
         star = OrderedTree((OrderedTree(), OrderedTree(), OrderedTree()))
-        assert encode(star) == "(()()())"
-        assert encode(OrderedTree()) == "()"
+        assert star.enc == "(()()())"
+        assert OrderedTree().enc == "()"
 
     def test_slotted_example(self):
         t = SlottedTree(((0, SlottedTree()), (2, SlottedTree())))
-        assert encode(t) == "([0]()[2]())"
+        assert t.enc == "([0]()[2]())"
 
     def test_encoding_lengths(self):
         for n in (1, 3, 5):
@@ -139,22 +136,6 @@ class TestAddresses:
         t = decode("((())())")
         assert addresses(t) == [(), (0,), (0, 0), (1,)]
 
-    def test_subtree_at(self):
-        t = decode("((())())")
-        assert subtree_at(t, (0,)) == decode("(())")
-        assert subtree_at(t, ()) == t
-        with pytest.raises(AddressError):
-            subtree_at(t, (2,))
-        with pytest.raises(AddressError):
-            subtree_at(t, (0, 0, 0))
-
-    def test_depth(self):
-        t = LEFT_PATH_3
-        assert depth(t, ()) == 0
-        assert depth(t, (0, 0)) == 2
-        with pytest.raises(AddressError):
-            depth(t, (1, 0))
-
     def test_binary_single_child_side_is_significant(self):
         assert BinaryTree(leaf(), None) != BinaryTree(None, leaf())
 
@@ -204,17 +185,12 @@ class TestCompletion:
             for t in enum_binary(n):
                 c = completion(t)
                 assert c.size == 2 * n + 1
-                leaves = [
-                    a
-                    for a in addresses(c)
-                    if subtree_at(c, a).size == 1
-                ]
+                leaves = [a for a, node in _preorder(c) if node.size == 1]
                 assert len(leaves) == n + 1
                 internal = [a for a in addresses(c) if a not in set(leaves)]
                 assert sorted(internal) == sorted(addresses(t))
                 # complete: every vertex has 0 or 2 children
-                for a in addresses(c):
-                    node = subtree_at(c, a)
+                for _, node in _preorder(c):
                     kids = sum(1 for _ in node.child_items())
                     assert kids in (0, 2)
 
@@ -323,12 +299,12 @@ def random_ordered_shapes(draw):
 @settings(deadline=None)
 @given(random_binary_shapes())
 def test_binary_round_trip_property(shape):
-    assert decode(encode(shape)) == shape
-    assert len(encode(shape)) == 4 * shape.size + 1
+    assert decode(shape.enc) == shape
+    assert len(shape.enc) == 4 * shape.size + 1
 
 
 @settings(deadline=None)
 @given(random_ordered_shapes())
 def test_ordered_round_trip_property(shape):
-    assert decode(encode(shape)) == shape
-    assert len(encode(shape)) == 2 * shape.size
+    assert decode(shape.enc) == shape
+    assert len(shape.enc) == 2 * shape.size
