@@ -48,7 +48,6 @@ from .sampler import (
     labeling_probability,
     lemma_check,
     shape_probability,
-    single_root,
     start,
 )
 from .stats import (

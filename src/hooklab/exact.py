@@ -57,11 +57,6 @@ class RationalFunction:
         return cls((value,))
 
     @classmethod
-    def variable(cls) -> "RationalFunction":
-        """The function ``m``."""
-        return cls((1,), 1)
-
-    @classmethod
     def monomial(cls, power: int, coefficient: Scalar = 1) -> "RationalFunction":
         """The function ``coefficient * m**power``; ``power`` may be negative."""
         return cls((coefficient,), power)

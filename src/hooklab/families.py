@@ -201,11 +201,14 @@ class ProbabilityRangeError(ValueError):
 # The hook-length summand hook_term(shape) is prod w_v/h_v as (numerator,
 # integer denominator), with h_v = node.size: growth lands on each of a
 # shape's n!/prod h_v increasing labelings with probability prod w_v.
+# Messages name a family by its label followed by ``where``, the parameter a
+# user would change ("" when the label says it all).
 
 
 @dataclass(frozen=True)
 class BinaryFamily:
     label = "binary"
+    where = ""
 
     def root(self) -> BinaryTree:
         return BinaryTree()
@@ -248,6 +251,7 @@ class OrderedFamily:
     m: Fraction | None = None
 
     label = "ordered"
+    where = ""
 
     def __post_init__(self):
         if self.m is not None:
@@ -327,6 +331,10 @@ class TbarFamily:
     oracle: BranchingOracle
 
     label = "tbar"
+
+    @property
+    def where(self) -> str:
+        return f" with oracle {self.oracle}"
 
     def root(self) -> SlottedTree:
         return SlottedTree()

@@ -200,8 +200,8 @@ def verify_yang(n: int) -> IdentityReport:
 
 
 def verify_tbar(oracle: BranchingOracle, n: int) -> IdentityReport:
-    return _verify("tbar", n, enum_tbar(oracle, n), TbarFamily(oracle).hook_term, n,
-                   f" with oracle {oracle}")
+    family = TbarFamily(oracle)
+    return _verify("tbar", n, enum_tbar(oracle, n), family.hook_term, n, family.where)
 
 
 def verify_han2(n: int) -> IdentityReport:

@@ -51,12 +51,8 @@ class GrowthState:
     family: Family
 
 
-def single_root(family: Family) -> LabeledTree:
-    return LabeledTree._of(family.root(), (1,))
-
-
 def start(family: Family) -> GrowthState:
-    return GrowthState(single_root(family), family)
+    return GrowthState(LabeledTree(family.root(), (1,)), family)
 
 
 def addable_sites(state: GrowthState) -> list[tuple[AddableSite, Probability]]:
@@ -84,7 +80,7 @@ def attach(state: GrowthState, site: AddableSite) -> GrowthState:
     tree = state.tree
     shape, i = _grown(state.family, tree.shape, site.parent, site.slot)
     labels = tree.preorder
-    return GrowthState(LabeledTree._of(shape, labels[:i] + (len(labels) + 1,) + labels[i:]),
+    return GrowthState(LabeledTree(shape, labels[:i] + (len(labels) + 1,) + labels[i:]),
                        state.family)
 
 
@@ -163,7 +159,7 @@ class _Flat:
         nodes: list = [None] * len(self.addr)
         for v in reversed(range(len(nodes))):  # children have larger labels
             nodes[v] = self.family.node([(s, nodes[c]) for s, c in self.kids[v]])
-        return LabeledTree._of(nodes[0], tuple(v + 1 for v in self.order))
+        return LabeledTree(nodes[0], [v + 1 for v in self.order])
 
 
 def grow(family: Family, n: int, rng: random.Random,
@@ -275,5 +271,6 @@ def enumerate_labelings(family: Family, n: int) -> Iterator[LabeledTree]:
 
     for count, tree in enumerate(rec(start(family)), 1):
         if count > limit:
-            raise SizeLimitError(f"more than {limit} labeled {family.label} trees at n={n}")
+            raise SizeLimitError(f"more than {limit} labeled {family.label} trees at n={n}"
+                                 f"{family.where}")
         yield tree

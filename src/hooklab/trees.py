@@ -16,16 +16,16 @@ Every tree carries its canonical encoding, computed at construction:
     slotted  node = "(" ("[" slot "]" node)* ")"
 
 Each "(" of an encoding opens one vertex, and the vertices open in
-preorder.  A labeled tree is a shape plus its labels in that order, and its
-encoding writes ":k" directly after each "(".  Equal trees have equal
-encodings and vice versa; the strings are ASCII-only and whitespace-free and
-are the wire format of all CLI output.  Trees are immutable after
-construction and safe to share across threads.
+preorder.  A labeled tree, ``LabeledTree(shape, preorder)``, is a shape
+plus its labels in that order, and its encoding writes ":k" directly after
+each "(".  Equal trees have equal encodings and vice versa; the strings are
+ASCII-only and whitespace-free and are the wire format of all CLI output.
+Trees are immutable after construction and safe to share across threads.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Union
+from typing import Iterable, Optional, Union
 
 Address = tuple[int, ...]
 
@@ -138,33 +138,20 @@ class LabeledTree:
     """A tree shape with its labels in preorder (``preorder``), the order in
     which the "(" of ``shape.enc`` open the vertices.
 
-    ``labels``, vertex address -> label, must cover exactly the vertices of
-    ``shape``.  For an increasing labeling the labels are a bijection onto
-    1..n, the root gets 1 and every child's label exceeds its parent's;
-    ``check_labeling`` enforces that.
+    The one constructor takes one label per vertex of ``shape`` and raises
+    LabelingError for any other count.  For an increasing labeling the
+    labels are a bijection onto 1..n, the root gets 1 and every child's
+    label exceeds its parent's; ``check_labeling`` enforces that.
     """
 
     __slots__ = ("shape", "preorder")
 
-    def __init__(self, shape: Tree, labels: Mapping[Address, int]):
-        order = addresses(shape)
-        if set(labels) != set(order):
-            raise LabelingError("labels must cover exactly the vertices of the shape")
+    def __init__(self, shape: Tree, preorder: Iterable[int]):
         self.shape = shape
-        self.preorder = tuple(labels[addr] for addr in order)
-
-    @classmethod
-    def _of(cls, shape: Tree, preorder: tuple[int, ...]) -> "LabeledTree":
-        """For builders with one label per vertex by construction."""
-        tree = cls.__new__(cls)
-        tree.shape = shape
-        tree.preorder = preorder
-        return tree
-
-    @property
-    def labels(self) -> dict[Address, int]:
-        """A fresh vertex address -> label dict."""
-        return dict(zip(addresses(self.shape), self.preorder))
+        self.preorder = tuple(preorder)
+        if len(self.preorder) != shape.size:
+            raise LabelingError(f"{len(self.preorder)} labels for the "
+                                f"{shape.size} vertices of {shape.enc}")
 
     @property
     def size(self) -> int:
@@ -205,10 +192,8 @@ def check_labeling(labeled: LabeledTree) -> None:
             j += child.size
 
 
-def addresses(t: Tree | LabeledTree) -> list[Address]:
+def addresses(t: Tree) -> list[Address]:
     """All vertex addresses of ``t`` in preorder."""
-    if isinstance(t, LabeledTree):
-        t = t.shape
     return [addr for addr, _ in _preorder(t)]
 
 
@@ -249,10 +234,8 @@ def _subtrees(t: Tree) -> list[Tree]:
     return out
 
 
-def hook_lengths(t: Tree | LabeledTree) -> dict[Address, int]:
+def hook_lengths(t: Tree) -> dict[Address, int]:
     """Map each vertex to the size of its descendant set (itself included)."""
-    if isinstance(t, LabeledTree):
-        t = t.shape
     return {addr: node.size for addr, node in _preorder(t)}
 
 
@@ -295,7 +278,7 @@ def decode(text: str, family: str | None = None) -> Tree | LabeledTree:
     if parser.pos != len(text):
         raise TreeParseError("trailing characters after tree", parser.pos)
     if parser.labels is not None:
-        return LabeledTree._of(shape, tuple(parser.labels))
+        return LabeledTree(shape, parser.labels)
     return shape
 
 

@@ -192,16 +192,14 @@ def test_criterion_08_equal_likelihood_and_total_mass():
 
 
 def test_criterion_09_reference_states(tmp_path):
-    left_path = LabeledTree(decode("(((.,.),.),.)"), {(): 1, (0,): 2, (0, 0): 3})
+    left_path = LabeledTree(decode("(((.,.),.),.)"), (1, 2, 3))
     probs = sorted(
         (p for _, p in addable_sites(GrowthState(left_path, BinaryFamily()))),
         reverse=True,
     )
     assert probs == [Fraction(1, 2), Fraction(1, 4), Fraction(1, 8), Fraction(1, 8)]
 
-    ordered_state = LabeledTree(
-        decode("((())())"), {(): 1, (0,): 2, (0, 0): 3, (1,): 4}
-    )
+    ordered_state = LabeledTree(decode("((())())"), (1, 2, 3, 4))
     sites = addable_sites(GrowthState(ordered_state, OrderedFamily()))
     expected = {
         "((1/3)m + (-2/3)) / ((1)m)": 3,
@@ -217,9 +215,7 @@ def test_criterion_09_reference_states(tmp_path):
     path = tmp_path / "oracle.json"
     path.write_text(json.dumps(MIXED_ORACLE_TABLE))
     oracle = parse_oracle(f"file:{path}")
-    tbar_state = LabeledTree(
-        decode("([0]()[1]())", family="slotted"), {(): 1, (0,): 2, (1,): 3}
-    )
+    tbar_state = LabeledTree(decode("([0]()[1]())", family="slotted"), (1, 2, 3))
     probs = sorted(
         p for _, p in addable_sites(GrowthState(tbar_state, TbarFamily(oracle)))
     )

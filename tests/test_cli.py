@@ -158,6 +158,20 @@ class TestVerify:
             last = capsys.readouterr().out.splitlines()[-1]
             assert "n=5 " in last and f"{count}=120 " in last
 
+    def test_a_tbar_enumeration_past_the_term_limit_names_the_oracle(self, monkeypatch, capsys):
+        # const:3 has 15 labeled trees at n=3 and 105 at n=4
+        monkeypatch.setattr(identities, "TERM_LIMIT", 100)
+        message = "error: more than 100 labeled tbar trees at n=4 with oracle const:3\n"
+        for check in ("lemma", "labelprob"):
+            assert cli.main(["verify", check, "--family", "tbar", "--oracle", "const:3",
+                             "--n-max", "5"]) == 2
+            out, err = capsys.readouterr()
+            assert [line.split()[2] for line in out.splitlines()] == ["n=1", "n=2", "n=3"]
+            assert err == message
+        assert cli.main(["mc", "--family", "tbar", "--oracle", "const:3", "--n", "4"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == message
+
     def test_ordered_m_below_the_largest_child_count_is_a_usage_error(self):
         for check, m, n_max, most in (
             ("lemma", "3", "5", 4),

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from hooklab.exact import PoleError, RationalFunction, binomial_poly
 
-M = RationalFunction.variable()
+M = RationalFunction.monomial(1)
 ONE = RationalFunction.constant(1)
 
 

@@ -102,7 +102,7 @@ class TestYang:
                 stack.extend(node.children)
             return w
 
-        m = RationalFunction.variable()
+        m = RationalFunction.monomial(1)
         weights = [weight(t) for t in enum_ordered(4)]
         expected = {
             str(m * m * m): 1,

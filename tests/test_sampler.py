@@ -37,7 +37,6 @@ from hooklab import (
     labeling_probability,
     lemma_check,
     shape_probability,
-    single_root,
     start,
 )
 from hooklab.exact import RationalFunction
@@ -47,21 +46,16 @@ BINARY = BinaryFamily()
 SYMBOLIC = OrderedFamily()
 
 
-def state_of(enc, family, labels=None, shape_family=None):
-    shape = decode(enc, family=shape_family)
-    if labels is None:
-        lt = decode(enc)
-        assert isinstance(lt, LabeledTree)
-        return GrowthState(lt, family)
-    return GrowthState(LabeledTree(shape, labels), family)
+def state_of(enc, family):
+    lt = decode(enc)
+    assert isinstance(lt, LabeledTree)
+    return GrowthState(lt, family)
 
 
 class TestReferenceSites:
     def test_binary_reference_state(self):
         # left path of 3: open slots at depths 1, 2, 3, 3
-        st_ = state_of(
-            "(((.,.),.),.)", BINARY, labels={(): 1, (0,): 2, (0, 0): 3}
-        )
+        st_ = state_of("(:1(:2(:3.,.),.),.)", BINARY)
         probs = sorted((p for _, p in addable_sites(st_)), reverse=True)
         assert probs == [
             Fraction(1, 2),
@@ -71,11 +65,7 @@ class TestReferenceSites:
         ]
 
     def test_ordered_reference_state(self):
-        st_ = state_of(
-            "((())())",
-            SYMBOLIC,
-            labels={(): 1, (0,): 2, (0, 0): 3, (1,): 4},
-        )
+        st_ = state_of("(:1(:2(:3))(:4))", SYMBOLIC)
         sites = addable_sites(st_)
         assert len(sites) == 7
         expected = Counter(
@@ -89,19 +79,12 @@ class TestReferenceSites:
         assert Counter(str(p) for _, p in sites) == expected
 
     def test_tbar_reference_state(self, mixed_oracle):
-        st_ = state_of(
-            "([0]()[1]())",
-            TbarFamily(mixed_oracle),
-            labels={(): 1, (0,): 2, (1,): 3},
-            shape_family="slotted",
-        )
+        st_ = state_of("(:1[0](:2)[1](:3))", TbarFamily(mixed_oracle))
         probs = sorted(p for _, p in addable_sites(st_))
         assert probs == [Fraction(1, 6)] * 3 + [Fraction(1, 2)]
 
     def test_sites_are_canonically_ordered(self):
-        st_ = state_of(
-            "(((.,.),.),.)", BINARY, labels={(): 1, (0,): 2, (0, 0): 3}
-        )
+        st_ = state_of("(:1(:2(:3.,.),.),.)", BINARY)
         keys = [(s.parent, s.slot) for s, _ in addable_sites(st_)]
         assert keys == sorted(keys)
 
@@ -204,17 +187,17 @@ class TestEqualLikelihood:
         assert labeling_probability(lt, BINARY) == Fraction(1, 8)
 
     def test_binary_balanced_both_labelings(self):
-        for labels in ({(): 1, (0,): 2, (1,): 3}, {(): 1, (0,): 3, (1,): 2}):
+        for labels in ((1, 2, 3), (1, 3, 2)):
             lt = LabeledTree(decode("((.,.),(.,.))"), labels)
             assert labeling_probability(lt, BINARY) == Fraction(1, 4)
 
     def test_single_vertex(self, mixed_oracle):
         for family in self.families(mixed_oracle):
-            lt = single_root(family)
+            lt = start(family).tree
             assert labeling_probability(lt, family) == 1
 
     def test_invalid_labeling_rejected(self):
-        lt = LabeledTree(decode("((.,.),(.,.))"), {(): 2, (0,): 1, (1,): 3})
+        lt = LabeledTree(decode("((.,.),(.,.))"), (2, 1, 3))
         with pytest.raises(LabelingError):
             labeling_probability(lt, BINARY)
 
@@ -245,7 +228,7 @@ def hook_product(shape, family):
         elif isinstance(family, TbarFamily):
             p = p * Fraction(1, family.oracle.child_count(addr) ** (h - 1))
         else:
-            m = RationalFunction.variable() if family.m is None else family.m
+            m = RationalFunction.monomial(1) if family.m is None else family.m
             for i in range(children[addr]):
                 p = p * (m - i) * Fraction(1, i + 1)
             if h > 1:

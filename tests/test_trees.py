@@ -68,12 +68,19 @@ class TestEncoding:
                 assert decode(t.enc) == t
 
     def test_labeled_round_trip(self):
-        lt = LabeledTree(CHERRY, {(): 1, (0,): 3, (1,): 2})
+        lt = LabeledTree(CHERRY, (1, 3, 2))
         assert lt.enc == "(:1(:3.,.),(:2.,.))"
-        back = decode(lt.enc)
-        assert isinstance(back, LabeledTree)
-        assert back.shape == CHERRY
-        assert back.labels == lt.labels
+        cases = [
+            (lt, None),
+            (LabeledTree(OrderedTree((OrderedTree(), OrderedTree())), (1, 3, 2)), None),
+            (LabeledTree(SlottedTree(((0, SlottedTree()), (2, SlottedTree()))), (1, 3, 2)),
+             "slotted"),
+        ]
+        for lt, family in cases:
+            back = decode(lt.enc, family)
+            assert isinstance(back, LabeledTree)
+            assert back.shape == lt.shape
+            assert back == lt
 
     def test_slotted_needs_family_hint_when_childless(self):
         assert decode("()") == OrderedTree()
@@ -197,35 +204,35 @@ class TestCompletion:
 
 class TestLabeling:
     def test_valid(self):
-        lt = LabeledTree(CHERRY, {(): 1, (0,): 2, (1,): 3})
+        lt = LabeledTree(CHERRY, (1, 2, 3))
         check_labeling(lt)
 
     def test_root_must_be_one(self):
-        lt = LabeledTree(CHERRY, {(): 2, (0,): 1, (1,): 3})
+        lt = LabeledTree(CHERRY, (2, 1, 3))
         with pytest.raises(LabelingError):
             check_labeling(lt)
 
     def test_parent_before_child(self):
-        lt = LabeledTree(
-            BinaryTree(BinaryTree(BinaryTree())), {(): 1, (0,): 3, (0, 0): 2}
-        )
+        lt = LabeledTree(BinaryTree(BinaryTree(BinaryTree())), (1, 3, 2))
         with pytest.raises(LabelingError):
             check_labeling(lt)
 
     def test_labels_must_be_bijection(self):
-        lt = LabeledTree(CHERRY, {(): 1, (0,): 2, (1,): 2})
+        lt = LabeledTree(CHERRY, (1, 2, 2))
         with pytest.raises(LabelingError):
             check_labeling(lt)
 
-    def test_labels_must_cover_addresses(self):
-        with pytest.raises(LabelingError):
-            LabeledTree(CHERRY, {(): 1, (0,): 2})
+    def test_one_label_per_vertex(self):
+        for labels in ((1, 2), (1, 2, 3, 4)):
+            with pytest.raises(LabelingError) as err:
+                LabeledTree(CHERRY, labels)
+            assert str(err.value) == f"{len(labels)} labels for the 3 vertices of ((.,.),(.,.))"
 
 
 def reference_enc(lt):
     """The labeled encoding as a recursive walk over the address -> label
     dict, one branch per shape class."""
-    labels = lt.labels
+    labels = dict(zip(addresses(lt.shape), lt.preorder))
 
     def walk(node, addr):
         head = f"(:{labels[addr]}"
@@ -255,8 +262,7 @@ class TestPreorderLabels:
             for n in range(1, 7):
                 for lt in enumerate_labelings(family, n):
                     assert lt.enc == reference_enc(lt)
-                    assert decode(lt.enc, kind) == lt
-                    again = LabeledTree(lt.shape, lt.labels)
+                    again = decode(lt.enc, kind)
                     assert again == lt
                     assert hash(again) == hash(lt)
 
@@ -267,7 +273,7 @@ class TestPreorderLabels:
                 accepted = 0
                 for perm in permutations(range(1, n + 1)):
                     labels = dict(zip(order, perm))
-                    lt = LabeledTree(shape, labels)
+                    lt = LabeledTree(shape, perm)
                     late = [a for a in order if a and labels[a] <= labels[a[:-1]]]
                     if perm[0] == 1 and not late:
                         check_labeling(lt)
