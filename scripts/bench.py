@@ -1,37 +1,34 @@
 #!/usr/bin/env python3
-"""Time the growth sampler, the exhaustive sweeps, the tree enumerators and
-the identity checks, write BENCH_<label>.json.
+"""Time the growth sampler, the census, the exhaustive sweeps, the tree
+enumerators and the identity reports, write BENCH_<label>.json.
 
-Five tables, all in CPU seconds of this process (time.process_time):
+Every row is timed on perfbench/speed.py's ``SpeedClock``: CPU seconds of
+this thread scaled to a reference host speed, so the host's fast and slow
+spells mostly cancel (see that file).  Each table runs its rows in turn,
+ROUNDS rounds over all rows, and reports each row's best and median round.
 
   grow     trees/s of ``grow`` per family: the Monte-Carlo gate's sizes
            (binary n=5, ordered m=10 n=4, tbar depth:2,3 n=4) and the
-           ``sample`` sizes (n=24; ordered with m=24); 25 rounds over all
-           rows, reporting the best round (trees/s) and the median
+           ``sample`` sizes (n=24; ordered with m=24), from the best round
   census   ``run_census`` on the three configurations of acceptance
            criterion 10 (200000 draws, seed 1) and on binary n=7 (50000
            draws over 5040 labeled trees, so building the table of growth
-           histories, fresh in every call, is a large share); 5 rounds, best
-           and median; the category masses are timed once apart, as
-           ``cmd_mc`` computes them once beforehand
+           histories, fresh in every call, is a large share); the category
+           masses are timed apart, as ``cmd_mc`` computes them once beforehand
   sweeps   ``verify lemma`` and ``verify labelprob`` through ``cli.main``
            with stdout discarded: binary to n=7, tbar depth:2,3 to n=6 and
-           ordered with symbolic m to n=5 and to n=7 (the slowest sweeps);
-           5 rounds, best and median
+           ordered with symbolic m to n=5 and to n=7 (the slowest sweeps)
   enum     a count-only loop over ``enum_binary(12)``, ``enum_ordered(10)``
-           and ``enum_tbar`` at n=8 with const:3 and depth:2,3; 5 rounds,
-           best and median
-  identities  ``verify han --n-max 12``, ``han2 --n-max 11``, ``tbar
-           --n-max 8`` with const:3 and depth:2,3 and ``yang --n-max 8``
-           through ``cli.main`` with stdout discarded; 5 rounds, best and
-           median
+           and ``enum_tbar`` at n=8 with const:3 and depth:2,3
+  identities  the reports ``verify_han`` to n=12, ``verify_han2`` to n=11,
+           ``verify_tbar`` to n=8 with const:3 and depth:2,3 and
+           ``verify_yang`` to n=8, timed once per n: the median of each n
+           and the best and median of the whole sweep; exits if a report
+           does not hold
 
-Shared hosts switch between fast and slow spells lasting 10-30 s, which
-moves back-to-back repeats together; rounds spread each row's repeats over
-the run, and the best round compares two commits at the host's fast speed.
 The file also records the machine, the number of cores, the Python version,
 the commit of the checkout the script sits in and ``src_lines``, the line
-count of its src/hooklab/*.py.
+count of its src/hooklab/*.py, which is also what the script imports.
 
 Usage:
     python3 scripts/bench.py --label NAME
@@ -43,13 +40,16 @@ import json
 import os
 import platform
 import random
-import statistics
 import subprocess
-import time
+import sys
 from functools import partial
 from pathlib import Path
+from statistics import median
 
-from hooklab import (
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+from hooklab import (  # noqa: E402
     BinaryFamily,
     ConstantBranching,
     DepthBranching,
@@ -61,11 +61,15 @@ from hooklab import (
     enum_tbar,
     grow,
     run_census,
+    verify_han,
+    verify_han2,
+    verify_tbar,
+    verify_yang,
 )
-from hooklab.cli import main as cli_main
+from hooklab.cli import main as cli_main  # noqa: E402
+from speed import SpeedClock  # noqa: E402
 
-ROOT = Path(__file__).resolve().parents[1]
-ROUNDS = 25
+ROUNDS = 5
 SAMPLES = 200_000  # criterion 10's
 
 # (row, family, n, trees per repeat)
@@ -78,7 +82,14 @@ GROW = [
     ("tbar depth:2,3 n=24", TbarFamily(DepthBranching((2, 3))), 24, 200),
 ]
 
-SWEEP_ROUNDS = 5
+# (row, family, n, draws); the first three are criterion 10's gates
+CENSUS = [
+    ("binary n=5", BinaryFamily(), 5, SAMPLES),
+    ("ordered m=10 n=4", OrderedFamily(10), 4, SAMPLES),
+    ("tbar depth:2,3 n=4", TbarFamily(DepthBranching((2, 3))), 4, SAMPLES),
+    ("binary n=7", BinaryFamily(), 7, 50_000),
+]
+
 SWEEPS = [
     (f"{check} {name}", ["verify", check, *args])
     for name, args in [
@@ -90,7 +101,6 @@ SWEEPS = [
     for check in ("lemma", "labelprob")
 ]
 
-ENUM_ROUNDS = 5
 # (row, enumerator call)
 ENUM = [
     ("binary n=12", lambda: enum_binary(12)),
@@ -99,32 +109,14 @@ ENUM = [
     ("tbar depth:2,3 n=8", lambda: enum_tbar(DepthBranching((2, 3)), 8)),
 ]
 
-IDENTITY_ROUNDS = 5
+# (row, report of one n, largest n)
 IDENTITIES = [
-    (" ".join(args), ["verify", *args])
-    for args in [
-        ["han", "--n-max", "12"],
-        ["han2", "--n-max", "11"],
-        ["tbar", "--n-max", "8", "--oracle", "const:3"],
-        ["tbar", "--n-max", "8", "--oracle", "depth:2,3"],
-        ["yang", "--n-max", "8"],
-    ]
+    ("han", verify_han, 12),
+    ("han2", verify_han2, 11),
+    ("tbar const:3", partial(verify_tbar, ConstantBranching(3)), 8),
+    ("tbar depth:2,3", partial(verify_tbar, DepthBranching((2, 3))), 8),
+    ("yang", verify_yang, 8),
 ]
-
-CENSUS_ROUNDS = 5
-# (row, family, n, draws); the first three are criterion 10's gates
-CENSUS = [
-    ("binary n=5", BinaryFamily(), 5, SAMPLES),
-    ("ordered m=10 n=4", OrderedFamily(10), 4, SAMPLES),
-    ("tbar depth:2,3 n=4", TbarFamily(DepthBranching((2, 3))), 4, SAMPLES),
-    ("binary n=7", BinaryFamily(), 7, 50_000),
-]
-
-
-def _seconds(work) -> float:
-    started = time.process_time()
-    work()
-    return time.process_time() - started
 
 
 def _sweep(argv: list[str]) -> None:
@@ -140,27 +132,35 @@ def _grow(family, n: int, count: int) -> None:
         grow(family, n, rng)
 
 
-def _rounds(works, rounds: int) -> dict[str, list[float]]:
-    """The CPU seconds of every (row, work) pair in each of ``rounds`` rounds."""
-    times = {row: [] for row, _ in works}
-    for _ in range(rounds):
-        for row, work in works:
-            times[row].append(_seconds(work))
+def _holds(verify, n: int) -> None:
+    report = verify(n)
+    if not report.holds:
+        raise SystemExit(f"{report.identity} at n={n}: lhs={report.lhs}, "
+                         f"expected {report.expected}")
+
+
+def _rounds(works) -> dict[object, list[float]]:
+    """The scaled CPU seconds of every (key, work) pair in each of ROUNDS rounds."""
+    times = {key: [] for key, _ in works}
+    with SpeedClock() as clock:
+        for _ in range(ROUNDS):
+            for key, work in works:
+                mark = clock.mark()
+                work()
+                times[key].append(clock.seconds_since(mark)[0])
     return times
+
+
+def _s(seconds: float) -> float:
+    return round(seconds, 6)
 
 
 def _row(row: str, times: list[float], **fields) -> dict:
     """A table row: its name, ``fields``, then the best and median seconds."""
-    doc = {"row": row, **fields, "best_seconds": round(min(times), 4),
-           "median_seconds": round(statistics.median(times), 4)}
+    doc = {"row": row, **fields, "best_seconds": _s(min(times)),
+           "median_seconds": _s(median(times))}
     print(json.dumps(doc), flush=True)
     return doc
-
-
-def _cli_rows(commands, rounds: int) -> list[dict]:
-    """Best and median CPU seconds of each (row, argv) through ``cli.main``."""
-    times = _rounds([(row, partial(_sweep, argv)) for row, argv in commands], rounds)
-    return [_row(row, times[row], argv=argv) for row, argv in commands]
 
 
 def _commit() -> str:
@@ -179,31 +179,41 @@ def main() -> int:
     )
     ap.add_argument("--label", required=True)
     args = ap.parse_args()
+    commit = _commit()
 
     times = _rounds([(row, partial(_grow, family, n, count))
-                     for row, family, n, count in GROW], ROUNDS)
+                     for row, family, n, count in GROW])
     grow_rows = [_row(row, times[row], trees=count, trees_per_s=round(count / min(times[row])))
                  for row, _, _, count in GROW]
 
-    masses = {row: {} for row, *_ in CENSUS}
-    masses_s = {row: _seconds(lambda: masses[row].update(category_masses(family, n)))
-                for row, family, n, _ in CENSUS}
+    masses = {row: category_masses(family, n) for row, family, n, _ in CENSUS}
     times = _rounds([(row, partial(run_census, family, n, draws, 1, masses=masses[row]))
-                     for row, family, n, draws in CENSUS], CENSUS_ROUNDS)
-    census_rows = [_row(row, times[row], samples=draws, masses_seconds=round(masses_s[row], 4))
+                     for row, family, n, draws in CENSUS]
+                    + [((row, "masses"), partial(category_masses, family, n))
+                       for row, family, n, _ in CENSUS])
+    census_rows = [_row(row, times[row], samples=draws,
+                        masses_median_seconds=_s(median(times[row, "masses"])))
                    for row, _, _, draws in CENSUS]
 
-    sweep_rows = _cli_rows(SWEEPS, SWEEP_ROUNDS)
+    times = _rounds([(row, partial(_sweep, argv)) for row, argv in SWEEPS])
+    sweep_rows = [_row(row, times[row], argv=argv) for row, argv in SWEEPS]
 
-    times = _rounds(
-        [(row, lambda call=call: sum(1 for _ in call())) for row, call in ENUM], ENUM_ROUNDS)
+    times = _rounds([(row, lambda call=call: sum(1 for _ in call())) for row, call in ENUM])
     enum_rows = [_row(row, times[row], trees=sum(1 for _ in call())) for row, call in ENUM]
 
-    identity_rows = _cli_rows(IDENTITIES, IDENTITY_ROUNDS)
+    times = _rounds([((row, n), partial(_holds, verify, n))
+                     for row, verify, n_max in IDENTITIES for n in range(1, n_max + 1)])
+    identity_rows = []
+    for row, _, n_max in IDENTITIES:
+        per_n = [times[row, n] for n in range(1, n_max + 1)]
+        identity_rows.append(_row(
+            row, [sum(sweep) for sweep in zip(*per_n)], n_max=n_max,
+            median_seconds_by_n={n: _s(median(t)) for n, t in enumerate(per_n, 1)},
+        ))
 
     doc = {
         "label": args.label,
-        "commit": _commit(),
+        "commit": commit,
         "src_lines": sum(len(f.read_text().splitlines())
                          for f in (ROOT / "src" / "hooklab").glob("*.py")),
         "machine": platform.machine(),
@@ -211,18 +221,15 @@ def main() -> int:
         "processor": platform.processor(),
         "nproc": len(os.sched_getaffinity(0)),  # what nproc prints
         "python": platform.python_version(),
-        "clock": "CPU seconds of the benchmark process",
+        "clock": "CPU seconds of the benchmark thread scaled to a reference host speed "
+                 "by the SpeedClock of perfbench/speed.py",
         "rounds": ROUNDS,
         "grow": grow_rows,
-        "census_rounds": CENSUS_ROUNDS,
         "census": census_rows,
         # criterion 10's three gates, best rounds
-        "census_total_seconds": round(sum(r["best_seconds"] for r in census_rows[:3]), 3),
-        "sweep_rounds": SWEEP_ROUNDS,
+        "census_total_seconds": _s(sum(r["best_seconds"] for r in census_rows[:3])),
         "sweeps": sweep_rows,
-        "enum_rounds": ENUM_ROUNDS,
         "enum": enum_rows,
-        "identity_rounds": IDENTITY_ROUNDS,
         "identities": identity_rows,
     }
     path = ROOT / f"BENCH_{args.label}.json"

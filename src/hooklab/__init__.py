@@ -1,6 +1,8 @@
 """Exact verification of hook-length tree identities, plus the random
 growth process whose step probabilities realize them."""
 
+from types import ModuleType as _ModuleType
+
 from .exact import PoleError, RationalFunction, binomial_poly
 from .families import (
     BinaryFamily,
@@ -75,4 +77,5 @@ from .trees import (
     hook_lengths,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

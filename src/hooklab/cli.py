@@ -8,8 +8,8 @@ Subcommands:
   census                                        per-tree completion-count table
 
 Exit codes: 0 all checks pass, 1 a mathematical assertion failed, 2 usage
-or configuration error.  ``--json`` switches every command to one JSON
-document per line; table and JSON modes carry identical values.
+or configuration error.  ``--json`` switches verify, mc and census to one
+JSON document per line; table and JSON modes carry identical values.
 """
 
 from __future__ import annotations
@@ -238,8 +238,8 @@ def cmd_mc(args) -> int:
     family = _family(args, Fraction(args.n))
     masses = category_masses(family, args.n)
     if len(masses) < 2:
-        raise UsageError(f"there is only one labeled {family.label} tree of size {args.n}, "
-                         "so a chi-squared test has nothing to compare")
+        raise UsageError(f"there is only one labeled {family.label} tree of size {args.n}"
+                         f"{family.where}, so a chi-squared test has nothing to compare")
     minimum = min_samples(masses)
     if args.samples < minimum:
         raise UsageError(

@@ -46,7 +46,7 @@ from .families import (
 from .trees import BinaryTree, OrderedTree, Tree, _subtrees
 
 BRUTE_FORCE_BOUND = 11
-TERM_LIMIT = 10 ** 6  # shapes one verify report sums, labeled trees one enumeration yields
+TERM_LIMIT = 10 ** 6  # shapes one identity sum takes, labeled trees one enumeration yields
 Term = Callable[[Tree], tuple]  # shape -> (numerator, integer denominator)
 
 
@@ -90,15 +90,16 @@ def _han2_term(t: BinaryTree) -> tuple[int, int]:
 
 
 def han_lhs(n: int) -> Fraction:
-    return _hook_sum(enum_binary(n), BinaryFamily().hook_term)[0]
+    return _verify("han", n, enum_binary(n), BinaryFamily().hook_term, n).lhs
 
 
 def han2_lhs(n: int) -> Fraction:
-    return _hook_sum(enum_binary(n), _han2_term)[0]
+    return _verify("han2", n, enum_binary(n), _han2_term, 2 * n + 1).lhs
 
 
 def tbar_lhs(oracle: BranchingOracle, n: int) -> Fraction:
-    return _hook_sum(enum_tbar(oracle, n), TbarFamily(oracle).hook_term)[0]
+    family = TbarFamily(oracle)
+    return _verify("tbar", n, enum_tbar(oracle, n), family.hook_term, n, family.where).lhs
 
 
 def yang_term(t: OrderedTree) -> RationalFunction:
@@ -107,12 +108,12 @@ def yang_term(t: OrderedTree) -> RationalFunction:
 
 
 def yang_lhs(n: int) -> RationalFunction:
-    return _hook_sum(enum_ordered(n), OrderedFamily().hook_term)[0]
+    return _verify("yang", n, enum_ordered(n), OrderedFamily().hook_term, n).lhs
 
 
 def yang_sum_at(n: int, point: Fraction) -> Fraction:
     """The ordered-tree sum with every summand evaluated at a concrete m."""
-    return _hook_sum(enum_ordered(n), OrderedFamily(point).hook_term)[0]
+    return _verify("yang", n, enum_ordered(n), OrderedFamily(point).hook_term, n).lhs
 
 
 def hook_count(t: Tree) -> int:

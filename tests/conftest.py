@@ -6,7 +6,7 @@ import pytest
 
 from hooklab import parse_oracle
 
-# The CLI and script tests run hooklab in subprocesses; let them import it
+# The CLI tests run hooklab in subprocesses; let them import it
 # from this checkout's src/ as the test process does (pyproject's pythonpath).
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(

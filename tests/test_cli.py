@@ -293,6 +293,11 @@ class TestMc:
             assert "only one labeled" in out.stderr
             assert "Traceback" not in out.stderr
 
+    def test_a_tbar_size_with_one_labeled_tree_names_the_oracle(self):
+        out = run("mc", "--family", "tbar", "--oracle", "const:1", "--n", "4")
+        assert out.returncode == 2
+        assert "with oracle const:1" in out.stderr
+
     def test_m_below_n_minus_1_is_a_usage_error(self):
         out = run("mc", "--family", "ordered", "--m", "2", "--n", "4", "--samples", "1000")
         assert out.returncode == 2

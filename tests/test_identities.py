@@ -21,6 +21,7 @@ from hooklab import (
     han_lhs,
     hook_count,
     hook_lengths,
+    identities,
     tbar_lhs,
     verify_han,
     verify_tbar,
@@ -52,6 +53,12 @@ class TestHan:
     def test_identity_holds(self):
         for n in range(1, 10):
             assert factorial(n) * han_lhs(n) == 1
+
+    def test_sum_is_bounded_by_the_term_limit(self, monkeypatch):
+        monkeypatch.setattr(identities, "TERM_LIMIT", 42)
+        assert han_lhs(5) == Fraction(1, 120)  # 42 trees
+        with pytest.raises(SizeLimitError, match="more than 42 terms"):
+            han_lhs(6)  # 132 trees
 
     def test_report(self):
         r = verify_han(3)

@@ -1,9 +1,6 @@
-import importlib.util
 import math
-import sys
 from collections import Counter
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -253,23 +250,10 @@ class TestMassesComputedOnce:
 
         for module in (hooklab.stats, hooklab.cli):
             monkeypatch.setattr(module, "category_masses", counted)
-        return seen, counted
+        return seen
 
     def test_cli_mc(self, calls, capsys):
-        seen, _ = calls
         argv = ["mc", "--family", "binary", "--n", "3", "--samples", "500", "--seed", "2"]
         assert hooklab.cli.main(argv) == 0
-        assert seen == [("binary", 3)]
+        assert calls == [("binary", 3)]
         assert "min_samples=40" in capsys.readouterr().out
-
-    def test_mc_suite(self, calls, monkeypatch, capsys):
-        seen, counted = calls
-        path = Path(__file__).resolve().parents[1] / "scripts" / "mc_suite.py"
-        spec = importlib.util.spec_from_file_location("mc_suite", path)
-        suite = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(suite)
-        monkeypatch.setattr(suite, "category_masses", counted)
-        monkeypatch.setattr(sys, "argv", ["mc_suite.py", "--samples", "5120"])
-        suite.main()
-        assert seen == [("binary", 5), ("ordered", 4), ("tbar", 4)]
-        assert len(capsys.readouterr().out.strip().split("\n")) == 3
