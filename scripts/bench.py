@@ -27,8 +27,9 @@ ROUNDS rounds over all rows, and reports each row's best and median round.
            does not hold
 
 The file also records the machine, the number of cores, the Python version,
-the commit of the checkout the script sits in and ``src_lines``, the line
-count of its src/hooklab/*.py, which is also what the script imports.
+the commit of the checkout the script sits in (``git describe --always
+--dirty``, so a run from an edited tree ends in "-dirty") and ``src_lines``,
+the line count of its src/hooklab/*.py, which is also what the script imports.
 
 Usage:
     python3 scripts/bench.py --label NAME
@@ -166,7 +167,7 @@ def _row(row: str, times: list[float], **fields) -> dict:
 def _commit() -> str:
     try:
         return subprocess.run(
-            ["git", "-C", str(ROOT), "rev-parse", "HEAD"],
+            ["git", "-C", str(ROOT), "describe", "--always", "--dirty"],
             capture_output=True, text=True, check=True,
         ).stdout.strip()
     except (OSError, subprocess.CalledProcessError):

@@ -193,11 +193,11 @@ class ProbabilityRangeError(ValueError):
     """A site probability left [0, 1]; the family parameters are unusable."""
 
 
-# Each family owns its growth rules: the one-vertex shape, a vertex's open
+# Each family owns its growth rules: its shapes of size n, a vertex's open
 # slots from its address and (slot, child) pairs (a used slot puts the leaf
 # before its child), the probability ("weight") of a new vertex, building a
-# node, and the shape and growability checks.  A weight depends only on the
-# parent's address and child count c, not on the slot.
+# node (``node([])`` is a leaf), and the shape and growability checks.  A
+# weight depends only on the parent's address and child count c, not the slot.
 # The hook-length summand hook_term(shape) is prod w_v/h_v as (numerator,
 # integer denominator), with h_v = node.size: growth lands on each of a
 # shape's n!/prod h_v increasing labelings with probability prod w_v.
@@ -210,8 +210,8 @@ class BinaryFamily:
     label = "binary"
     where = ""
 
-    def root(self) -> BinaryTree:
-        return BinaryTree()
+    def shapes(self, n: int) -> Iterator[BinaryTree]:
+        return enum_binary(n)
 
     def open_slots(self, addr: Address, children) -> list[int]:
         used = [slot for slot, _ in children]
@@ -261,8 +261,8 @@ class OrderedFamily:
                     "ordered weights divide by m^depth, so m must be nonzero, got m=0"
                 )
 
-    def root(self) -> OrderedTree:
-        return OrderedTree()
+    def shapes(self, n: int) -> Iterator[OrderedTree]:
+        return enum_ordered(n)
 
     def open_slots(self, addr: Address, children) -> range:
         return range(len(children) + 1)
@@ -336,8 +336,8 @@ class TbarFamily:
     def where(self) -> str:
         return f" with oracle {self.oracle}"
 
-    def root(self) -> SlottedTree:
-        return SlottedTree()
+    def shapes(self, n: int) -> Iterator[SlottedTree]:
+        return enum_tbar(self.oracle, n)
 
     def open_slots(self, addr: Address, children) -> list[int]:
         used = {slot for slot, _ in children}

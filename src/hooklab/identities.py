@@ -43,7 +43,7 @@ from .families import (
     enum_ordered,
     enum_tbar,
 )
-from .trees import BinaryTree, OrderedTree, Tree, _subtrees
+from .trees import BinaryTree, OrderedTree, Tree, _labelings, _subtrees
 
 BRUTE_FORCE_BOUND = 11
 TERM_LIMIT = 10 ** 6  # shapes one identity sum takes, labeled trees one enumeration yields
@@ -147,21 +147,9 @@ def brute_force_labelings(t: Tree) -> int:
     Refuses trees larger than ``BRUTE_FORCE_BOUND``.
     """
     if t.size > BRUTE_FORCE_BOUND:
-        raise SizeLimitError(
-            f"brute-force labeling count is limited to {BRUTE_FORCE_BOUND} vertices, got {t.size}"
-        )
-
-    def go(frontier: list[Tree]) -> int:
-        if not frontier:
-            return 1
-        total = 0
-        for i, node in enumerate(frontier):
-            rest = frontier[:i] + frontier[i + 1 :]
-            rest.extend(child for _, child in node.child_items())
-            total += go(rest)
-        return total
-
-    return go([t])
+        raise SizeLimitError(f"brute-force labeling count is limited to {BRUTE_FORCE_BOUND} "
+                             f"vertices, got {t.size}")
+    return sum(1 for _ in _labelings(t))
 
 
 @dataclass(frozen=True)
@@ -186,7 +174,7 @@ def _verify(
     ``SizeLimitError`` once the shapes pass ``TERM_LIMIT``."""
     lhs, count = _hook_sum(islice(shapes, TERM_LIMIT + 1), term)
     if count > TERM_LIMIT:
-        raise SizeLimitError(f"'verify {identity}' at n={n}{where} sums more than "
+        raise SizeLimitError(f"the {identity} sum at n={n}{where} has more than "
                              f"{TERM_LIMIT} terms")
     expected = Fraction(1, factorial(size))
     return IdentityReport(identity, n, lhs, expected, lhs == expected, count)

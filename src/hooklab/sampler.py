@@ -27,14 +27,15 @@ import random
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm, prod
 from operator import itemgetter
 from typing import Callable, Iterator, Optional
 
 from .families import Family, Probability, insert_child
 from . import identities
-from .identities import ConsistencyError, SizeLimitError, hook_values
-from .trees import Address, LabeledTree, Tree, _preorder, check_labeling
+from .identities import ConsistencyError, SizeLimitError, hook_count, hook_values
+from .trees import Address, LabeledTree, Tree, _labelings, _preorder, check_labeling
 
 
 @dataclass(frozen=True)
@@ -52,7 +53,7 @@ class GrowthState:
 
 
 def start(family: Family) -> GrowthState:
-    return GrowthState(LabeledTree(family.root(), (1,)), family)
+    return GrowthState(LabeledTree(family.node([]), (1,)), family)
 
 
 def addable_sites(state: GrowthState) -> list[tuple[AddableSite, Probability]]:
@@ -93,7 +94,7 @@ def _grown(family: Family, node: Tree, parent: Address, slot: int) -> tuple[Tree
     i = bisect_left(items, (step,))
     before = 1 + sum(child.size for _, child in items[:i])
     if not parent:
-        return family.node(insert_child(items, slot, family.root())), before
+        return family.node(insert_child(items, slot, family.node([]))), before
     child, index = _grown(family, items[i][1], parent[1:], slot)
     items[i] = (step, child)
     return family.node(items), before + index
@@ -250,27 +251,16 @@ def shape_probability(shape: Tree, family: Family) -> Probability:
 
 
 def enumerate_labelings(family: Family, n: int) -> Iterator[LabeledTree]:
-    """Every reachable size-``n`` labeled tree, by depth-first growth.
-
-    Each increasing labeling has exactly one growth history, so there are
-    no repeats.  Probabilities are never computed, so a family with
-    symbolic or out-of-range weights is enumerated here too.  Raises
-    ``SizeLimitError`` in place of a tree past ``identities.TERM_LIMIT``.
-    """
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    """Every reachable size-``n`` labeled tree: each increasing labeling of
+    each of ``family.shapes(n)``, which growth reaches by one history each.
+    Weights are never computed, so symbolic or out-of-range ones do no harm.
+    The labelings are counted first, n!/prod h_v per shape: past
+    ``identities.TERM_LIMIT`` of them, ``SizeLimitError`` comes before any
+    tree is built."""
     limit = identities.TERM_LIMIT
-
-    def rec(state: GrowthState) -> Iterator[LabeledTree]:
-        if state.tree.shape.size == n:
-            yield state.tree
-            return
-        for parent, node in _preorder(state.tree.shape):
-            for slot in family.open_slots(parent, node.child_items()):
-                yield from rec(attach(state, AddableSite(parent, slot)))
-
-    for count, tree in enumerate(rec(start(family)), 1):
-        if count > limit:
-            raise SizeLimitError(f"more than {limit} labeled {family.label} trees at n={n}"
-                                 f"{family.where}")
-        yield tree
+    if any(count > limit for count in accumulate(map(hook_count, family.shapes(n)))):
+        raise SizeLimitError(f"more than {limit} labeled {family.label} trees at n={n}"
+                             f"{family.where}")
+    for shape in family.shapes(n):
+        for labels in _labelings(shape):
+            yield LabeledTree(shape, labels)

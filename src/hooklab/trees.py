@@ -25,7 +25,7 @@ Trees are immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 Address = tuple[int, ...]
 
@@ -190,6 +190,29 @@ def check_labeling(labeled: LabeledTree) -> None:
                 raise LabelingError(f"label at {addr} does not exceed its parent's")
             todo.append((child, j))
             j += child.size
+
+
+def _labelings(t: Tree) -> Iterator[tuple[int, ...]]:
+    """Every increasing labeling of ``t`` as its labels in preorder: labels
+    1..n go out in order, each to a vertex whose parent is already labeled."""
+    kids: list[list[int]] = [[] for _ in range(t.size)]  # by preorder index
+    todo = [(t, 0)]  # (vertex, its preorder index)
+    for node, i in todo:
+        j = i + 1
+        for _, child in node.child_items():
+            kids[i].append(j)
+            todo.append((child, j))
+            j += child.size
+    labels = [0] * t.size
+
+    def go(frontier: list[int], label: int) -> Iterator[tuple[int, ...]]:
+        if not frontier:
+            yield tuple(labels)
+        for k, v in enumerate(frontier):
+            labels[v] = label
+            yield from go(frontier[:k] + frontier[k + 1 :] + kids[v], label + 1)
+
+    return go([0], 1)
 
 
 def addresses(t: Tree) -> list[Address]:

@@ -1,8 +1,11 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
+from math import factorial
 
-from hooklab import cli, identities
+from conftest import catalan
+from hooklab import BinaryFamily, cli, identities, lemma_check, sampler, stats
 
 CMD = [sys.executable, "-m", "hooklab"]
 
@@ -138,7 +141,7 @@ class TestVerify:
         assert cli.main(["verify", "tbar", "--oracle", "const:50", "--n-max", "8"]) == 2
         out, err = capsys.readouterr()
         assert [line.split()[1] for line in out.splitlines()] == ["n=1", "n=2"]
-        assert err == ("error: 'verify tbar' at n=3 with oracle const:50 sums more than "
+        assert err == ("error: the tbar sum at n=3 with oracle const:50 has more than "
                        "3724 terms\n")
         monkeypatch.setattr(identities, "TERM_LIMIT", 3725)
         assert cli.main(["verify", "tbar", "--oracle", "const:50", "--n-max", "3"]) == 0
@@ -171,6 +174,21 @@ class TestVerify:
         assert cli.main(["mc", "--family", "tbar", "--oracle", "const:3", "--n", "4"]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err == message
+
+    def test_a_wrong_weight_at_one_parent_fails_the_lemma(self, monkeypatch, capsys):
+        # the sites under (0,) weigh 3/16, not 1/4, so a state whose vertex
+        # (0,) has an open slot falls short of 1; from n=2 on some shape has
+        # one, and every shape is checked, once
+        real, checked = BinaryFamily.weight, []
+        monkeypatch.setattr(BinaryFamily, "weight", lambda self, parent, c: real(self, parent, c)
+                            * (Fraction(3, 4) if parent == (0,) else 1))
+        monkeypatch.setattr(cli, "lemma_check", lambda state: checked.append(state.tree.shape)
+                            or lemma_check(state))
+        assert cli.main(["verify", "lemma", "--n-max", "4"]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            f"check=lemma family=binary n={n} states={factorial(n)} holds={holds}"
+            for n, holds in ((1, "true"), (2, "false"), (3, "false"), (4, "false"))]
+        assert len(checked) == sum(catalan(n) for n in range(1, 5))
 
     def test_ordered_m_below_the_largest_child_count_is_a_usage_error(self):
         for check, m, n_max, most in (
@@ -292,6 +310,19 @@ class TestMc:
             assert out.stdout == ""
             assert "only one labeled" in out.stderr
             assert "Traceback" not in out.stderr
+
+    def test_a_size_past_the_term_limit_is_refused_before_any_tree_is_weighed(
+            self, monkeypatch, capsys):
+        # const:50 has more than 10^6 labeled trees of size 5; they are
+        # counted from the shapes' hook lengths, never built or weighed
+        def unreachable(*args):
+            raise AssertionError("a labeled tree was built or weighed")
+
+        monkeypatch.setattr(stats, "labeling_probability", unreachable)
+        monkeypatch.setattr(sampler, "_labelings", unreachable)
+        assert cli.main(["mc", "--family", "tbar", "--oracle", "const:50", "--n", "5"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: more than 1000000 labeled tbar trees at n=5 with oracle const:50\n")
 
     def test_a_tbar_size_with_one_labeled_tree_names_the_oracle(self):
         out = run("mc", "--family", "tbar", "--oracle", "const:1", "--n", "4")

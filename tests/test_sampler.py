@@ -22,6 +22,7 @@ from hooklab import (
     LabelingError,
     OrderedFamily,
     ProbabilityRangeError,
+    SizeLimitError,
     TbarFamily,
     addable_sites,
     attach,
@@ -39,6 +40,7 @@ from hooklab import (
     shape_probability,
     start,
 )
+from hooklab import identities
 from hooklab.exact import RationalFunction
 from hooklab.sampler import _Flat, _Table
 
@@ -138,6 +140,24 @@ class TestLemma:
             TbarFamily(mixed_oracle),
         ):
             assert lemma_check(start(family))
+
+    def test_sites_are_the_same_at_every_labeling_of_a_shape(self, mixed_oracle):
+        # what lets verify lemma check one labeling per shape; ordered m=9/2
+        # weighs a sixth child out of range, at every labeling of its shape
+        def sites(lt, family):
+            try:
+                return addable_sites(GrowthState(lt, family))
+            except ProbabilityRangeError as exc:
+                return str(exc)
+
+        families = [family for family, _ in TestFlatKernel().cases(mixed_oracle)] + [SYMBOLIC]
+        for family in families:
+            for n in range(1, 7):
+                by_shape = {}
+                for lt in enumerate_labelings(family, n):
+                    listed = sites(lt, family)
+                    assert listed == by_shape.setdefault(lt.shape, listed), (family, lt.enc)
+                assert len(by_shape) == sum(1 for _ in family.shapes(n)), (family, n)
 
     def test_exhaustive_exact_families(self):
         oracles = [ConstantBranching(2), ConstantBranching(3), DepthBranching((2, 3))]
@@ -270,6 +290,13 @@ class TestLabelingEnumeration:
                 odd_double_factorial(2 * n - 3) if n > 1 else 1
             )
 
+    def test_the_term_limit_is_checked_before_the_first_tree(self, monkeypatch):
+        # binary has 4! = 24 labeled trees of size 4
+        monkeypatch.setattr(identities, "TERM_LIMIT", 23)
+        labeled = enumerate_labelings(BINARY, 4)
+        with pytest.raises(SizeLimitError, match=r"^more than 23 labeled binary trees at n=4$"):
+            next(labeled)
+
     def test_all_valid_and_distinct(self):
         seen = set()
         for lt in enumerate_labelings(BINARY, 5):
@@ -384,9 +411,9 @@ class TestFlatKernel:
         ]
 
     def walk(self, state, flat, n, reached):
-        """Depth-first over every state up to size n, in the order
-        enumerate_labelings grows them, checking the kernel's step (its sites'
-        order, parent address, slot and cum / D) against addable_sites."""
+        """Depth-first over every growth history up to size n, checking the
+        kernel's step (its sites' order, parent address, slot and cum / D)
+        against addable_sites at every state."""
         family = state.family
         assert flat.tree() == state.tree
         reached.setdefault(state.tree.size, []).append(state.tree)
@@ -415,7 +442,8 @@ class TestFlatKernel:
             # leaves weigh out of range
             self.walk(start(family), _Flat(family, min(size, 6)), 6, reached)
             for n in range(1, 7):
-                assert reached[n] == list(enumerate_labelings(family, n)), (family, n)
+                assert sorted(lt.enc for lt in reached[n]) == sorted(
+                    lt.enc for lt in enumerate_labelings(family, n)), (family, n)
 
     def test_grow_equals_the_reference_chain(self, mixed_oracle):
         for family, n in self.cases(mixed_oracle):
