@@ -22,9 +22,12 @@ ROUNDS rounds over all rows, and reports each row's best and median round.
            and ``enum_tbar`` at n=8 with const:3 and depth:2,3
   identities  the reports ``verify_han`` to n=12, ``verify_han2`` to n=11,
            ``verify_tbar`` to n=8 with const:3 and depth:2,3 and
-           ``verify_yang`` to n=8, timed once per n: the median of each n
-           and the best and median of the whole sweep; exits if a report
-           does not hold
+           ``verify_yang`` to n=8.  A round runs each n of a sweep
+           ``repeats`` times in a row, so that even the fastest sweep keeps
+           a round near half a second or more; the seconds reported are per
+           sweep (a round's time over ``repeats``): the median of each n and
+           the best and median of the whole sweep.  Exits if a report does
+           not hold
 
 The file also records the machine, the number of cores, the Python version,
 the commit of the checkout the script sits in (``git describe --always
@@ -110,13 +113,13 @@ ENUM = [
     ("tbar depth:2,3 n=8", lambda: enum_tbar(DepthBranching((2, 3)), 8)),
 ]
 
-# (row, report of one n, largest n)
+# (row, report of one n, largest n, sweeps per round)
 IDENTITIES = [
-    ("han", verify_han, 12),
-    ("han2", verify_han2, 11),
-    ("tbar const:3", partial(verify_tbar, ConstantBranching(3)), 8),
-    ("tbar depth:2,3", partial(verify_tbar, DepthBranching((2, 3))), 8),
-    ("yang", verify_yang, 8),
+    ("han", verify_han, 12, 2),
+    ("han2", verify_han2, 11, 4),
+    ("tbar const:3", partial(verify_tbar, ConstantBranching(3)), 8, 3),
+    ("tbar depth:2,3", partial(verify_tbar, DepthBranching((2, 3))), 8, 5),
+    ("yang", verify_yang, 8, 10),
 ]
 
 
@@ -133,11 +136,12 @@ def _grow(family, n: int, count: int) -> None:
         grow(family, n, rng)
 
 
-def _holds(verify, n: int) -> None:
-    report = verify(n)
-    if not report.holds:
-        raise SystemExit(f"{report.identity} at n={n}: lhs={report.lhs}, "
-                         f"expected {report.expected}")
+def _holds(verify, n: int, repeats: int) -> None:
+    for _ in range(repeats):
+        report = verify(n)
+        if not report.holds:
+            raise SystemExit(f"{report.identity} at n={n}: lhs={report.lhs}, "
+                             f"expected {report.expected}")
 
 
 def _rounds(works) -> dict[object, list[float]]:
@@ -202,13 +206,14 @@ def main() -> int:
     times = _rounds([(row, lambda call=call: sum(1 for _ in call())) for row, call in ENUM])
     enum_rows = [_row(row, times[row], trees=sum(1 for _ in call())) for row, call in ENUM]
 
-    times = _rounds([((row, n), partial(_holds, verify, n))
-                     for row, verify, n_max in IDENTITIES for n in range(1, n_max + 1)])
+    times = _rounds([((row, n), partial(_holds, verify, n, repeats))
+                     for row, verify, n_max, repeats in IDENTITIES
+                     for n in range(1, n_max + 1)])
     identity_rows = []
-    for row, _, n_max in IDENTITIES:
-        per_n = [times[row, n] for n in range(1, n_max + 1)]
+    for row, _, n_max, repeats in IDENTITIES:
+        per_n = [[t / repeats for t in times[row, n]] for n in range(1, n_max + 1)]
         identity_rows.append(_row(
-            row, [sum(sweep) for sweep in zip(*per_n)], n_max=n_max,
+            row, [sum(sweep) for sweep in zip(*per_n)], n_max=n_max, repeats=repeats,
             median_seconds_by_n={n: _s(median(t)) for n, t in enumerate(per_n, 1)},
         ))
 

@@ -9,7 +9,9 @@ per-step tree rebuild; the ordered one prints every site and p, so it pins
 the re-keying of later siblings too.  The symbolic ones (yang terms and
 sums, ordered labeling masses in m) were captured while rational functions
 were still reduced by polynomial gcd, so they pin the rendering of every
-value in m that the CLI prints.
+value in m that the CLI prints.  The two further tbar sums (the mixed
+table oracle, whose addresses the summand reads, and const:3 to n=8) were
+captured before the identity sums were folded through the enumerators.
 """
 
 import hashlib
@@ -103,6 +105,16 @@ GOLDEN = [
         "verify-tbar-depth",
         "verify tbar --oracle depth:2,3 --n-max 7 --json",
         "15a236538e68ce710c32f9ab2aee8082bdc8aeac2d21054e298a8fd6cdad7a9b",
+    ),
+    (
+        "verify-tbar-mixed",
+        "verify tbar --oracle @mixed --n-max 7 --json",
+        "528d24bbc69b6109a7358d1cbb660f16b5a478f804bb64fd526097d97aeb0525",
+    ),
+    (
+        "verify-tbar-const3",
+        "verify tbar --oracle const:3 --n-max 8 --json",
+        "faa5c33d3b389b347d5fc3dac905b718297122d6fc49407ab144970620562326",
     ),
     (
         "labelprob-tbar-depth",
