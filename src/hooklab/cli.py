@@ -42,6 +42,7 @@ from .identities import (
 )
 from .sampler import (
     GrowthState,
+    _labeling_count,
     enumerate_labelings,
     grow,
     labeling_probability,
@@ -147,7 +148,7 @@ def _identity(report) -> tuple[dict, bool]:
 def _lemma(family: Family, n: int) -> tuple[dict, bool]:
     """Does the lemma hold at every reachable state of size n?  A state's sites
     depend on its shape alone, so each shape is checked once, none skipped."""
-    states = sum(1 for _ in enumerate_labelings(family, n))
+    states = _labeling_count(family, n)
     holds = all([lemma_check(GrowthState(LabeledTree(shape, range(1, n + 1)), family))
                  for shape in family.shapes(n)])
     record = {"check": "lemma", "family": family.label, "n": n, "states": states, "holds": holds}

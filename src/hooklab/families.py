@@ -27,8 +27,8 @@ import json
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
-from typing import Iterator, Union
+from math import factorial, prod
+from typing import Callable, Iterator, Union
 
 from .exact import RationalFunction, binomial_poly
 from .trees import Address, BinaryTree, OrderedTree, SlottedTree, Tree, _preorder, _subtrees
@@ -200,7 +200,10 @@ class ProbabilityRangeError(ValueError):
 # weight depends only on the parent's address and child count c, not the slot.
 # The hook-length summand hook_term(shape) is prod w_v/h_v as (numerator,
 # integer denominator), with h_v = node.size: growth lands on each of a
-# shape's n!/prod h_v increasing labelings with probability prod w_v.
+# shape's n!/prod h_v increasing labelings with probability prod w_v.  Its
+# per-vertex factor is one family rule, which hook_term multiplies over a
+# shape and terms(n) folds through the enumerator: terms(n) yields the
+# summand of each of shapes(n), in the same order, and builds no tree.
 # Messages name a family by its label followed by ``where``, the parameter a
 # user would change ("" when the label says it all).
 
@@ -234,14 +237,17 @@ class BinaryFamily:
     def check_growable(self, n: int) -> None:
         pass
 
+    @staticmethod
+    def hook_den(h: int) -> int:
+        """A vertex's factor 1/(h * 2^(h-1)) of the summand, by its denominator."""
+        return h << (h - 1)
+
+    def terms(self, n: int) -> Iterator[tuple[int, int]]:
+        return binary_terms(n, self.hook_den)
+
     def hook_term(self, shape: BinaryTree) -> tuple[int, int]:
         """prod 1/(h_v * 2^(h_v-1)) as (1, denominator)."""
-        den = 1
-        shift = 0
-        for node in _subtrees(shape):
-            den *= node.size
-            shift += node.size - 1
-        return 1, den << shift
+        return 1, prod(self.hook_den(node.size) for node in _subtrees(shape))
 
 
 @dataclass(frozen=True)
@@ -298,32 +304,43 @@ class OrderedFamily:
                 f"ordered growth to size {n} needs m >= {n - 1}, got {self.m}"
             )
 
-    def hook_term(self, shape: OrderedTree) -> tuple[int | RationalFunction, int]:
-        """prod C(m,c_v) / (h_v * m^(h_v-1)) as (numerator, denominator).
+    def vertex_term(self, c: int, h: int) -> tuple[int | RationalFunction, int]:
+        """A vertex's factor C(m,c) / (h * m^(h-1)) of the summand, for c
+        children and hook h, as (numerator, integer denominator).
 
-        Symbolic m: a Laurent polynomial over prod h_v.  Concrete m = p/q:
-        integers, from C(p/q, c) = p(p-q)...(p-(c-1)q) / (q^c c!) and
-        sum c_v = n-1.
+        Symbolic m: a Laurent polynomial over h.  Concrete m = p/q:
+        integers, from C(p/q, c) = p(p-q)...(p-(c-1)q) / (q^c c!).
         """
-        m = self.m
-        num = RationalFunction.constant(1) if m is None else 1
-        den = 1
-        shift = 0
+        if self.m is None:
+            return binomial_poly(c) * RationalFunction.monomial(1 - h), h
+        p, q = self.m.numerator, self.m.denominator
+        num = q ** (h - 1)
+        for i in range(c):
+            num *= p - i * q
+        return num, h * factorial(c) * q ** c * p ** (h - 1)
+
+    def terms(self, n: int) -> Iterator[tuple[int | RationalFunction, int]]:
+        _check_size(n)
+        factors = {(c, h): self.vertex_term(c, h) for h in range(1, n + 1) for c in range(h)}
+
+        def node(children: tuple, h: int) -> tuple:
+            num, den = factors[len(children), h]
+            for child_num, child_den in children:
+                if child_den != 1:  # a leaf's term (1, 1) is not multiplied in
+                    num = num * child_num
+                    den *= child_den
+            return num, den
+
+        return (term for _, term in _ordered(n, True, node))
+
+    def hook_term(self, shape: OrderedTree) -> tuple[int | RationalFunction, int]:
+        """prod C(m,c_v) / (h_v * m^(h_v-1)) as (numerator, denominator)."""
+        num, den = 1, 1
         for node in _subtrees(shape):
-            c = len(node.children)
-            den *= node.size
-            shift += node.size - 1
-            if m is None:
-                if c:
-                    num = num * binomial_poly(c)
-            else:
-                for i in range(c):
-                    num *= m.numerator - i * m.denominator
-                den *= factorial(c)
-        if m is None:
-            return num * RationalFunction.monomial(-shift), den
-        return (num * m.denominator ** shift,
-                den * m.denominator ** (shape.size - 1) * m.numerator ** shift)
+            vertex_num, vertex_den = self.vertex_term(len(node.children), node.size)
+            num = vertex_num * num
+            den *= vertex_den
+        return num, den
 
 
 @dataclass(frozen=True)
@@ -369,18 +386,27 @@ class TbarFamily:
     def check_growable(self, n: int) -> None:
         pass
 
+    def hook_den(self, addr: Address, h: int) -> int:
+        """The factor 1/(h * cbar^(h-1)) of the summand at the vertex ``addr``
+        with hook h, by its denominator; a leaf's is 1, so the oracle is
+        queried only at vertices with children."""
+        return h * self.oracle.child_count(addr) ** (h - 1) if h > 1 else 1
+
+    def terms(self, n: int) -> Iterator[tuple[int, int]]:
+        _check_size(n)
+        hook_den = self.hook_den
+
+        def node(children: tuple, h: int, addr: Address) -> int:
+            den = hook_den(addr, h)
+            for _, child in children:
+                den *= child
+            return den
+
+        return ((1, den) for _, den in _slotted(self.oracle, (), n, True, node))
+
     def hook_term(self, shape: SlottedTree) -> tuple[int, int]:
-        """prod 1/(h_v * cbar_v^(h_v-1)) as (1, denominator); leaves give 1,
-        so the oracle is queried only at vertices with children."""
-        den = 1
-        todo = [((), shape)]
-        for addr, node in todo:
-            if node.children:
-                h = node.size
-                den *= h * self.oracle.child_count(addr) ** (h - 1)
-                for slot, child in node.children:
-                    todo.append((addr + (slot,), child))
-        return 1, den
+        """prod 1/(h_v * cbar_v^(h_v-1)) as (1, denominator)."""
+        return 1, prod(self.hook_den(addr, node.size) for addr, node in _preorder(shape))
 
 
 Family = Union[BinaryFamily, OrderedFamily, TbarFamily]
@@ -397,55 +423,81 @@ def insert_child(children: list, slot: int, child) -> list:
     return children[:i] + [(slot, child)] + later
 
 
-def enum_binary(n: int) -> Iterator[BinaryTree]:
-    """All binary trees on ``n`` vertices, once each, encoding-ordered."""
+def _check_size(n: int) -> None:
     if n < 1:
         raise ValueError("n must be at least 1")
-    return _binary(n, True)
 
 
-def _binary(n: int, exact: bool) -> Iterator[BinaryTree]:
-    """Binary trees of size ``n``, or unless ``exact`` of sizes 1..n, in
-    encoding order: a present child's "(" sorts before an absent one's "."."""
+def enum_binary(n: int) -> Iterator[BinaryTree]:
+    """All binary trees on ``n`` vertices, once each, encoding-ordered."""
+    _check_size(n)
+    return (tree for _, tree in _binary(n, True, _binary_tree))
+
+
+def _binary_tree(left: BinaryTree | None, right: BinaryTree | None, size: int) -> BinaryTree:
+    return BinaryTree(left, right)
+
+
+def binary_terms(n: int, hook_den: Callable[[int], int]) -> Iterator[tuple[int, int]]:
+    """(1, prod hook_den(h_v)) for each binary tree on ``n`` vertices, in
+    ``enum_binary`` order, folded through the enumerator: no tree is built."""
+    _check_size(n)
+    dens = [0, *map(hook_den, range(1, n + 1))]
+
+    def node(left: int | None, right: int | None, h: int) -> int:
+        return (left or 1) * (right or 1) * dens[h]
+
+    return ((1, den) for _, den in _binary(n, True, node))
+
+
+def _binary(n: int, exact: bool, node: Callable) -> Iterator[tuple[int, object]]:
+    """(size, node(left, right, size)) for the binary trees of size ``n``, or
+    unless ``exact`` of sizes 1..n, in encoding order: a present child's "("
+    sorts before an absent one's ".".  ``left`` and ``right`` are the values
+    of the children, None where a child is absent."""
     if n > 1:
-        for left in _binary(n - 1, False):
-            rest = n - 1 - left.size
+        for k, left in _binary(n - 1, False, node):
+            rest = n - 1 - k
             if rest:
-                for right in _binary(rest, exact):
-                    yield BinaryTree(left, right)
+                for j, right in _binary(rest, exact, node):
+                    yield k + j + 1, node(left, right, k + j + 1)
             if not (exact and rest):
-                yield BinaryTree(left, None)
-        for right in _binary(n - 1, exact):
-            yield BinaryTree(None, right)
+                yield k + 1, node(left, None, k + 1)
+        for j, right in _binary(n - 1, exact, node):
+            yield j + 1, node(None, right, j + 1)
     if n == 1 or not exact:
-        yield BinaryTree()
+        yield 1, node(None, None, 1)
 
 
 def enum_ordered(n: int) -> Iterator[OrderedTree]:
     """All ordered trees on ``n`` vertices, once each, encoding-ordered."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    return _ordered(n, True)
+    _check_size(n)
+    return (tree for _, tree in _ordered(n, True, _ordered_tree))
 
 
-def _ordered(n: int, exact: bool) -> Iterator[OrderedTree]:
-    """Ordered trees of size ``n``, or unless ``exact`` of sizes 1..n, in
-    encoding order."""
-    for children in _ordered_seq(n - 1, exact):
-        yield OrderedTree(children)
+def _ordered_tree(children: tuple[OrderedTree, ...], size: int) -> OrderedTree:
+    return OrderedTree(children)
 
 
-def _ordered_seq(total: int, exact: bool) -> Iterator[tuple[OrderedTree, ...]]:
-    """Child sequences of combined size ``total`` (unless ``exact``, at most
-    ``total``), ordered by concatenated encoding with the parent's ")" after
-    it: another child's "(" sorts before that ")", so a sequence comes after
-    every longer one it starts."""
+def _ordered(n: int, exact: bool, node: Callable) -> Iterator[tuple[int, object]]:
+    """(size, node(children, size)) for the ordered trees of size ``n``, or
+    unless ``exact`` of sizes 1..n, in encoding order; ``children`` is the
+    tuple of the children's values."""
+    for k, children in _ordered_seq(n - 1, exact, node):
+        yield k + 1, node(children, k + 1)
+
+
+def _ordered_seq(total: int, exact: bool, node: Callable) -> Iterator[tuple[int, tuple]]:
+    """(combined size, values) of the child sequences of combined size
+    ``total`` (unless ``exact``, at most ``total``), ordered by concatenated
+    encoding with the parent's ")" after it: another child's "(" sorts
+    before that ")", so a sequence comes after every longer one it starts."""
     if total:
-        for first in _ordered(total, False):
-            for rest in _ordered_seq(total - first.size, exact):
-                yield (first,) + rest
+        for k, first in _ordered(total, False, node):
+            for j, rest in _ordered_seq(total - k, exact, node):
+                yield k + j, (first,) + rest
     if total == 0 or not exact:
-        yield ()
+        yield 0, ()
 
 
 def enum_tbar(oracle: BranchingOracle, n: int) -> Iterator[SlottedTree]:
@@ -455,21 +507,27 @@ def enum_tbar(oracle: BranchingOracle, n: int) -> Iterator[SlottedTree]:
     paths preserve.  The oracle is queried only at vertices that may receive
     children, so never at depth n-1 or beyond.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    return _slotted(oracle, (), n, True)
+    _check_size(n)
+    return (tree for _, tree in _slotted(oracle, (), n, True, _slotted_tree))
 
 
-def _slotted(oracle: BranchingOracle, addr: Address, size: int,
-             exact: bool) -> Iterator[SlottedTree]:
-    """Subtrees at ``addr`` of ``size`` vertices, or unless ``exact`` of
-    1..size, in encoding order: the leaf "()" first, as ")" sorts before "["."""
+def _slotted_tree(children: tuple[tuple[int, SlottedTree], ...], size: int,
+                  addr: Address) -> SlottedTree:
+    return SlottedTree(children)
+
+
+def _slotted(oracle: BranchingOracle, addr: Address, size: int, exact: bool,
+             node: Callable) -> Iterator[tuple[int, object]]:
+    """(size, node(children, size, addr)) for the subtrees at ``addr`` of
+    ``size`` vertices, or unless ``exact`` of 1..size, in encoding order:
+    the leaf "()" first, as ")" sorts before "[".  ``children`` holds
+    (slot, value) pairs."""
     if size == 1 or not exact:
-        yield SlottedTree()
+        yield 1, node((), 1, addr)
     if size > 1:
         width = oracle.child_count(addr)
-        for children in _slot_seq(oracle, addr, 0, width, size - 1, exact):
-            yield SlottedTree(children)
+        for k, children in _slot_seq(oracle, addr, 0, width, size - 1, exact, node):
+            yield k + 1, node(children, k + 1, addr)
 
 
 def _slot_seq(
@@ -479,19 +537,20 @@ def _slot_seq(
     width: int,
     budget: int,
     exact: bool,
-) -> Iterator[tuple[tuple[int, SlottedTree], ...]]:
-    """Nonempty (slot, subtree) sequences using slots in [min_slot, width),
-    strictly increasing, with subtree sizes summing to ``budget`` (unless
-    ``exact``, at most ``budget``); ordered by the concatenated
-    "[slot]encoding" text with the parent's ")" after it, so a sequence comes
-    before every longer one it starts."""
+    node: Callable,
+) -> Iterator[tuple[int, tuple[tuple[int, object], ...]]]:
+    """(combined size, (slot, value) pairs) of the nonempty sequences using
+    slots in [min_slot, width), strictly increasing, with subtree sizes
+    summing to ``budget`` (unless ``exact``, at most ``budget``); ordered by
+    the concatenated "[slot]encoding" text with the parent's ")" after it,
+    so a sequence comes before every longer one it starts."""
     # "[12]..." sorts before "[1]..." because a digit precedes "]", so order
     # candidate leading slots by the slot text with the bracket appended.
     for slot in sorted(range(min_slot, width), key=lambda s: f"{s}]"):
-        for sub in _slotted(oracle, addr + (slot,), budget, False):
-            left = budget - sub.size
+        for k, sub in _slotted(oracle, addr + (slot,), budget, False, node):
+            left = budget - k
             if not (exact and left):
-                yield ((slot, sub),)
+                yield k, ((slot, sub),)
             if left:
-                for rest in _slot_seq(oracle, addr, slot + 1, width, left, exact):
-                    yield ((slot, sub),) + rest
+                for j, rest in _slot_seq(oracle, addr, slot + 1, width, left, exact, node):
+                    yield k + j, ((slot, sub),) + rest

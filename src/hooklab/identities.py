@@ -15,13 +15,18 @@ v itself, stored as ``node.size``), c_v its child count, cbar_v the
 branching oracle's child count at v's ambient address.  The first three
 summands are the families' ``hook_term`` methods (families.py).  binary' has
 the same form over the hooks 2h_v+1 of the completed tree (see
-``completion_count``); its summand ``_han2_term`` lives here.  The ordered
-sum is a Laurent polynomial in m that is secretly constant; it is summed
-symbolically and compared as such.
+``completion_count``); its vertex factor ``_han2_den`` lives here.  The
+ordered sum is a Laurent polynomial in m that is secretly constant; it is
+summed symbolically and compared as such.
 
-``_hook_sum`` is the one sum: a summand is a pair (numerator, integer
-denominator), numerators are added per denominator, and a Fraction is
-formed only once per distinct denominator.
+A summand is a product of per-vertex factors, so a shape's summand is its
+root's factor times its children's summands.  The sums never build a tree:
+each folds its per-vertex factor through the family's enumerator
+(``Family.terms``, ``families.binary_terms``), which yields the summands of
+the shapes in encoding order.  ``_hook_sum`` is the one sum over them: a
+summand is a pair (numerator, integer denominator), numerators are added
+per denominator, and a Fraction is formed only once per distinct
+denominator.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import factorial, prod
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .exact import RationalFunction
 from .families import (
@@ -39,15 +44,13 @@ from .families import (
     OrderedFamily,
     Probability,
     TbarFamily,
+    binary_terms,
     enum_binary,
-    enum_ordered,
-    enum_tbar,
 )
 from .trees import BinaryTree, OrderedTree, Tree, _labelings, _subtrees
 
 BRUTE_FORCE_BOUND = 11
 TERM_LIMIT = 10 ** 6  # shapes one identity sum takes, labeled trees one enumeration yields
-Term = Callable[[Tree], tuple]  # shape -> (numerator, integer denominator)
 
 
 class ConsistencyError(RuntimeError):
@@ -63,57 +66,49 @@ def hook_values(t: Tree) -> list[int]:
     return [node.size for node in _subtrees(t)]
 
 
-def _hook_sum(shapes: Iterable[Tree], term: Term) -> tuple[Probability, int]:
-    """Sum of ``term`` over ``shapes``, and the number of shapes.
-
-    ``term(shape)`` is (numerator, integer denominator); the numerators of
-    equal denominators are added first.
-    """
+def _hook_sum(terms: Iterable[tuple]) -> tuple[Probability, int]:
+    """Sum of ``terms``, each (numerator, integer denominator), and their
+    number; the numerators of equal denominators are added first."""
     by_den: dict = {}
     count = 0
-    for shape in shapes:
-        num, den = term(shape)
+    for num, den in terms:
         seen = by_den.get(den)
         by_den[den] = num if seen is None else seen + num
         count += 1
     return sum((num * Fraction(1, den) for den, num in by_den.items()), Fraction(0)), count
 
 
-def _han2_term(t: BinaryTree) -> tuple[int, int]:
-    """prod 1/((2h_v+1) * 2^(2h_v-1)) as (1, denominator)."""
-    den = 1
-    shift = 0
-    for node in _subtrees(t):
-        den *= 2 * node.size + 1
-        shift += 2 * node.size - 1
-    return 1, den << shift
+def _han2_den(h: int) -> int:
+    """A vertex's factor 1/((2h+1) * 2^(2h-1)) of the binary' summand, by
+    its denominator."""
+    return (2 * h + 1) << (2 * h - 1)
 
 
 def han_lhs(n: int) -> Fraction:
-    return _verify("han", n, enum_binary(n), BinaryFamily().hook_term, n).lhs
+    return _verify("han", n, BinaryFamily().terms(n), n).lhs
 
 
 def han2_lhs(n: int) -> Fraction:
-    return _verify("han2", n, enum_binary(n), _han2_term, 2 * n + 1).lhs
+    return _verify("han2", n, binary_terms(n, _han2_den), 2 * n + 1).lhs
 
 
 def tbar_lhs(oracle: BranchingOracle, n: int) -> Fraction:
     family = TbarFamily(oracle)
-    return _verify("tbar", n, enum_tbar(oracle, n), family.hook_term, n, family.where).lhs
+    return _verify("tbar", n, family.terms(n), n, family.where).lhs
 
 
 def yang_term(t: OrderedTree) -> RationalFunction:
     """The ordered-tree summand prod C(m,c_v) / (h_v * m^(h_v-1)), in m."""
-    return _hook_sum((t,), OrderedFamily().hook_term)[0]
+    return _hook_sum([OrderedFamily().hook_term(t)])[0]
 
 
 def yang_lhs(n: int) -> RationalFunction:
-    return _verify("yang", n, enum_ordered(n), OrderedFamily().hook_term, n).lhs
+    return _verify("yang", n, OrderedFamily().terms(n), n).lhs
 
 
 def yang_sum_at(n: int, point: Fraction) -> Fraction:
     """The ordered-tree sum with every summand evaluated at a concrete m."""
-    return _verify("yang", n, enum_ordered(n), OrderedFamily(point).hook_term, n).lhs
+    return _verify("yang", n, OrderedFamily(point).terms(n), n).lhs
 
 
 def hook_count(t: Tree) -> int:
@@ -168,11 +163,11 @@ class IdentityReport:
 
 
 def _verify(
-    identity: str, n: int, shapes: Iterable[Tree], term: Term, size: int, where: str = ""
+    identity: str, n: int, terms: Iterable[tuple], size: int, where: str = ""
 ) -> IdentityReport:
-    """Report on ``sum of term over shapes == 1/size!``; raises
-    ``SizeLimitError`` once the shapes pass ``TERM_LIMIT``."""
-    lhs, count = _hook_sum(islice(shapes, TERM_LIMIT + 1), term)
+    """Report on ``sum of terms == 1/size!``, one term per shape; raises
+    ``SizeLimitError`` once the terms pass ``TERM_LIMIT``."""
+    lhs, count = _hook_sum(islice(terms, TERM_LIMIT + 1))
     if count > TERM_LIMIT:
         raise SizeLimitError(f"the {identity} sum at n={n}{where} has more than "
                              f"{TERM_LIMIT} terms")
@@ -181,20 +176,20 @@ def _verify(
 
 
 def verify_han(n: int) -> IdentityReport:
-    return _verify("han", n, enum_binary(n), BinaryFamily().hook_term, n)
+    return _verify("han", n, BinaryFamily().terms(n), n)
 
 
 def verify_yang(n: int) -> IdentityReport:
-    return _verify("yang", n, enum_ordered(n), OrderedFamily().hook_term, n)
+    return _verify("yang", n, OrderedFamily().terms(n), n)
 
 
 def verify_tbar(oracle: BranchingOracle, n: int) -> IdentityReport:
     family = TbarFamily(oracle)
-    return _verify("tbar", n, enum_tbar(oracle, n), family.hook_term, n, family.where)
+    return _verify("tbar", n, family.terms(n), n, family.where)
 
 
 def verify_han2(n: int) -> IdentityReport:
-    return _verify("han2", n, enum_binary(n), _han2_term, 2 * n + 1)
+    return _verify("han2", n, binary_terms(n, _han2_den), 2 * n + 1)
 
 
 @dataclass(frozen=True)

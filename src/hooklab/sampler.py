@@ -27,7 +27,6 @@ import random
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 from math import lcm, prod
 from operator import itemgetter
 from typing import Callable, Iterator, Optional
@@ -250,17 +249,28 @@ def shape_probability(shape: Tree, family: Family) -> Probability:
     return num * Fraction(prod(hook_values(shape)), den)
 
 
+def _labeling_count(family: Family, n: int) -> int:
+    """The number of reachable size-``n`` labeled trees, n!/prod h_v per
+    shape of ``family.shapes(n)``; ``SizeLimitError`` as soon as the count
+    passes ``identities.TERM_LIMIT``."""
+    limit = identities.TERM_LIMIT
+    total = 0
+    for shape in family.shapes(n):
+        total += hook_count(shape)
+        if total > limit:
+            raise SizeLimitError(f"more than {limit} labeled {family.label} trees at n={n}"
+                                 f"{family.where}")
+    return total
+
+
 def enumerate_labelings(family: Family, n: int) -> Iterator[LabeledTree]:
     """Every reachable size-``n`` labeled tree: each increasing labeling of
     each of ``family.shapes(n)``, which growth reaches by one history each.
     Weights are never computed, so symbolic or out-of-range ones do no harm.
-    The labelings are counted first, n!/prod h_v per shape: past
-    ``identities.TERM_LIMIT`` of them, ``SizeLimitError`` comes before any
-    tree is built."""
-    limit = identities.TERM_LIMIT
-    if any(count > limit for count in accumulate(map(hook_count, family.shapes(n)))):
-        raise SizeLimitError(f"more than {limit} labeled {family.label} trees at n={n}"
-                             f"{family.where}")
+    The labelings are counted first (``_labeling_count``), so past
+    ``identities.TERM_LIMIT`` of them ``SizeLimitError`` comes before any
+    labeled tree is built."""
+    _labeling_count(family, n)
     for shape in family.shapes(n):
         for labels in _labelings(shape):
             yield LabeledTree(shape, labels)

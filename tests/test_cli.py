@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import factorial
 
 from conftest import catalan
-from hooklab import BinaryFamily, cli, identities, lemma_check, sampler, stats
+from hooklab import BinaryFamily, TbarFamily, cli, identities, lemma_check, sampler, stats
 
 CMD = [sys.executable, "-m", "hooklab"]
 
@@ -189,6 +189,35 @@ class TestVerify:
             f"check=lemma family=binary n={n} states={factorial(n)} holds={holds}"
             for n, holds in ((1, "true"), (2, "false"), (3, "false"), (4, "false"))]
         assert len(checked) == sum(catalan(n) for n in range(1, 5))
+
+    def test_a_wrong_vertex_factor_below_the_root_fails_the_sum(self, monkeypatch, capsys):
+        # every vertex at depth >= 1 gets its factor's denominator one too
+        # big; the size-1 sum has no such vertex, every larger one has
+        real = TbarFamily.hook_den
+        monkeypatch.setattr(TbarFamily, "hook_den",
+                            lambda self, addr, h: real(self, addr, h) + (len(addr) >= 1))
+        assert cli.main(["verify", "tbar", "--oracle", "depth:2,3", "--n-max", "4"]) == 1
+        holds = [line.split()[-2] for line in capsys.readouterr().out.splitlines()]
+        assert holds == ["holds=true", "holds=false", "holds=false", "holds=false"]
+
+    def test_a_wrong_leaf_factor_fails_han_and_han2(self, monkeypatch, capsys):
+        # every leaf's factor is off by one, and from n=2 on the leaves sit
+        # below the root; han and han2 fold the binary enumerator with
+        # factors of their own, so each is mutated
+        real = BinaryFamily.hook_den
+        monkeypatch.setattr(BinaryFamily, "hook_den", staticmethod(lambda h: real(h) + (h == 1)))
+        monkeypatch.setattr(identities, "_han2_den", lambda h: (2 * h + 1) << (2 * h - 1 + (h == 1)))
+        for identity in ("han", "han2"):
+            assert cli.main(["verify", identity, "--n-max", "3"]) == 1
+            out = capsys.readouterr().out
+            assert out.count("holds=false") == 3, out
+
+    def test_lemma_counts_states_without_labeling_a_tree(self, monkeypatch, capsys):
+        monkeypatch.setattr(sampler, "_labelings", None)  # enumerate_labelings would need it
+        assert cli.main(["verify", "lemma", "--family", "tbar", "--oracle", "const:3",
+                         "--n-max", "4"]) == 0
+        states = [line.split()[3] for line in capsys.readouterr().out.splitlines()]
+        assert states == ["states=1", "states=3", "states=15", "states=105"]
 
     def test_ordered_m_below_the_largest_child_count_is_a_usage_error(self):
         for check, m, n_max, most in (

@@ -1,14 +1,16 @@
 import json
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import pytest
 
 from hooklab import (
+    BinaryFamily,
     BinaryTree,
     ConsistencyError,
     ConstantBranching,
     DepthBranching,
+    OrderedFamily,
     SizeLimitError,
     brute_force_labelings,
     completion,
@@ -22,6 +24,8 @@ from hooklab import (
     hook_count,
     hook_lengths,
     identities,
+    TbarFamily,
+    enum_tbar,
     tbar_lhs,
     verify_han,
     verify_tbar,
@@ -31,6 +35,7 @@ from hooklab import (
     yang_term,
 )
 from hooklab.exact import RationalFunction, binomial_poly
+from hooklab.families import binary_terms
 
 
 class TestHan:
@@ -246,3 +251,41 @@ class TestReductionIdentities:
 def test_consistency_error_is_reserved():
     # ConsistencyError guards impossibilities; no valid input raises it
     assert issubclass(ConsistencyError, RuntimeError)
+
+
+class TestTermFold:
+    """The sums fold each vertex factor through the family's enumerator.
+    Position by position in encoding order, a folded term equals the
+    summand of the tree the same enumerator builds at that position."""
+
+    def test_binary_han_and_han2(self):
+        family = BinaryFamily()
+        for n in range(1, 9):
+            trees = list(enum_binary(n))
+            assert list(family.terms(n)) == [family.hook_term(t) for t in trees], n
+            han2 = [(1, prod((2 * h + 1) * 2 ** (2 * h - 1) for h in hook_lengths(t).values()))
+                    for t in trees]
+            assert list(binary_terms(n, identities._han2_den)) == han2, n
+
+    def test_tbar(self, mixed_oracle):
+        for oracle in (ConstantBranching(3), DepthBranching((2, 3)), mixed_oracle):
+            family = TbarFamily(oracle)
+            for n in range(1, 8):
+                terms = [family.hook_term(t) for t in enum_tbar(oracle, n)]
+                assert list(family.terms(n)) == terms, (oracle, n)
+
+    def test_ordered_symbolic_and_concrete(self):
+        for family, n_max in ((OrderedFamily(), 7), (OrderedFamily(Fraction(9, 2)), 6)):
+            for n in range(1, n_max + 1):
+                terms = [family.hook_term(t) for t in enum_ordered(n)]
+                assert list(family.terms(n)) == terms, (family, n)
+
+    def test_the_summands_match_their_closed_forms(self):
+        # binary from the hook lengths; concrete m is the symbolic term at m
+        for t in enum_binary(6):
+            hooks = hook_lengths(t).values()
+            assert BinaryFamily().hook_term(t) == (1, prod(h * 2 ** (h - 1) for h in hooks))
+        m = Fraction(9, 2)
+        for t in enum_ordered(6):
+            num, den = OrderedFamily(m).hook_term(t)
+            assert Fraction(num, den) == yang_term(t).evaluate(m)
