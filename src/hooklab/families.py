@@ -290,7 +290,7 @@ class OrderedFamily:
         return p
 
     def node(self, children) -> OrderedTree:
-        return OrderedTree(tuple(child for _, child in children))
+        return OrderedTree([child for _, child in children])
 
     def check_shape(self, shape: Tree) -> None:
         if not isinstance(shape, OrderedTree):
@@ -431,11 +431,7 @@ def _check_size(n: int) -> None:
 def enum_binary(n: int) -> Iterator[BinaryTree]:
     """All binary trees on ``n`` vertices, once each, encoding-ordered."""
     _check_size(n)
-    return (tree for _, tree in _binary(n, True, _binary_tree))
-
-
-def _binary_tree(left: BinaryTree | None, right: BinaryTree | None, size: int) -> BinaryTree:
-    return BinaryTree(left, right)
+    return (tree for _, tree in _binary(n, True, lambda left, right, size: BinaryTree(left, right)))
 
 
 def binary_terms(n: int, hook_den: Callable[[int], int]) -> Iterator[tuple[int, int]]:
@@ -472,11 +468,7 @@ def _binary(n: int, exact: bool, node: Callable) -> Iterator[tuple[int, object]]
 def enum_ordered(n: int) -> Iterator[OrderedTree]:
     """All ordered trees on ``n`` vertices, once each, encoding-ordered."""
     _check_size(n)
-    return (tree for _, tree in _ordered(n, True, _ordered_tree))
-
-
-def _ordered_tree(children: tuple[OrderedTree, ...], size: int) -> OrderedTree:
-    return OrderedTree(children)
+    return (tree for _, tree in _ordered(n, True, lambda children, size: OrderedTree(children)))
 
 
 def _ordered(n: int, exact: bool, node: Callable) -> Iterator[tuple[int, object]]:
@@ -508,12 +500,8 @@ def enum_tbar(oracle: BranchingOracle, n: int) -> Iterator[SlottedTree]:
     children, so never at depth n-1 or beyond.
     """
     _check_size(n)
-    return (tree for _, tree in _slotted(oracle, (), n, True, _slotted_tree))
-
-
-def _slotted_tree(children: tuple[tuple[int, SlottedTree], ...], size: int,
-                  addr: Address) -> SlottedTree:
-    return SlottedTree(children)
+    trees = _slotted(oracle, (), n, True, lambda children, size, addr: SlottedTree(children))
+    return (tree for _, tree in trees)
 
 
 def _slotted(oracle: BranchingOracle, addr: Address, size: int, exact: bool,

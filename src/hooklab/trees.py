@@ -94,8 +94,8 @@ class OrderedTree(_Shape):
 
     def __init__(self, children: tuple["OrderedTree", ...] = ()):
         self.children = tuple(children)
-        self.size = 1 + sum(c.size for c in self.children)
-        self.enc = "({})".format("".join(c.enc for c in self.children))
+        self.size = 1 + sum([c.size for c in self.children])
+        self.enc = "({})".format("".join([c.enc for c in self.children]))
 
     def child_items(self) -> list[tuple[int, "OrderedTree"]]:
         return list(enumerate(self.children))
@@ -122,10 +122,8 @@ class SlottedTree(_Shape):
         if children and children[0][0] < 0:
             raise ValueError("slots must be nonnegative")
         self.children = children
-        self.size = 1 + sum(c.size for _, c in children)
-        self.enc = "({})".format(
-            "".join(f"[{slot}]{c.enc}" for slot, c in children)
-        )
+        self.size = 1 + sum([c.size for _, c in children])
+        self.enc = "({})".format("".join([f"[{slot}]{c.enc}" for slot, c in children]))
 
     def child_items(self) -> list[tuple[int, "SlottedTree"]]:
         return list(self.children)
