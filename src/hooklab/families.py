@@ -247,7 +247,7 @@ class BinaryFamily:
 
     def hook_term(self, shape: BinaryTree) -> tuple[int, int]:
         """prod 1/(h_v * 2^(h_v-1)) as (1, denominator)."""
-        return 1, prod(self.hook_den(node.size) for node in _subtrees(shape))
+        return 1, prod([self.hook_den(node.size) for node in _subtrees(shape)])
 
 
 @dataclass(frozen=True)
@@ -362,10 +362,10 @@ class TbarFamily:
 
     def weight(self, parent: Address, c: int) -> Fraction:
         """prod over proper ancestors x of the new vertex of 1 / cbar_x."""
-        prod = 1
+        widths = 1
         for depth in range(len(parent) + 1):
-            prod *= self.oracle.child_count(parent[:depth])
-        return Fraction(1, prod)
+            widths *= self.oracle.child_count(parent[:depth])
+        return Fraction(1, widths)
 
     def node(self, children) -> SlottedTree:
         return SlottedTree(tuple(children))
@@ -406,7 +406,7 @@ class TbarFamily:
 
     def hook_term(self, shape: SlottedTree) -> tuple[int, int]:
         """prod 1/(h_v * cbar_v^(h_v-1)) as (1, denominator)."""
-        return 1, prod(self.hook_den(addr, node.size) for addr, node in _preorder(shape))
+        return 1, prod([self.hook_den(addr, node.size) for addr, node in _preorder(shape)])
 
 
 Family = Union[BinaryFamily, OrderedFamily, TbarFamily]

@@ -93,6 +93,9 @@ class OrderedTree(_Shape):
     __slots__ = ("children", "size", "enc")
 
     def __init__(self, children: tuple["OrderedTree", ...] = ()):
+        # lists, not generator expressions (here and in SlottedTree): a
+        # generator per node fragments the allocator, and a process that
+        # grows trees over and over gains peak memory with every batch
         self.children = tuple(children)
         self.size = 1 + sum([c.size for c in self.children])
         self.enc = "({})".format("".join([c.enc for c in self.children]))
