@@ -19,6 +19,12 @@ child "(" sorts before an absent one ".", for ordered trees another child
 "[slot]".  So one generator per family yields every tree of sizes 1..k at an
 address in encoding order, and the exact-size stream draws its first child
 from it; no merge of per-size streams is needed.
+
+The generator builds no tree itself: it takes a ``node`` builder and yields
+(size, value) pairs, each value made by ``node`` from the children's values
+and the size (and for slotted trees the address).  The public ``enum_*``
+pass the tree constructors; a family's ``terms`` passes a builder of the
+hook-length summand, so the identity sums build no tree and walk none.
 """
 
 from __future__ import annotations
