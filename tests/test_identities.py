@@ -12,6 +12,7 @@ from hooklab import (
     DepthBranching,
     OrderedFamily,
     SizeLimitError,
+    TbarFamily,
     brute_force_labelings,
     completion,
     completion_census,
@@ -19,13 +20,12 @@ from hooklab import (
     decode,
     enum_binary,
     enum_ordered,
+    enum_tbar,
     han2_lhs,
     han_lhs,
     hook_count,
     hook_lengths,
     identities,
-    TbarFamily,
-    enum_tbar,
     tbar_lhs,
     verify_han,
     verify_tbar,
