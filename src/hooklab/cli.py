@@ -19,6 +19,7 @@ import json
 import random
 import sys
 from fractions import Fraction
+from functools import cache
 
 from .families import (
     BinaryFamily,
@@ -277,7 +278,9 @@ def cmd_census(args) -> int:
     return 0 if holds else 1
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: ``main`` may be called many times."""
     parser = argparse.ArgumentParser(
         prog="hooklab",
         description="Exact hook-length identity checks and the growth sampler.",

@@ -9,8 +9,10 @@ Symbolic values in the weight variable ``m`` are Laurent polynomials over
 the rationals: finite sums of ``c * m**k`` with ``k`` of either sign.  That
 is all the mathematics needs, because every value built here (site,
 labeling and shape probabilities, yang terms, and sums of these) has a
-denominator of the form ``c * m**k``.  The stored form is unique, so
-"this sum is the constant 1/n!" is decided by ``==`` with no gcd.
+denominator of the form ``c * m**k``.  A value is stored as integer
+coefficients over one positive integer scale, reduced by one gcd, so
+arithmetic works on ints and forms no Fraction per coefficient.  The stored
+form is unique, so "this sum is the constant 1/n!" is decided by ``==``.
 
 All values are immutable after construction; arithmetic goes through the
 usual operators.
@@ -20,7 +22,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Union
+from math import factorial, gcd, lcm
+from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -30,27 +33,41 @@ class PoleError(ZeroDivisionError):
 
 
 class RationalFunction:
-    """Laurent polynomial ``sum(coeffs[i] * m**(low + i))`` in ``m``.
+    """Laurent polynomial ``sum(ints[i] * m**(low + i)) / scale`` in ``m``.
 
-    ``coeffs`` has no zeros at either end, and the zero function stores
-    ``()`` with ``low = 0``.  Any input lands on that one representation,
-    so ``==`` and ``hash`` decide equality of functions.
+    ``ints`` are integers with no zero at either end, ``scale`` is a
+    positive integer with ``gcd(scale, *ints) == 1``, and the zero function
+    stores ``()`` over 1 with ``low = 0``.  Any input lands on that one
+    representation, so ``==`` and ``hash`` decide equality of functions.
     """
 
-    __slots__ = ("coeffs", "low")
-
-    coeffs: tuple[Fraction, ...]
-    low: int
+    __slots__ = ("ints", "scale", "low")
 
     def __init__(self, coeffs: Iterable[Scalar] = (), low: int = 0):
-        cs = [Fraction(c) for c in coeffs]
-        start, end = 0, len(cs)
-        while end and cs[end - 1] == 0:
+        cs = list(coeffs)  # sum(cs[i] * m**(low + i)), each an int or a Fraction
+        if not all(isinstance(c, (int, Fraction)) for c in cs):
+            raise TypeError(f"RationalFunction coefficients are int or Fraction, got {cs}")
+        scale = lcm(*[c.denominator for c in cs])
+        f = self.from_ints([c.numerator * (scale // c.denominator) for c in cs], scale, low)
+        self.ints, self.scale, self.low = f.ints, f.scale, f.low
+
+    @classmethod
+    def from_ints(cls, ints: Sequence[int], scale: int = 1, low: int = 0) -> "RationalFunction":
+        """``sum(ints[i] * m**(low + i)) / scale`` in the stored form: zeros
+        stripped from both ends, then gcd(scale, *ints) divided out."""
+        if scale < 1:
+            raise ValueError(f"scale must be a positive integer, got {scale}")
+        start, end = 0, len(ints)
+        while end and not ints[end - 1]:
             end -= 1
-        while start < end and cs[start] == 0:
+        while start < end and not ints[start]:
             start += 1
-        self.coeffs = tuple(cs[start:end])
-        self.low = low + start if self.coeffs else 0
+        ints = ints[start:end]
+        g = gcd(scale, *ints)
+        f = object.__new__(cls)
+        f.ints = tuple([c // g for c in ints]) if g != 1 else tuple(ints)
+        f.scale, f.low = (scale // g, low + start) if ints else (1, 0)
+        return f
 
     @classmethod
     def constant(cls, value: Scalar) -> "RationalFunction":
@@ -62,14 +79,19 @@ class RationalFunction:
         return cls((coefficient,), power)
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """Coefficients of ``m**low, m**(low + 1), ...``, as reduced Fractions."""
+        return tuple([Fraction(c, self.scale) for c in self.ints])
+
+    @property
     def degree(self) -> int:
         """Highest power of ``m``, with the zero function assigned -1."""
-        return self.low + len(self.coeffs) - 1
+        return self.low + len(self.ints) - 1
 
     @property
     def num(self) -> "RationalFunction":
         """Numerator of the reduced form ``num / m**k``: a polynomial."""
-        return RationalFunction(self.coeffs, max(self.low, 0))
+        return RationalFunction.from_ints(self.ints, self.scale, max(self.low, 0))
 
     @property
     def den(self) -> "RationalFunction":
@@ -77,35 +99,37 @@ class RationalFunction:
         return RationalFunction.monomial(max(-self.low, 0))
 
     def is_constant(self) -> bool:
-        return self.low == 0 and len(self.coeffs) <= 1
+        return self.low == 0 and len(self.ints) <= 1
 
     def constant_value(self) -> Fraction:
         """The value of a constant function (raises otherwise)."""
         if not self.is_constant():
             raise ValueError(f"not a constant rational function: {self}")
-        return self.coeffs[0] if self.coeffs else Fraction(0)
+        return Fraction(self.ints[0] if self.ints else 0, self.scale)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, RationalFunction):
-            return self.low == other.low and self.coeffs == other.coeffs
+            return (self.ints, self.scale, self.low) == (other.ints, other.scale, other.low)
         if isinstance(other, (int, Fraction)):
             return self == RationalFunction.constant(other)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(("RationalFunction", self.coeffs, self.low))
+        return hash(("RationalFunction", self.ints, self.scale, self.low))
 
     def __neg__(self) -> "RationalFunction":
-        return RationalFunction((-c for c in self.coeffs), self.low)
+        return RationalFunction.from_ints([-c for c in self.ints], self.scale, self.low)
 
     def __add__(self, other: "RationalFunction | Scalar") -> "RationalFunction":
         other = _as_ratfunc(other)
+        # a/s + b/t = (a*(t/g) + b*(s/g)) / (s*t/g), g = gcd(s, t)
+        g = gcd(self.scale, other.scale)
         low = min(self.low, other.low)
-        out = [Fraction(0)] * (max(self.degree, other.degree) - low + 1)
-        for f in (self, other):
-            for i, c in enumerate(f.coeffs, f.low - low):
-                out[i] += c
-        return RationalFunction(out, low)
+        out = [0] * (max(self.degree, other.degree) - low + 1)
+        for f, factor in ((self, other.scale // g), (other, self.scale // g)):
+            for i, c in enumerate(f.ints, f.low - low):
+                out[i] += c * factor
+        return RationalFunction.from_ints(out, self.scale // g * other.scale, low)
 
     __radd__ = __add__
 
@@ -117,35 +141,34 @@ class RationalFunction:
 
     def __mul__(self, other: "RationalFunction | Scalar") -> "RationalFunction":
         other = _as_ratfunc(other)
-        if not self.coeffs or not other.coeffs:
-            return RationalFunction()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return RationalFunction(out, self.low + other.low)
+        out = [0] * (len(self.ints) + len(other.ints) - 1)
+        for i, x in enumerate(self.ints):
+            for j, y in enumerate(other.ints, i):
+                out[j] += x * y
+        return RationalFunction.from_ints(out, self.scale * other.scale, self.low + other.low)
 
     __rmul__ = __mul__
 
     def evaluate(self, point: Scalar) -> Fraction:
-        """Exact value at ``point`` by Horner's rule; m = 0 is a pole when
-        a negative power is present."""
+        """Exact value at ``point``: Horner's rule on the integer
+        coefficients, then Fractions; m = 0 is a pole when a negative power
+        is present."""
         point = Fraction(point)
-        if point == 0 and self.low < 0:
+        p, q = point.numerator, point.denominator
+        if p == 0 and self.low < 0:
             raise PoleError(f"evaluation at pole m = {point}")
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * point + c
-        return acc * point ** self.low
+        acc = 0  # ends at sum ints[i] p^i q^(k-i), k = len(ints) - 1
+        for i, c in enumerate(reversed(self.ints)):
+            acc = acc * p + c * q ** i
+        return Fraction(acc, self.scale * q ** max(len(self.ints) - 1, 0)) * point ** self.low
 
     def __str__(self) -> str:
         if self.low < 0:
             return f"({self.num}) / ({self.den})"
-        if not self.coeffs:
+        if not self.ints:
             return "0"
         parts = []
-        for power in range(self.degree, self.low - 1, -1):
-            c = self.coeffs[power - self.low]
+        for power, c in zip(range(self.degree, self.low - 1, -1), reversed(self.coeffs)):
             if c == 0:
                 continue
             if power == 0:
@@ -176,7 +199,7 @@ def binomial_poly(k: int) -> RationalFunction:
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    result = RationalFunction.constant(1)
-    for i in range(k):
-        result = result * RationalFunction((-i, 1)) * Fraction(1, i + 1)
-    return result
+    ints = [1]
+    for i in range(k):  # times (m - i)
+        ints = [a - i * b for a, b in zip([0] + ints, ints + [0])]
+    return RationalFunction.from_ints(ints, factorial(k))

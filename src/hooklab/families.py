@@ -284,7 +284,7 @@ class OrderedFamily:
         raises unless it lies in [0, 1]."""
         depth = len(parent) + 1
         if self.m is None:
-            return RationalFunction((Fraction(-c, c + 1), Fraction(1, c + 1)), -depth)
+            return RationalFunction.from_ints((-c, 1), c + 1, -depth)
         # m = a/b: (a - cb) b^(depth-1) / ((c+1) a^depth), one Fraction
         a, b = self.m.numerator, self.m.denominator
         p = Fraction((a - c * b) * b ** (depth - 1), (c + 1) * a ** depth)

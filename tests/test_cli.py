@@ -5,7 +5,16 @@ from fractions import Fraction
 from math import factorial
 
 from conftest import catalan
-from hooklab import BinaryFamily, TbarFamily, cli, identities, lemma_check, sampler, stats
+from hooklab import (
+    BinaryFamily,
+    OrderedFamily,
+    TbarFamily,
+    cli,
+    identities,
+    lemma_check,
+    sampler,
+    stats,
+)
 
 CMD = [sys.executable, "-m", "hooklab"]
 
@@ -212,6 +221,31 @@ class TestVerify:
             out = capsys.readouterr().out
             assert out.count("holds=false") == 3, out
 
+    def test_a_wrong_symbolic_vertex_factor_fails_yang(self, monkeypatch, capsys):
+        # in symbolic m, every vertex with a hook of 2 or more gets its
+        # factor's denominator one too big; from n=2 on the root has one
+        real = OrderedFamily.vertex_term
+
+        def vertex_term(self, c, h):
+            num, den = real(self, c, h)
+            return num, den + (self.m is None and h >= 2)
+
+        monkeypatch.setattr(OrderedFamily, "vertex_term", vertex_term)
+        assert cli.main(["verify", "yang", "--n-max", "5"]) == 1
+        holds = [line.split()[-2] for line in capsys.readouterr().out.splitlines()]
+        assert holds == ["holds=true"] + ["holds=false"] * 4
+
+    def test_a_wrong_symbolic_weight_at_depth_2_fails_labelprob(self, monkeypatch, capsys):
+        # a symbolic site at depth 2 weighs (m - c)/((c + 2) m^2), not
+        # (m - c)/((c + 1) m^2); from n=3 on a labeling puts a vertex there
+        real = OrderedFamily.weight
+        monkeypatch.setattr(OrderedFamily, "weight", lambda self, parent, c: real(self, parent, c)
+                            * (Fraction(c + 1, c + 2) if self.m is None and len(parent) == 1
+                               else 1))
+        assert cli.main(["verify", "labelprob", "--family", "ordered", "--m", "symbolic"]) == 1
+        holds = [line.split()[-1] for line in capsys.readouterr().out.splitlines()]
+        assert holds == ["holds=true"] * 2 + ["holds=false"] * 3
+
     def test_lemma_counts_states_without_labeling_a_tree(self, monkeypatch, capsys):
         monkeypatch.setattr(sampler, "_labelings", None)  # enumerate_labelings would need it
         assert cli.main(["verify", "lemma", "--family", "tbar", "--oracle", "const:3",
@@ -407,6 +441,15 @@ class TestCensus:
     def test_n_bound(self):
         assert run("census", "--n", "9").returncode == 2
         assert run("census", "--n", "0").returncode == 2
+
+
+class TestMain:
+    def test_calls_in_one_process_print_what_separate_processes_print(self, capsys):
+        # main builds its parser once per process, and a parse leaves it as it was
+        argvs = [["verify", "han", "--n-max", "3", "--json"], ["verify", "han", "--n-max", "3"]]
+        for argv in argvs:
+            assert cli.main(argv) == 0
+            assert capsys.readouterr().out == run(*argv).stdout
 
 
 class TestExitCodeContract:

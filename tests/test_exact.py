@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 
 import pytest
 from hypothesis import given
@@ -31,6 +31,20 @@ laurents = st.builds(
 )
 
 
+def normal(f):
+    """``f``, once it is checked to be in the stored form: integer
+    coefficients with no zero at either end over a positive integer scale,
+    with no common factor left, and one form for zero."""
+    assert type(f.scale) is int and f.scale >= 1
+    assert all(type(c) is int for c in f.ints)
+    assert gcd(f.scale, *f.ints) == 1
+    if f.ints:
+        assert f.ints[0] != 0 and f.ints[-1] != 0
+    else:
+        assert (f.scale, f.low) == (1, 0)
+    return f
+
+
 def direct_value(f, x):
     """Term-by-term value of sum coeffs[i] * x**(low + i)."""
     return sum((c * x ** (f.low + i) for i, c in enumerate(f.coeffs)), Fraction(0))
@@ -59,10 +73,10 @@ class TestPolynomial:
 
     @given(polys, polys, polys)
     def test_ring_laws(self, a, b, c):
-        assert a + b == b + a
-        assert a * b == b * a
-        assert (a + b) + c == a + (b + c)
-        assert a * (b + c) == a * b + a * c
+        assert normal(a + b) == normal(b + a)
+        assert normal(a * b) == normal(b * a)
+        assert normal(normal(a + b) + c) == normal(a + normal(b + c))
+        assert normal(a * normal(b + c)) == normal(normal(a * b) + normal(a * c))
 
     @given(polys, rationals)
     def test_evaluate_is_a_homomorphism(self, a, x):
@@ -164,16 +178,60 @@ class TestRationalFunction:
 
     @given(laurents, laurents, laurents)
     def test_field_laws(self, f, g, h):
-        zero = RationalFunction.constant(0)
-        assert f + g == g + f
-        assert f * g == g * f
-        assert (f + g) + h == f + (g + h)
-        assert (f * g) * h == f * (g * h)
-        assert f * (g + h) == f * g + f * h
-        assert f + zero == f
-        assert f - f == zero
-        assert f * ONE == f
-        assert -(-f) == f
+        zero = normal(RationalFunction.constant(0))
+        assert normal(f) is f
+        assert normal(f + g) == normal(g + f)
+        assert normal(f * g) == normal(g * f)
+        assert normal(normal(f + g) + h) == normal(f + normal(g + h))
+        assert normal(normal(f * g) * h) == normal(f * normal(g * h))
+        assert normal(f * normal(g + h)) == normal(normal(f * g) + normal(f * h))
+        assert normal(f + zero) == f
+        assert normal(f - f) == zero
+        assert normal(f * zero) == zero
+        assert normal(f * ONE) == f
+        assert normal(-normal(-f)) == f
+        normal(f.num)
+        normal(f.den)
+
+    def test_zero_has_one_form(self):
+        f = RationalFunction((Fraction(1, 3), 2), -2)
+        for zero in (RationalFunction(), RationalFunction((0, Fraction(0)), -5), f - f, f * 0,
+                     RationalFunction.from_ints([0, 0], 7, 3), RationalFunction.monomial(4, 0)):
+            assert (zero.ints, zero.scale, zero.low) == ((), 1, 0)
+
+    @given(st.lists(rationals, max_size=5), st.integers(min_value=-4, max_value=3),
+           st.integers(min_value=1, max_value=6))
+    def test_fractions_and_ints_give_one_form(self, cs, low, k):
+        # the same value from Fraction coefficients and from integers over
+        # a common (not reduced) scale
+        scale = k * lcm(*[c.denominator for c in cs])
+        f = normal(RationalFunction(cs, low))
+        g = normal(RationalFunction.from_ints([(c * scale).numerator for c in cs], scale, low))
+        assert f == g and hash(f) == hash(g)
+        # coeffs gives the input back, stripped, as reduced Fractions
+        while cs and cs[-1] == 0:
+            cs.pop()
+        while cs and cs[0] == 0:
+            cs.pop(0)
+            low += 1
+        assert f.coeffs == tuple(cs) and (f.low == low or not cs)
+        assert all(type(c) is Fraction and gcd(c.numerator, c.denominator) == 1
+                   for c in f.coeffs)
+
+    def test_inexact_coefficients_are_refused(self):
+        # 0.1 is not 1/10: a float would be stored as the binary fraction
+        # it rounds to
+        builds = [lambda: RationalFunction((0.1,)), lambda: RationalFunction((1, 0.5), -1),
+                  lambda: RationalFunction.constant(0.5), lambda: RationalFunction.monomial(2, 0.5),
+                  lambda: M * 0.5, lambda: 0.5 * M, lambda: M + 0.5, lambda: M - 0.5,
+                  lambda: RationalFunction.from_ints((0.5,)),
+                  lambda: RationalFunction.from_ints((1, Fraction(1, 2)))]
+        for build in builds:
+            with pytest.raises(TypeError):
+                build()
+        for scale in (0, -2):
+            with pytest.raises(ValueError):
+                RationalFunction.from_ints((1,), scale)
 
     @given(laurents, laurents, nonzero_rationals)
     def test_evaluate_additivity(self, f, g, x):
