@@ -14,7 +14,10 @@ ROUNDS rounds over all rows, and reports each row's best and median round.
            criterion 10 (200000 draws, seed 1) and on binary n=7 (50000
            draws over 5040 labeled trees, so building the table of growth
            histories, fresh in every call, is a large share); the category
-           masses are timed apart, as ``cmd_mc`` computes them once beforehand
+           masses are timed apart, as ``cmd_mc`` computes them once
+           beforehand.  A round runs each census ``repeats`` times in a row,
+           so that a round lasts about half a second; the seconds reported
+           are per census
   sweeps   ``verify lemma`` and ``verify labelprob`` through ``cli.main``
            with stdout discarded: binary to n=7, tbar depth:2,3 to n=6 and
            ordered with symbolic m to n=5 and to n=7 (the slowest sweeps)
@@ -26,8 +29,9 @@ ROUNDS rounds over all rows, and reports each row's best and median round.
            ``repeats`` times in a row, so that even the fastest sweep keeps
            a round near half a second or more; the seconds reported are per
            sweep (a round's time over ``repeats``): the median of each n and
-           the best and median of the whole sweep.  Exits if a report does
-           not hold
+           the best and median of the whole sweep.  An untimed pass first
+           runs each sweep once under ``tracemalloc`` and records its peak
+           of traced memory in MB.  Exits if a report does not hold
 
 The file also records the machine, the number of cores, the Python version,
 the commit of the checkout the script sits in (``git describe --always
@@ -46,6 +50,7 @@ import platform
 import random
 import subprocess
 import sys
+import tracemalloc
 from functools import partial
 from pathlib import Path
 from statistics import median
@@ -86,12 +91,13 @@ GROW = [
     ("tbar depth:2,3 n=24", TbarFamily(DepthBranching((2, 3))), 24, 200),
 ]
 
-# (row, family, n, draws); the first three are criterion 10's gates
+# (row, family, n, draws, censuses per round); the first three are
+# criterion 10's gates
 CENSUS = [
-    ("binary n=5", BinaryFamily(), 5, SAMPLES),
-    ("ordered m=10 n=4", OrderedFamily(10), 4, SAMPLES),
-    ("tbar depth:2,3 n=4", TbarFamily(DepthBranching((2, 3))), 4, SAMPLES),
-    ("binary n=7", BinaryFamily(), 7, 50_000),
+    ("binary n=5", BinaryFamily(), 5, SAMPLES, 2),
+    ("ordered m=10 n=4", OrderedFamily(10), 4, SAMPLES, 3),
+    ("tbar depth:2,3 n=4", TbarFamily(DepthBranching((2, 3))), 4, SAMPLES, 3),
+    ("binary n=7", BinaryFamily(), 7, 50_000, 3),
 ]
 
 SWEEPS = [
@@ -134,6 +140,23 @@ def _grow(family, n: int, count: int) -> None:
     rng = random.Random(1)
     for _ in range(count):
         grow(family, n, rng)
+
+
+def _repeat(repeats: int, work, *args) -> None:
+    for _ in range(repeats):
+        work(*args)
+
+
+def _peak_mb(verify, n_max: int) -> float:
+    """The peak of memory traced by ``tracemalloc`` over one sweep of the
+    reports ``verify`` to ``n_max``, in MB."""
+    tracemalloc.start()
+    try:
+        for n in range(1, n_max + 1):
+            _holds(verify, n, 1)
+        return round(tracemalloc.get_traced_memory()[1] / 2 ** 20, 3)
+    finally:
+        tracemalloc.stop()
 
 
 def _holds(verify, n: int, repeats: int) -> None:
@@ -191,14 +214,15 @@ def main() -> int:
     grow_rows = [_row(row, times[row], trees=count, trees_per_s=round(count / min(times[row])))
                  for row, _, _, count in GROW]
 
-    masses = {row: category_masses(family, n) for row, family, n, _ in CENSUS}
-    times = _rounds([(row, partial(run_census, family, n, draws, 1, masses=masses[row]))
-                     for row, family, n, draws in CENSUS]
+    masses = {row: category_masses(family, n) for row, family, n, _, _ in CENSUS}
+    times = _rounds([(row, partial(_repeat, repeats, run_census, family, n, draws, 1,
+                                   masses[row]))
+                     for row, family, n, draws, repeats in CENSUS]
                     + [((row, "masses"), partial(category_masses, family, n))
-                       for row, family, n, _ in CENSUS])
-    census_rows = [_row(row, times[row], samples=draws,
+                       for row, family, n, _, _ in CENSUS])
+    census_rows = [_row(row, [t / repeats for t in times[row]], samples=draws, repeats=repeats,
                         masses_median_seconds=_s(median(times[row, "masses"])))
-                   for row, _, _, draws in CENSUS]
+                   for row, _, _, draws, repeats in CENSUS]
 
     times = _rounds([(row, partial(_sweep, argv)) for row, argv in SWEEPS])
     sweep_rows = [_row(row, times[row], argv=argv) for row, argv in SWEEPS]
@@ -206,6 +230,7 @@ def main() -> int:
     times = _rounds([(row, lambda call=call: sum(1 for _ in call())) for row, call in ENUM])
     enum_rows = [_row(row, times[row], trees=sum(1 for _ in call())) for row, call in ENUM]
 
+    peaks = {row: _peak_mb(verify, n_max) for row, verify, n_max, _ in IDENTITIES}
     times = _rounds([((row, n), partial(_holds, verify, n, repeats))
                      for row, verify, n_max, repeats in IDENTITIES
                      for n in range(1, n_max + 1)])
@@ -214,6 +239,7 @@ def main() -> int:
         per_n = [[t / repeats for t in times[row, n]] for n in range(1, n_max + 1)]
         identity_rows.append(_row(
             row, [sum(sweep) for sweep in zip(*per_n)], n_max=n_max, repeats=repeats,
+            tracemalloc_peak_mb=peaks[row],
             median_seconds_by_n={n: _s(median(t)) for n, t in enumerate(per_n, 1)},
         ))
 

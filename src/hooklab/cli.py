@@ -162,8 +162,9 @@ def _labelprob(family: Family, n: int) -> tuple[dict, bool]:
     first: dict[Tree, Probability] = {}  # shape -> its first labeling's probability
     equal = True
     total = labelings = 0
+    weights: dict = {}
     for labeled in enumerate_labelings(family, n):
-        p = labeling_probability(labeled, family)
+        p = labeling_probability(labeled, family, weights)
         if p != first.setdefault(labeled.shape, p):
             equal = False
         total += p

@@ -11,7 +11,9 @@ count (always finite and at least 1), and enumeration and sampling query it
 lazily, never deeper than the tree size they are producing.
 
 Enumerators yield each tree exactly once in lexicographic order of its
-canonical encoding, and they stream, holding no list of trees.  Encodings
+canonical encoding, and they stream: the only lists they hold are the
+streams of subtrees of at most ``MEMO_SIZE`` vertices, each made once per
+call as far as it is read and then replayed (see ``_kept``).  Encodings
 are prefix-free, so two trees compare at their first differing child, and
 the character after a shared prefix decides: for binary trees a present
 child "(" sorts before an absent one ".", for ordered trees another child
@@ -25,6 +27,9 @@ The generator builds no tree itself: it takes a ``node`` builder and yields
 and the size (and for slotted trees the address).  The public ``enum_*``
 pass the tree constructors; a family's ``terms`` passes a builder of the
 hook-length summand, so the identity sums build no tree and walk none.
+As a summand is its root's factor times its subtrees' summands, the same
+small subtree values recur under every larger root, and the kept streams
+let each call build them once.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, prod
-from typing import Callable, Iterator, Union
+from typing import Callable, Hashable, Iterable, Iterator, Union
 
 from .exact import RationalFunction, binomial_poly
 from .trees import Address, BinaryTree, OrderedTree, SlottedTree, Tree, _preorder, _subtrees
@@ -54,6 +59,14 @@ class BranchingOracle:
     def child_count(self, addr: Address) -> int:
         raise NotImplementedError
 
+    def subtree_key(self, addr: Address) -> Hashable:
+        """A key for the part of the infinite tree at and below ``addr``:
+        two addresses with equal keys have equal child counts at every
+        address relative to them.  The enumerators share the subtree streams
+        of addresses with equal keys.  The address itself is always a safe
+        key; a subclass returns a coarser one where its rule allows."""
+        return addr
+
 
 @dataclass(frozen=True)
 class ConstantBranching(BranchingOracle):
@@ -67,6 +80,9 @@ class ConstantBranching(BranchingOracle):
 
     def child_count(self, addr: Address) -> int:
         return self.count
+
+    def subtree_key(self, addr: Address) -> Hashable:
+        return ()
 
     def __str__(self) -> str:
         return f"const:{self.count}"
@@ -86,6 +102,9 @@ class DepthBranching(BranchingOracle):
 
     def child_count(self, addr: Address) -> int:
         return self.counts[min(len(addr), len(self.counts) - 1)]
+
+    def subtree_key(self, addr: Address) -> Hashable:
+        return min(len(addr), len(self.counts) - 1)
 
     def __str__(self) -> str:
         return "depth:" + ",".join(str(c) for c in self.counts)
@@ -337,7 +356,7 @@ class OrderedFamily:
                     den *= child_den
             return num, den
 
-        return (term for _, term in _ordered(n, True, node))
+        return (term for _, term in _ordered(n, True, node, {}))
 
     def hook_term(self, shape: OrderedTree) -> tuple[int | RationalFunction, int]:
         """prod C(m,c_v) / (h_v * m^(h_v-1)) as (numerator, denominator)."""
@@ -408,7 +427,7 @@ class TbarFamily:
                 den *= child
             return den
 
-        return ((1, den) for _, den in _slotted(self.oracle, (), n, True, node))
+        return ((1, den) for _, den in _slotted(self.oracle, (), n, True, node, {}))
 
     def hook_term(self, shape: SlottedTree) -> tuple[int, int]:
         """prod 1/(h_v * cbar_v^(h_v-1)) as (1, denominator)."""
@@ -434,10 +453,46 @@ def _check_size(n: int) -> None:
         raise ValueError("n must be at least 1")
 
 
+MEMO_SIZE = 4  # the largest subtree stream, in vertices, that one enumeration keeps
+
+
+def _kept(memo: dict, size: int, key: tuple, gen: Callable, *args) -> Iterable:
+    """The stream ``gen(*args)`` of subtrees of at most ``size`` vertices.
+
+    Up to ``MEMO_SIZE`` vertices it is made once per ``memo`` under ``key``
+    and replayed: the first reader pulls items from the generator into a
+    list, and every reader, then or later, reads that list by index and
+    pulls only past its end, so a reader that stops early leaves the rest
+    unmade.  Once the generator is spent, the list itself is the stream.
+    """
+    if size > MEMO_SIZE:
+        return gen(*args)
+    kept = memo.get(key)
+    if kept is None:
+        kept = memo[key] = ([], gen(*args))
+    elif type(kept) is list:
+        return kept
+    return _replay(memo, key, *kept)
+
+
+def _replay(memo: dict, key: tuple, items: list, source: Iterator) -> Iterator:
+    i = 0
+    while True:
+        if i == len(items):
+            item = next(source, None)  # items are (size, value) pairs, never None
+            if item is None:
+                memo[key] = items
+                return
+            items.append(item)
+        yield items[i]
+        i += 1
+
+
 def enum_binary(n: int) -> Iterator[BinaryTree]:
     """All binary trees on ``n`` vertices, once each, encoding-ordered."""
     _check_size(n)
-    return (tree for _, tree in _binary(n, True, lambda left, right, size: BinaryTree(left, right)))
+    trees = _binary(n, True, lambda left, right, size: BinaryTree(left, right), {})
+    return (tree for _, tree in trees)
 
 
 def binary_terms(n: int, hook_den: Callable[[int], int]) -> Iterator[tuple[int, int]]:
@@ -449,23 +504,25 @@ def binary_terms(n: int, hook_den: Callable[[int], int]) -> Iterator[tuple[int, 
     def node(left: int | None, right: int | None, h: int) -> int:
         return (left or 1) * (right or 1) * dens[h]
 
-    return ((1, den) for _, den in _binary(n, True, node))
+    return ((1, den) for _, den in _binary(n, True, node, {}))
 
 
-def _binary(n: int, exact: bool, node: Callable) -> Iterator[tuple[int, object]]:
+def _binary(n: int, exact: bool, node: Callable, memo: dict) -> Iterator[tuple[int, object]]:
     """(size, node(left, right, size)) for the binary trees of size ``n``, or
     unless ``exact`` of sizes 1..n, in encoding order: a present child's "("
     sorts before an absent one's ".".  ``left`` and ``right`` are the values
     of the children, None where a child is absent."""
     if n > 1:
-        for k, left in _binary(n - 1, False, node):
+        lefts = _kept(memo, n - 1, (n - 1, False), _binary, n - 1, False, node, memo)
+        for k, left in lefts:
             rest = n - 1 - k
             if rest:
-                for j, right in _binary(rest, exact, node):
+                rights = _kept(memo, rest, (rest, exact), _binary, rest, exact, node, memo)
+                for j, right in rights:
                     yield k + j + 1, node(left, right, k + j + 1)
             if not (exact and rest):
                 yield k + 1, node(left, None, k + 1)
-        for j, right in _binary(n - 1, exact, node):
+        for j, right in _kept(memo, n - 1, (n - 1, exact), _binary, n - 1, exact, node, memo):
             yield j + 1, node(None, right, j + 1)
     if n == 1 or not exact:
         yield 1, node(None, None, 1)
@@ -474,25 +531,31 @@ def _binary(n: int, exact: bool, node: Callable) -> Iterator[tuple[int, object]]
 def enum_ordered(n: int) -> Iterator[OrderedTree]:
     """All ordered trees on ``n`` vertices, once each, encoding-ordered."""
     _check_size(n)
-    return (tree for _, tree in _ordered(n, True, lambda children, size: OrderedTree(children)))
+    trees = _ordered(n, True, lambda children, size: OrderedTree(children), {})
+    return (tree for _, tree in trees)
 
 
-def _ordered(n: int, exact: bool, node: Callable) -> Iterator[tuple[int, object]]:
+def _ordered(n: int, exact: bool, node: Callable, memo: dict) -> Iterator[tuple[int, object]]:
     """(size, node(children, size)) for the ordered trees of size ``n``, or
     unless ``exact`` of sizes 1..n, in encoding order; ``children`` is the
     tuple of the children's values."""
-    for k, children in _ordered_seq(n - 1, exact, node):
+    seqs = _kept(memo, n - 1, ("seq", n - 1, exact), _ordered_seq, n - 1, exact, node, memo)
+    for k, children in seqs:
         yield k + 1, node(children, k + 1)
 
 
-def _ordered_seq(total: int, exact: bool, node: Callable) -> Iterator[tuple[int, tuple]]:
+def _ordered_seq(total: int, exact: bool, node: Callable,
+                 memo: dict) -> Iterator[tuple[int, tuple]]:
     """(combined size, values) of the child sequences of combined size
     ``total`` (unless ``exact``, at most ``total``), ordered by concatenated
     encoding with the parent's ")" after it: another child's "(" sorts
     before that ")", so a sequence comes after every longer one it starts."""
     if total:
-        for k, first in _ordered(total, False, node):
-            for j, rest in _ordered_seq(total - k, exact, node):
+        for k, first in _kept(memo, total, ("tree", total, False), _ordered, total, False, node,
+                              memo):
+            left = total - k
+            rests = _kept(memo, left, ("seq", left, exact), _ordered_seq, left, exact, node, memo)
+            for j, rest in rests:
                 yield k + j, (first,) + rest
     if total == 0 or not exact:
         yield 0, ()
@@ -506,21 +569,26 @@ def enum_tbar(oracle: BranchingOracle, n: int) -> Iterator[SlottedTree]:
     children, so never at depth n-1 or beyond.
     """
     _check_size(n)
-    trees = _slotted(oracle, (), n, True, lambda children, size, addr: SlottedTree(children))
+    trees = _slotted(oracle, (), n, True, lambda children, size, addr: SlottedTree(children), {})
     return (tree for _, tree in trees)
 
 
 def _slotted(oracle: BranchingOracle, addr: Address, size: int, exact: bool,
-             node: Callable) -> Iterator[tuple[int, object]]:
+             node: Callable, memo: dict) -> Iterator[tuple[int, object]]:
     """(size, node(children, size, addr)) for the subtrees at ``addr`` of
     ``size`` vertices, or unless ``exact`` of 1..size, in encoding order:
     the leaf "()" first, as ")" sorts before "[".  ``children`` holds
-    (slot, value) pairs."""
+    (slot, value) pairs.  Streams are shared between addresses of equal
+    ``oracle.subtree_key``, so ``node`` may read ``addr`` only through the
+    child counts at and below it."""
     if size == 1 or not exact:
         yield 1, node((), 1, addr)
     if size > 1:
         width = oracle.child_count(addr)
-        for k, children in _slot_seq(oracle, addr, 0, width, size - 1, exact, node):
+        key = ("seq", oracle.subtree_key(addr), 0, size - 1, exact)
+        seqs = _kept(memo, size - 1, key, _slot_seq, oracle, addr, 0, width, size - 1, exact, node,
+                     memo)
+        for k, children in seqs:
             yield k + 1, node(children, k + 1, addr)
 
 
@@ -532,6 +600,7 @@ def _slot_seq(
     budget: int,
     exact: bool,
     node: Callable,
+    memo: dict,
 ) -> Iterator[tuple[int, tuple[tuple[int, object], ...]]]:
     """(combined size, (slot, value) pairs) of the nonempty sequences using
     slots in [min_slot, width), strictly increasing, with subtree sizes
@@ -541,10 +610,15 @@ def _slot_seq(
     # "[12]..." sorts before "[1]..." because a digit precedes "]", so order
     # candidate leading slots by the slot text with the bracket appended.
     for slot in sorted(range(min_slot, width), key=lambda s: f"{s}]"):
-        for k, sub in _slotted(oracle, addr + (slot,), budget, False, node):
+        below = addr + (slot,)
+        key = ("tree", oracle.subtree_key(below), budget, False)
+        for k, sub in _kept(memo, budget, key, _slotted, oracle, below, budget, False, node, memo):
             left = budget - k
             if not (exact and left):
                 yield k, ((slot, sub),)
             if left:
-                for j, rest in _slot_seq(oracle, addr, slot + 1, width, left, exact, node):
+                key = ("seq", oracle.subtree_key(addr), slot + 1, left, exact)
+                rests = _kept(memo, left, key, _slot_seq, oracle, addr, slot + 1, width, left, exact,
+                              node, memo)
+                for j, rest in rests:
                     yield k + j, ((slot, sub),) + rest

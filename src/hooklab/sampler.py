@@ -212,17 +212,21 @@ class _Table:
         return node
 
 
-def labeling_probability(tree: LabeledTree, family: Family) -> Probability:
+def labeling_probability(tree: LabeledTree, family: Family,
+                         weights: Optional[dict] = None) -> Probability:
     """Chance that growth produces exactly this labeled tree.
 
     Reconstructed from the labeling alone: vertex k+1's attachment
     probability at step k is determined by its parent's state among the
-    vertices labeled 1..k, so c_p counts the siblings with smaller labels.
-    Where a new child moves its later siblings on, the product comes out
-    independent of which slots those siblings sit in.
+    vertices labeled 1..k, so c_p is the rank of its label among its
+    siblings'.  Where a new child moves its later siblings on, the product
+    comes out independent of which slots those siblings sit in.
+    ``weights`` keeps ``family.weight`` by (parent, c); a caller weighing
+    many labelings of one family passes the same dict to each call.
     """
     check_labeling(tree)
     family.check_shape(tree.shape)
+    weights = {} if weights is None else weights
     labels = tree.preorder
     total: Probability = Fraction(1)
     todo = [((), tree.shape, 0)]  # (address, vertex, its preorder index)
@@ -232,9 +236,12 @@ def labeling_probability(tree: LabeledTree, family: Family) -> Probability:
             born.append(labels[j])
             todo.append((parent + (step,), child, j))
             j += child.size
+        rank = {label: r for r, label in enumerate(sorted(born))}
         for label in born:
-            earlier = sum(1 for other in born if other < label)
-            total = total * family.weight(parent, earlier)
+            key = parent, rank[label]
+            if key not in weights:
+                weights[key] = family.weight(*key)
+            total = total * weights[key]
     return total
 
 

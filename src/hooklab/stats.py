@@ -42,8 +42,9 @@ def category_masses(family: Family, n: int) -> dict[str, Fraction]:
     """
     family.check_growable(n)
     masses: dict[str, Fraction] = {}
+    weights: dict = {}
     for labeled in enumerate_labelings(family, n):
-        p = labeling_probability(labeled, family)
+        p = labeling_probability(labeled, family, weights)
         masses[labeled.enc] = Fraction(p)
     total = sum(masses.values())
     if total != 1:

@@ -3,6 +3,7 @@ import json
 import re
 from collections import Counter
 from dataclasses import FrozenInstanceError
+from itertools import islice
 
 import pytest
 
@@ -17,12 +18,14 @@ from hooklab import (
     OrderedTree,
     SlottedTree,
     TableBranching,
+    TbarFamily,
     enum_binary,
     enum_ordered,
     enum_tbar,
     hook_lengths,
     parse_oracle,
 )
+from hooklab import families
 
 
 class TestOracles:
@@ -372,3 +375,94 @@ class TestAgainstMergedReference:
                 got = [t.enc for t in enum_tbar(ours, n)]
                 assert got == [t.enc for t in reference_slotted(theirs, (), n)], (oracle, n)
                 assert ours.asked == theirs.asked, (oracle, n)
+
+
+def _below(oracle, addr, depth):
+    """The child counts at ``addr`` and at every address ``depth`` levels
+    below it, nested by relative address."""
+    count = oracle.child_count(addr)
+    if depth == 0:
+        return count
+    return count, tuple(_below(oracle, addr + (s,), depth - 1) for s in range(count))
+
+
+def _addresses(oracle, depth):
+    todo = [()]
+    for addr in todo:
+        if len(addr) < depth:
+            todo += [addr + (s,) for s in range(oracle.child_count(addr))]
+    return todo
+
+
+class DepthBlindKey(DepthBranching):
+    """A mutant whose stream key ignores the depth its counts depend on."""
+
+    def subtree_key(self, addr):
+        return ()
+
+
+class BudgetOracle(BranchingOracle):
+    """Passes queries on to ``inner`` until ``budget`` of them were asked.
+    Its key is the address, so its queries grow with the streams made."""
+
+    def __init__(self, inner, budget):
+        self.inner, self.left = inner, budget
+
+    def child_count(self, addr):
+        self.left -= 1
+        if self.left < 0:
+            raise AssertionError("oracle query budget spent")
+        return self.inner.child_count(addr)
+
+
+class TestSharedStreams:
+    """Each enumeration replays its small subtree streams; what it yields
+    stays what a fresh stream per subtree would yield."""
+
+    def test_equal_keys_mean_equal_counts_below(self, mixed_oracle):
+        for oracle in (ConstantBranching(3), DepthBranching((2, 3)), DepthBranching((1, 2, 3)),
+                       mixed_oracle):
+            below = {}
+            for addr in _addresses(oracle, 4):
+                counts = _below(oracle, addr, 3)
+                assert below.setdefault(oracle.subtree_key(addr), counts) == counts, (oracle, addr)
+
+    def test_a_key_blind_to_depth_changes_the_terms(self):
+        # under depth:2,3 only the root's count differs, and the root's
+        # stream is never shared, so the mutant needs a third depth
+        mutant = DepthBlindKey((2, 3, 4))
+        family = TbarFamily(mutant)
+        assert any(list(family.terms(n)) != [family.hook_term(t) for t in enum_tbar(mutant, n)]
+                   for n in range(1, 8))
+
+    def test_a_prefix_makes_only_what_it_reads(self):
+        # under const:50 the first 100 subtrees of size 5 take 2 queries and
+        # their terms 152, with or without shared streams; filling a shared
+        # stream whole before reading it would take far more than 1000
+        for stream in (lambda o: enum_tbar(o, 5), lambda o: TbarFamily(o).terms(5)):
+            prefix = list(islice(stream(BudgetOracle(ConstantBranching(50), 1000)), 100))
+            assert len(prefix) == 100
+
+    def test_each_call_has_its_own_streams(self):
+        # streams kept across calls would leave the second call nothing to ask
+        asked = []
+        for _ in range(2):
+            recording = RecordingOracle(DepthBranching((2, 3)))
+            assert sum(1 for _ in TbarFamily(recording).terms(6)) == 728
+            asked.append(recording.asked)
+        assert len(asked[0]) == 81
+        assert asked[1] == asked[0]
+
+    def test_kept_streams_are_small_and_whole(self):
+        def one(*args):
+            return 1
+
+        cases = [(families._binary, (8, True)), (families._ordered, (8, True)),
+                 (families._slotted, (DepthBranching((2, 3)), (), 7, True))]
+        for gen, args in cases:
+            memo = {}
+            assert sum(1 for _ in gen(*args, one, memo)) > 0
+            assert memo
+            for items in memo.values():
+                assert type(items) is list
+                assert all(size <= families.MEMO_SIZE for size, _ in items)
