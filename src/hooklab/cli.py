@@ -70,7 +70,7 @@ def _bool_str(flag: bool) -> str:
 
 def _emit(record: dict, as_json: bool) -> None:
     if as_json:
-        print(json.dumps(record))
+        print(json.dumps(record, default=str))
     else:
         print(" ".join(f"{k}={_format_value(v)}" for k, v in record.items()))
 
@@ -179,7 +179,7 @@ def _labelprob(family: Family, n: int) -> tuple[dict, bool]:
         "labelings": labelings,
         "equal_per_shape": equal,
         "matches_closed_form": closed,
-        "total_mass": str(total),
+        "total_mass": total,
         "holds": holds,
     }
     return record, holds
@@ -261,21 +261,11 @@ def cmd_census(args) -> int:
     if args.n > 8:
         raise UsageError("census is limited to n <= 8")
     rows = completion_census(args.n)
-    total = None
     for row in rows:
-        total = row.running_total
-        _emit(
-            {
-                "encoding": row.encoding,
-                "hooks": list(row.hooks),
-                "labelings": row.labelings,
-                "weight": str(row.weight),
-                "running_total": str(row.running_total),
-            },
-            args.json,
-        )
+        _emit(vars(row), args.json)
+    total = rows[-1].running_total
     holds = total == 1
-    _emit({"total": str(total), "holds": holds}, args.json)
+    _emit({"total": total, "holds": holds}, args.json)
     return 0 if holds else 1
 
 

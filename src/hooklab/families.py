@@ -24,9 +24,10 @@ from it; no merge of per-size streams is needed.
 
 The generator builds no tree itself: it takes a ``node`` builder and yields
 (size, value) pairs, each value made by ``node`` from the children's values
-and the size (and for slotted trees the address).  The public ``enum_*``
-pass the tree constructors; a family's ``terms`` passes a builder of the
-hook-length summand, so the identity sums build no tree and walk none.
+and the size (and for slotted trees the vertex's child count, which the
+generator has read).  The public ``enum_*`` pass the tree constructors; a
+family's ``terms`` passes a builder of the hook-length summand, so the
+identity sums build no tree, walk none and ask the oracle nothing more.
 As a summand is its root's factor times its subtrees' summands, the same
 small subtree values recur under every larger root, and the kept streams
 let each call build them once.
@@ -411,18 +412,19 @@ class TbarFamily:
     def check_growable(self, n: int) -> None:
         pass
 
-    def hook_den(self, addr: Address, h: int) -> int:
-        """The factor 1/(h * cbar^(h-1)) of the summand at the vertex ``addr``
-        with hook h, by its denominator; a leaf's is 1, so the oracle is
-        queried only at vertices with children."""
-        return h * self.oracle.child_count(addr) ** (h - 1) if h > 1 else 1
+    @staticmethod
+    def hook_den(width: int | None, h: int) -> int:
+        """A vertex's factor 1/(h * cbar^(h-1)) of the summand, for cbar =
+        ``width`` children in the infinite tree and hook h, by its
+        denominator; a leaf's is 1 whatever its width."""
+        return h * width ** (h - 1) if h > 1 else 1
 
     def terms(self, n: int) -> Iterator[tuple[int, int]]:
         _check_size(n)
         hook_den = self.hook_den
 
-        def node(children: tuple, h: int, addr: Address) -> int:
-            den = hook_den(addr, h)
+        def node(children: tuple, h: int, width: int | None) -> int:
+            den = hook_den(width, h)
             for _, child in children:
                 den *= child
             return den
@@ -431,7 +433,9 @@ class TbarFamily:
 
     def hook_term(self, shape: SlottedTree) -> tuple[int, int]:
         """prod 1/(h_v * cbar_v^(h_v-1)) as (1, denominator)."""
-        return 1, prod([self.hook_den(addr, node.size) for addr, node in _preorder(shape)])
+        count = self.oracle.child_count
+        return 1, prod([self.hook_den(count(addr), node.size)
+                        for addr, node in _preorder(shape) if node.children])
 
 
 Family = Union[BinaryFamily, OrderedFamily, TbarFamily]
@@ -569,27 +573,26 @@ def enum_tbar(oracle: BranchingOracle, n: int) -> Iterator[SlottedTree]:
     children, so never at depth n-1 or beyond.
     """
     _check_size(n)
-    trees = _slotted(oracle, (), n, True, lambda children, size, addr: SlottedTree(children), {})
+    trees = _slotted(oracle, (), n, True, lambda children, size, width: SlottedTree(children), {})
     return (tree for _, tree in trees)
 
 
 def _slotted(oracle: BranchingOracle, addr: Address, size: int, exact: bool,
              node: Callable, memo: dict) -> Iterator[tuple[int, object]]:
-    """(size, node(children, size, addr)) for the subtrees at ``addr`` of
+    """(size, node(children, size, width)) for the subtrees at ``addr`` of
     ``size`` vertices, or unless ``exact`` of 1..size, in encoding order:
     the leaf "()" first, as ")" sorts before "[".  ``children`` holds
-    (slot, value) pairs.  Streams are shared between addresses of equal
-    ``oracle.subtree_key``, so ``node`` may read ``addr`` only through the
-    child counts at and below it."""
+    (slot, value) pairs and ``width`` is the child count at ``addr``, None
+    for a leaf, whose count is never read."""
     if size == 1 or not exact:
-        yield 1, node((), 1, addr)
+        yield 1, node((), 1, None)
     if size > 1:
         width = oracle.child_count(addr)
         key = ("seq", oracle.subtree_key(addr), 0, size - 1, exact)
         seqs = _kept(memo, size - 1, key, _slot_seq, oracle, addr, 0, width, size - 1, exact, node,
                      memo)
         for k, children in seqs:
-            yield k + 1, node(children, k + 1, addr)
+            yield k + 1, node(children, k + 1, width)
 
 
 def _slot_seq(

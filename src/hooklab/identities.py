@@ -85,16 +85,15 @@ def _han2_den(h: int) -> int:
 
 
 def han_lhs(n: int) -> Fraction:
-    return _verify("han", n, BinaryFamily().terms(n), n).lhs
+    return verify_han(n).lhs
 
 
 def han2_lhs(n: int) -> Fraction:
-    return _verify("han2", n, binary_terms(n, _han2_den), 2 * n + 1).lhs
+    return verify_han2(n).lhs
 
 
 def tbar_lhs(oracle: BranchingOracle, n: int) -> Fraction:
-    family = TbarFamily(oracle)
-    return _verify("tbar", n, family.terms(n), n, family.where).lhs
+    return verify_tbar(oracle, n).lhs
 
 
 def yang_term(t: OrderedTree) -> RationalFunction:
@@ -103,7 +102,7 @@ def yang_term(t: OrderedTree) -> RationalFunction:
 
 
 def yang_lhs(n: int) -> RationalFunction:
-    return _verify("yang", n, OrderedFamily().terms(n), n).lhs
+    return verify_yang(n).lhs
 
 
 def yang_sum_at(n: int, point: Fraction) -> Fraction:

@@ -34,7 +34,7 @@ from typing import Callable, Iterator, Optional
 from .families import Family, Probability, insert_child
 from . import identities
 from .identities import ConsistencyError, SizeLimitError, hook_count, hook_values
-from .trees import Address, LabeledTree, Tree, _labelings, _preorder, check_labeling
+from .trees import Address, LabeledTree, Tree, _labelings, _preorder, addresses, check_labeling
 
 
 @dataclass(frozen=True)
@@ -77,26 +77,22 @@ def lemma_check(state: GrowthState) -> bool:
 
 def attach(state: GrowthState, site: AddableSite) -> GrowthState:
     """Grow a new leaf at ``site``, labeling it with the next integer."""
-    tree = state.tree
-    shape, i = _grown(state.family, tree.shape, site.parent, site.slot)
-    labels = tree.preorder
+    shape = _grown(state.family, state.tree.shape, site.parent, site.slot)
+    i = addresses(shape).index(site.parent + (site.slot,))
+    labels = state.tree.preorder
     return GrowthState(LabeledTree(shape, labels[:i] + (len(labels) + 1,) + labels[i:]),
                        state.family)
 
 
-def _grown(family: Family, node: Tree, parent: Address, slot: int) -> tuple[Tree, int]:
+def _grown(family: Family, node: Tree, parent: Address, slot: int) -> Tree:
     """``node`` with a new leaf at ``slot`` of the vertex at ``parent``, as
-    ``insert_child`` puts it, and the new leaf's preorder index in it: 1 plus
-    the sizes of the earlier siblings at each step down the path."""
+    ``insert_child`` puts it."""
     items = node.child_items()
-    step = parent[0] if parent else slot
-    i = bisect_left(items, (step,))
-    before = 1 + sum(child.size for _, child in items[:i])
     if not parent:
-        return family.node(insert_child(items, slot, family.node([]))), before
-    child, index = _grown(family, items[i][1], parent[1:], slot)
-    items[i] = (step, child)
-    return family.node(items), before + index
+        return family.node(insert_child(items, slot, family.node([])))
+    i = bisect_left(items, (parent[0],))
+    items[i] = (parent[0], _grown(family, items[i][1], parent[1:], slot))
+    return family.node(items)
 
 
 StepCallback = Callable[[int, AddableSite, Fraction], None]

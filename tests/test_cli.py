@@ -199,15 +199,18 @@ class TestVerify:
             for n, holds in ((1, "true"), (2, "false"), (3, "false"), (4, "false"))]
         assert len(checked) == sum(catalan(n) for n in range(1, 5))
 
-    def test_a_wrong_vertex_factor_below_the_root_fails_the_sum(self, monkeypatch, capsys):
-        # every vertex at depth >= 1 gets its factor's denominator one too
-        # big; the size-1 sum has no such vertex, every larger one has
+    def test_a_wrong_vertex_factor_at_one_width_fails_the_sum(self, monkeypatch, capsys):
+        # every parent with `width` children in the infinite tree gets its
+        # factor's denominator one too big; under depth:2,3 width 2 is the
+        # root alone, a parent from n=2 on, and width 3 a vertex below it,
+        # a parent from n=3 on
         real = TbarFamily.hook_den
-        monkeypatch.setattr(TbarFamily, "hook_den",
-                            lambda self, addr, h: real(self, addr, h) + (len(addr) >= 1))
-        assert cli.main(["verify", "tbar", "--oracle", "depth:2,3", "--n-max", "4"]) == 1
-        holds = [line.split()[-2] for line in capsys.readouterr().out.splitlines()]
-        assert holds == ["holds=true", "holds=false", "holds=false", "holds=false"]
+        for width, first_false in ((2, 2), (3, 3)):
+            monkeypatch.setattr(TbarFamily, "hook_den", staticmethod(
+                lambda w, h, width=width: real(w, h) + (w == width)))
+            assert cli.main(["verify", "tbar", "--oracle", "depth:2,3", "--n-max", "4"]) == 1
+            holds = [line.split()[-2] for line in capsys.readouterr().out.splitlines()]
+            assert holds == [f"holds={str(n < first_false).lower()}" for n in range(1, 5)]
 
     def test_a_wrong_leaf_factor_fails_han_and_han2(self, monkeypatch, capsys):
         # every leaf's factor is off by one, and from n=2 on the leaves sit

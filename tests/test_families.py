@@ -466,3 +466,31 @@ class TestSharedStreams:
             for items in memo.values():
                 assert type(items) is list
                 assert all(size <= families.MEMO_SIZE for size, _ in items)
+
+
+class CountingOracle(BranchingOracle):
+    """Counts every query; passes queries and stream keys on to ``inner``."""
+
+    def __init__(self, inner):
+        self.inner, self.calls = inner, 0
+
+    def child_count(self, addr):
+        self.calls += 1
+        return self.inner.child_count(addr)
+
+    def subtree_key(self, addr):
+        return self.inner.subtree_key(addr)
+
+
+class TestReadOnce:
+    """A count the enumerator has read is handed on, not asked again."""
+
+    def test_the_summands_ask_the_oracle_what_the_trees_ask(self):
+        # the builder gets the count the enumerator read, so the summands
+        # ask the oracle nothing the trees do not
+        for spec in ("const:3", "depth:2,3"):
+            for n in (6, 8):
+                ours, theirs = CountingOracle(parse_oracle(spec)), CountingOracle(parse_oracle(spec))
+                terms = sum(1 for _ in TbarFamily(ours).terms(n))
+                assert terms == sum(1 for _ in enum_tbar(theirs, n))
+                assert ours.calls == theirs.calls, (spec, n)

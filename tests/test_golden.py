@@ -12,6 +12,9 @@ were still reduced by polynomial gcd, so they pin the rendering of every
 value in m that the CLI prints.  The two further tbar sums (the mixed
 table oracle, whose addresses the summand reads, and const:3 to n=8) were
 captured before the identity sums were folded through the enumerators.
+The census tables and the mixed-oracle tbar sums to n=8 were captured
+before the tbar node builders were handed child counts instead of addresses
+and before the census rows were emitted from their own fields.
 """
 
 import hashlib
@@ -120,6 +123,21 @@ GOLDEN = [
         "labelprob-tbar-depth",
         "verify labelprob --family tbar --oracle depth:2,3 --n-max 5 --json",
         "86909558c6cfcf8d30e1416ddfc58c89957c65fbec92acb8a8f10a5799b86fa4",
+    ),
+    (
+        "census-n6",
+        "census --n 6",
+        "1470b98276a2ef20c93e091e0b4b8bc7fde75e22d5a2c54952e7bbb714971667",
+    ),
+    (
+        "census-n8-json",
+        "census --n 8 --json",
+        "cded013f9d04c7db6a9a42fef1f6f8e5f59e93969a0a2e53acd9ed0039155d44",
+    ),
+    (
+        "verify-tbar-mixed-n8",
+        "verify tbar --oracle @mixed --n-max 8 --json",
+        "4836c63ca7d947e1c3e98647bffd7631ca1a11778efdb4642e2b22564fee1619",
     ),
 ]
 
