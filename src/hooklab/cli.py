@@ -23,6 +23,7 @@ from functools import cache
 
 from .families import (
     BinaryFamily,
+    BranchingOracle,
     Family,
     FamilyConfigError,
     OracleSyntaxError,
@@ -101,6 +102,11 @@ def unit_interval(text: str) -> float:
     return alpha
 
 
+def _oracle(args) -> BranchingOracle:
+    """The branching oracle of ``--oracle``, const:2 when it is unset."""
+    return parse_oracle(args.oracle or "const:2")
+
+
 def _family(args, m_default: Fraction | None) -> Family:
     """The growth family of ``--family``, ``--m`` and ``--oracle``; an unset
     ``--m`` is ``m_default``."""
@@ -108,7 +114,7 @@ def _family(args, m_default: Fraction | None) -> Family:
     if name != "ordered" and args.m is not None:
         raise UsageError("--m only applies to the ordered family")
     if name == "tbar":
-        return TbarFamily(parse_oracle(args.oracle or "const:2"))
+        return TbarFamily(_oracle(args))
     if args.oracle is not None:
         raise UsageError("--oracle only applies to the tbar family")
     if name == "binary":
@@ -185,15 +191,17 @@ def _labelprob(family: Family, n: int) -> tuple[dict, bool]:
     return record, holds
 
 
-# verify target -> (default --n-max, largest --n-max, check of one size n).
-# A check takes the oracle (identities) or the growth family (sweeps) and n,
-# and returns the record to print and whether it holds.  The largest n keeps
-# each exhaustive enumeration to seconds.
+FAMILIES = ("binary", "ordered", "tbar")  # the choices of every --family
+
+# verify target, in ``verify --help`` order -> (default --n-max, largest
+# --n-max, check of one size n).  A check takes the oracle (identities) or the
+# growth family (sweeps) and n, and returns the record to print and whether it
+# holds.  The largest n keeps each exhaustive enumeration to seconds.
 VERIFY = {
     "han": (10, 12, lambda oracle, n: _identity(verify_han(n))),
-    "han2": (10, 11, lambda oracle, n: _identity(verify_han2(n))),
     "yang": (7, 8, lambda oracle, n: _identity(verify_yang(n))),
     "tbar": (7, 8, lambda oracle, n: _identity(verify_tbar(oracle, n))),
+    "han2": (10, 11, lambda oracle, n: _identity(verify_han2(n))),
     "lemma": (5, 7, _lemma),
     "labelprob": (5, 7, _labelprob),
 }
@@ -209,7 +217,7 @@ def cmd_verify(args) -> int:
         context = _sweep_family(args, n_max)
     else:
         _reject_family_flags(args, allow_oracle=identity == "tbar")
-        context = parse_oracle(args.oracle or "const:2") if identity == "tbar" else None
+        context = _oracle(args) if identity == "tbar" else None
     failures = 0
     for n in range(1, n_max + 1):
         record, holds = check(context, n)
@@ -279,18 +287,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="run an exact verification sweep")
-    p_verify.add_argument(
-        "identity", choices=["han", "yang", "tbar", "han2", "lemma", "labelprob"]
-    )
+    p_verify.add_argument("identity", choices=list(VERIFY))
     p_verify.add_argument("--n-max", type=positive_int, default=None)
-    p_verify.add_argument("--family", choices=["binary", "ordered", "tbar"], default=None)
+    p_verify.add_argument("--family", choices=FAMILIES, default=None)
     p_verify.add_argument("--m", default=None)
     p_verify.add_argument("--oracle", default=None)
     p_verify.add_argument("--json", action="store_true")
     p_verify.set_defaults(func=cmd_verify)
 
     p_sample = sub.add_parser("sample", help="draw labeled trees from the growth chain")
-    p_sample.add_argument("--family", choices=["binary", "ordered", "tbar"], default="binary")
+    p_sample.add_argument("--family", choices=FAMILIES, default="binary")
     p_sample.add_argument("--n", type=positive_int, required=True)
     p_sample.add_argument("--count", type=positive_int, default=1)
     p_sample.add_argument("--seed", type=int, default=0)
@@ -300,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.set_defaults(func=cmd_sample)
 
     p_mc = sub.add_parser("mc", help="chi-squared test of the sampler")
-    p_mc.add_argument("--family", choices=["binary", "ordered", "tbar"], default="binary")
+    p_mc.add_argument("--family", choices=FAMILIES, default="binary")
     p_mc.add_argument("--n", type=positive_int, required=True)
     p_mc.add_argument("--samples", type=int, default=100_000)
     p_mc.add_argument("--seed", type=int, default=0)

@@ -11,16 +11,16 @@ count (always finite and at least 1), and enumeration and sampling query it
 lazily, never deeper than the tree size they are producing.
 
 Enumerators yield each tree exactly once in lexicographic order of its
-canonical encoding, and they stream: the only lists they hold are the
-streams of subtrees of at most ``MEMO_SIZE`` vertices, each made once per
-call as far as it is read and then replayed (see ``_kept``).  Encodings
-are prefix-free, so two trees compare at their first differing child, and
-the character after a shared prefix decides: for binary trees a present
-child "(" sorts before an absent one ".", for ordered trees another child
-"(" before the closing ")", for slotted trees the closing ")" before another
-"[slot]".  So one generator per family yields every tree of sizes 1..k at an
-address in encoding order, and the exact-size stream draws its first child
-from it; no merge of per-size streams is needed.
+canonical encoding, and they stream: all they hold is what has been read
+of the streams of subtrees of at most ``MEMO_SIZE`` vertices, each made
+once per call and replayed through ``itertools.tee`` (see ``_kept``).
+Encodings are prefix-free, so two trees compare at their first differing
+child, and the character after a shared prefix decides: for binary trees a
+present child "(" sorts before an absent one ".", for ordered trees another
+child "(" before the closing ")", for slotted trees the closing ")" before
+another "[slot]".  So one generator per family yields every tree of sizes
+1..k at an address in encoding order, and the exact-size stream draws its
+first child from it; no merge of per-size streams is needed.
 
 The generator builds no tree itself: it takes a ``node`` builder and yields
 (size, value) pairs, each value made by ``node`` from the children's values
@@ -39,6 +39,7 @@ import json
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import tee
 from math import factorial, prod
 from typing import Callable, Hashable, Iterable, Iterator, Union
 
@@ -463,33 +464,17 @@ MEMO_SIZE = 4  # the largest subtree stream, in vertices, that one enumeration k
 def _kept(memo: dict, size: int, key: tuple, gen: Callable, *args) -> Iterable:
     """The stream ``gen(*args)`` of subtrees of at most ``size`` vertices.
 
-    Up to ``MEMO_SIZE`` vertices it is made once per ``memo`` under ``key``
-    and replayed: the first reader pulls items from the generator into a
-    list, and every reader, then or later, reads that list by index and
-    pulls only past its end, so a reader that stops early leaves the rest
-    unmade.  Once the generator is spent, the list itself is the stream.
+    Up to ``MEMO_SIZE`` vertices it is made once per ``memo``: ``memo[key]``
+    holds an unread ``tee`` of it, and every reader, then or later, reads a
+    copy, which replays what earlier copies pulled and pulls only past their
+    end, so a reader that stops early leaves the rest unmade.
     """
     if size > MEMO_SIZE:
         return gen(*args)
-    kept = memo.get(key)
-    if kept is None:
-        kept = memo[key] = ([], gen(*args))
-    elif type(kept) is list:
-        return kept
-    return _replay(memo, key, *kept)
-
-
-def _replay(memo: dict, key: tuple, items: list, source: Iterator) -> Iterator:
-    i = 0
-    while True:
-        if i == len(items):
-            item = next(source, None)  # items are (size, value) pairs, never None
-            if item is None:
-                memo[key] = items
-                return
-            items.append(item)
-        yield items[i]
-        i += 1
+    head = memo.get(key)
+    if head is None:
+        head = memo[key] = tee(gen(*args), 1)[0]
+    return head.__copy__()
 
 
 def enum_binary(n: int) -> Iterator[BinaryTree]:

@@ -212,29 +212,23 @@ def labeling_probability(tree: LabeledTree, family: Family,
                          weights: Optional[dict] = None) -> Probability:
     """Chance that growth produces exactly this labeled tree.
 
-    Reconstructed from the labeling alone: vertex k+1's attachment
-    probability at step k is determined by its parent's state among the
-    vertices labeled 1..k, so c_p is the rank of its label among its
-    siblings'.  Where a new child moves its later siblings on, the product
-    comes out independent of which slots those siblings sit in.
+    Each child of a parent p joined when p had as many children as the
+    child has earlier-labeled siblings, 0 to k_p - 1, so p contributes
+    w(p, 0) ... w(p, k_p - 1) whatever the labels (``check_labeling``
+    validates them).  Where a new child moves its later siblings on, the
+    product comes out independent of which slots those siblings sit in.
     ``weights`` keeps ``family.weight`` by (parent, c); a caller weighing
     many labelings of one family passes the same dict to each call.
     """
     check_labeling(tree)
     family.check_shape(tree.shape)
     weights = {} if weights is None else weights
-    labels = tree.preorder
     total: Probability = Fraction(1)
-    todo = [((), tree.shape, 0)]  # (address, vertex, its preorder index)
-    for parent, node, i in todo:
-        born, j = [], i + 1
-        for step, child in node.child_items():
-            born.append(labels[j])
-            todo.append((parent + (step,), child, j))
-            j += child.size
-        rank = {label: r for r, label in enumerate(sorted(born))}
-        for label in born:
-            key = parent, rank[label]
+    todo = [((), tree.shape)]
+    for parent, node in todo:
+        for c, (step, child) in enumerate(node.child_items()):
+            todo.append((parent + (step,), child))
+            key = parent, c
             if key not in weights:
                 weights[key] = family.weight(*key)
             total = total * weights[key]

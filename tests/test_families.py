@@ -1,7 +1,9 @@
+import gc
 import heapq
 import json
 import re
 from collections import Counter
+from copy import copy
 from dataclasses import FrozenInstanceError
 from itertools import islice
 
@@ -24,6 +26,10 @@ from hooklab import (
     enum_tbar,
     hook_lengths,
     parse_oracle,
+    verify_han,
+    verify_han2,
+    verify_tbar,
+    verify_yang,
 )
 from hooklab import families
 
@@ -454,18 +460,56 @@ class TestSharedStreams:
         assert asked[1] == asked[0]
 
     def test_kept_streams_are_small_and_whole(self):
-        def one(*args):
-            return 1
+        # after a whole enumeration, a copy of each kept stream replays only
+        # subtrees of at most MEMO_SIZE vertices; a binary or ordered key
+        # names its generator's arguments, and the copy replays exactly what
+        # a fresh generator of them yields
+        def binary(left, right, size):
+            return BinaryTree(left, right)
 
-        cases = [(families._binary, (8, True)), (families._ordered, (8, True)),
-                 (families._slotted, (DepthBranching((2, 3)), (), 7, True))]
-        for gen, args in cases:
+        def ordered(children, size):
+            return OrderedTree(children)
+
+        ordered_gens = {"tree": families._ordered, "seq": families._ordered_seq}
+        cases = [
+            (families._binary, (8, True), binary,
+             lambda key: families._binary(*key, binary, {})),
+            (families._ordered, (8, True), ordered,
+             lambda key: ordered_gens[key[0]](*key[1:], ordered, {})),
+            (families._slotted, (DepthBranching((2, 3)), (), 7, True),
+             lambda children, size, width: 1, None),
+        ]
+        for gen, args, node, fresh in cases:
             memo = {}
-            assert sum(1 for _ in gen(*args, one, memo)) > 0
+            assert sum(1 for _ in gen(*args, node, memo)) > 0
             assert memo
-            for items in memo.values():
-                assert type(items) is list
-                assert all(size <= families.MEMO_SIZE for size, _ in items)
+            for key, head in memo.items():
+                items = list(copy(head))
+                assert all(size <= families.MEMO_SIZE for size, _ in items), key
+                if fresh is not None:
+                    assert items == list(fresh(key)), key
+
+    def test_a_finished_enumeration_leaves_no_cyclic_garbage(self):
+        # reference counting frees a finished enumeration's memo: its kept
+        # generators have run to their end, and nothing else in it refers
+        # back to it (closures over the memo would)
+        runs = [
+            lambda: verify_han(8),
+            lambda: verify_han2(7),
+            lambda: verify_yang(6),
+            lambda: verify_tbar(ConstantBranching(3), 6),
+            lambda: verify_tbar(DepthBranching((2, 3)), 6),
+            lambda: sum(1 for _ in enum_tbar(DepthBranching((2, 3)), 6)),
+            lambda: sum(1 for _ in enum_ordered(7)),
+        ]
+        gc.collect()
+        gc.disable()
+        try:
+            for i, run in enumerate(runs):
+                run()
+                assert gc.collect() == 0, i
+        finally:
+            gc.enable()
 
 
 class CountingOracle(BranchingOracle):

@@ -14,7 +14,11 @@ table oracle, whose addresses the summand reads, and const:3 to n=8) were
 captured before the identity sums were folded through the enumerators.
 The census tables and the mixed-oracle tbar sums to n=8 were captured
 before the tbar node builders were handed child counts instead of addresses
-and before the census rows were emitted from their own fields.
+and before the census rows were emitted from their own fields.  The
+labeling masses of binary trees, of ordered trees at m=9/2 and of tbar
+trees under the mixed table oracle, yang at its CLI cap and an ordered gate
+at m=10 were captured while each labeling was still weighed by ranking its
+labels and while the kept subtree streams were still filled into lists.
 """
 
 import hashlib
@@ -138,6 +142,31 @@ GOLDEN = [
         "verify-tbar-mixed-n8",
         "verify tbar --oracle @mixed --n-max 8 --json",
         "4836c63ca7d947e1c3e98647bffd7631ca1a11778efdb4642e2b22564fee1619",
+    ),
+    (
+        "labelprob-binary-n7",
+        "verify labelprob --family binary --n-max 7 --json",
+        "a397b6c9bcbf6441c1ca9c712668f61ba2ab7d12cb8542b84767fb1a6c13a144",
+    ),
+    (
+        "labelprob-ordered-m9/2",
+        "verify labelprob --family ordered --m 9/2 --n-max 6 --json",
+        "f38d1febca82e39aafb78a7d3db1a5036c27214527aaaf35c2e1feeeb3ba1376",
+    ),
+    (
+        "labelprob-tbar-mixed",
+        "verify labelprob --family tbar --oracle @mixed --n-max 6 --json",
+        "7c33f6b4ece3c9e7fb9012143e1e565ab7e00174cb8fbc81cfd4323483ff7e16",
+    ),
+    (
+        "verify-yang-n8",
+        "verify yang --n-max 8 --json",
+        "e068a52bf91ef6d5a74920955a390bd985b83d6cab28ed09a72d09365e7b2592",
+    ),
+    (
+        "mc-ordered-m10-n4",
+        "mc --family ordered --m 10 --n 4 --samples 20000 --seed 5 --json",
+        "7ecf2015728159d321d08c79f6c18ffa96d3c9fe1e0945cff3e523428850addd",
     ),
 ]
 
