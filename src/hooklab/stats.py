@@ -1,9 +1,10 @@
 """Monte-Carlo validation of the growth sampler.
 
 A census enumerates every reachable labeled tree of a family at size n with
-its exact probability, draws N samples through a table of growth histories,
-and tallies observed counts per labeled tree (the finest possible
-categories).  A chi-squared test then compares observed against N * p.
+its exact probability, its shape's growth product (weighed once per shape),
+draws N samples through a table of growth histories, and tallies observed
+counts per labeled tree (the finest possible categories).  A chi-squared
+test then compares observed against N * p.
 
 Sampling is deterministic for a fixed (seed, n, family, N): samples are
 split into fixed-size blocks, and each block gets its own generator seeded
@@ -19,11 +20,13 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from typing import Optional
 
 from .families import Family
 from .identities import ConsistencyError
 from .sampler import _Table, enumerate_labelings, labeling_probability
+from .trees import LabeledTree
 
 BLOCK_SIZE = 10_000
 EXPECTED_FLOOR = 5
@@ -34,7 +37,8 @@ class LowExpectedCountWarning(UserWarning):
 
 
 def category_masses(family: Family, n: int) -> dict[str, Fraction]:
-    """Exact probability of each labeled tree, keyed by its encoding.
+    """Exact probability of each labeled tree, keyed by its encoding: its
+    shape's growth product, weighed once per shape at the preorder labeling.
 
     Refuses families that cannot grow to size ``n`` and, through
     ``enumerate_labelings``, more than ``identities.TERM_LIMIT`` labeled
@@ -42,10 +46,9 @@ def category_masses(family: Family, n: int) -> dict[str, Fraction]:
     """
     family.check_growable(n)
     masses: dict[str, Fraction] = {}
-    weights: dict = {}
-    for labeled in enumerate_labelings(family, n):
-        p = labeling_probability(labeled, family, weights)
-        masses[labeled.enc] = Fraction(p)
+    for shape, labeled in groupby(enumerate_labelings(family, n), lambda lt: lt.shape):
+        p = Fraction(labeling_probability(LabeledTree(shape, range(1, n + 1)), family))
+        masses.update((lt.enc, p) for lt in labeled)
     total = sum(masses.values())
     if total != 1:
         raise ConsistencyError(f"labeled-tree masses sum to {total}, not 1")

@@ -125,6 +125,30 @@ class TestVerify:
         assert out.stdout == ""
         assert "repeats the key ''" in out.stderr
 
+    def test_oracle_file_with_a_non_ascii_byte_is_a_usage_error(self, tmp_path):
+        path = tmp_path / "oracle.json"
+        path.write_text('{"\u00e9": 3, "default": "const:2"}', encoding="utf-8")
+        out = run("verify", "tbar", "--oracle", f"file:{path}", "--n-max", "3")
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert out.stderr.startswith("error: ") and "not ASCII" in out.stderr
+        assert str(path) in out.stderr
+        assert "Traceback" not in out.stderr
+
+    def test_a_child_count_above_the_bound_is_refused_at_parse_time(self, tmp_path):
+        # one past families.COUNT_LIMIT; the bound itself parses
+        path = tmp_path / "oracle.json"
+        path.write_text(json.dumps({"": 1000001, "default": "const:2"}))
+        for oracle in ("const:1000001", f"file:{path}"):
+            out = run("verify", "tbar", "--oracle", oracle, "--n-max", "3")
+            assert out.returncode == 2, oracle
+            assert out.stdout == ""
+            assert out.stderr.startswith("error: ") and "1000001" in out.stderr
+            assert "above the bound 1000000" in out.stderr
+            assert "Traceback" not in out.stderr
+        out = run("verify", "tbar", "--oracle", "const:1000000", "--n-max", "1")
+        assert out.returncode == 0
+
     def test_oracle_file_with_a_bad_default_is_a_usage_error(self, tmp_path):
         path = tmp_path / "oracle.json"
         for default in (3, f"file:{path}"):
@@ -255,6 +279,21 @@ class TestVerify:
                          "--n-max", "4"]) == 0
         states = [line.split()[3] for line in capsys.readouterr().out.splitlines()]
         assert states == ["states=1", "states=3", "states=15", "states=105"]
+
+    def test_labelprob_weighs_each_shape_once(self, monkeypatch, capsys):
+        # every labeling of a shape has the same product, so no labeling is made
+        monkeypatch.setattr(sampler, "_labelings", None)
+        calls = []
+        real = cli.labeling_probability
+        monkeypatch.setattr(cli, "labeling_probability",
+                            lambda tree, family: calls.append(tree) or real(tree, family))
+        assert cli.main(["verify", "labelprob", "--family", "binary", "--n-max", "5"]) == 0
+        fields = [dict(f.split("=") for f in line.split())
+                  for line in capsys.readouterr().out.splitlines()]
+        assert [r["shapes"] for r in fields] == [str(catalan(n)) for n in range(1, 6)]
+        assert [r["labelings"] for r in fields] == [str(factorial(n)) for n in range(1, 6)]
+        assert len(calls) == sum(catalan(n) for n in range(1, 6))
+        assert all(tree.preorder == tuple(range(1, tree.size + 1)) for tree in calls)
 
     def test_ordered_m_below_the_largest_child_count_is_a_usage_error(self):
         for check, m, n_max, most in (

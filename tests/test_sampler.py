@@ -175,8 +175,8 @@ class TestLemma:
 
 class TestEqualLikelihood:
     def families(self, mixed_oracle=None):
-        fams = [BINARY, SYMBOLIC, TbarFamily(ConstantBranching(2)),
-                TbarFamily(DepthBranching((2, 3)))]
+        fams = [BINARY, SYMBOLIC, OrderedFamily(Fraction(9, 2)),
+                TbarFamily(ConstantBranching(2)), TbarFamily(DepthBranching((2, 3)))]
         if mixed_oracle is not None:
             fams.append(TbarFamily(mixed_oracle))
         return fams

@@ -59,6 +59,17 @@ class TestCategoryMasses:
         monkeypatch.setattr(hooklab.identities, "TERM_LIMIT", 24)
         assert len(category_masses(BINARY, 4)) == 24
 
+    def test_each_shape_is_weighed_once(self, monkeypatch):
+        # tbar depth:2,3 n=4: 30 shapes, 48 labeled trees
+        family = TbarFamily(DepthBranching((2, 3)))
+        calls = []
+        real = hooklab.stats.labeling_probability
+        monkeypatch.setattr(hooklab.stats, "labeling_probability",
+                            lambda tree, family: calls.append(tree.shape) or real(tree, family))
+        masses = category_masses(family, 4)
+        assert len(masses) == 48
+        assert calls == list(family.shapes(4))
+
 
 class TestMinSamples:
     def test_binary_n5(self):
