@@ -47,7 +47,6 @@ from .sampler import (
     attach,
     enumerate_labelings,
     grow,
-    labeling_probability,
     lemma_check,
     shape_probability,
     start,

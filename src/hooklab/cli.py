@@ -20,6 +20,8 @@ import random
 import sys
 from fractions import Fraction
 from functools import cache
+from math import factorial
+from typing import Callable, Iterator
 
 from .families import (
     BinaryFamily,
@@ -36,7 +38,6 @@ from .identities import (
     ConsistencyError,
     SizeLimitError,
     completion_census,
-    hook_count,
     verify_han,
     verify_han2,
     verify_tbar,
@@ -44,11 +45,11 @@ from .identities import (
 )
 from .sampler import (
     GrowthState,
+    _grown,
     _labeling_count,
+    addable_sites,
     grow,
-    labeling_probability,
     lemma_check,
-    shape_probability,
 )
 from .stats import (
     EXPECTED_FLOOR,
@@ -161,42 +162,53 @@ def _lemma(family: Family, n: int) -> tuple[dict, bool]:
     return record, holds
 
 
-def _labelprob(family: Family, n: int) -> tuple[dict, bool]:
-    """Does growth land on each labeling of a size-n shape at the shape's closed
-    form, with total mass 1?  The product reads labels only to check them, so one
-    weighing per shape covers its labelings: ``equal_per_shape`` holds by construction."""
-    labelings = _labeling_count(family, n)
-    weighed = [(shape, labeling_probability(LabeledTree(shape, range(1, n + 1)), family))
-               for shape in family.shapes(n)]
-    closed = all(p == shape_probability(shape, family) for shape, p in weighed)
-    total = sum(hook_count(shape) * p for shape, p in weighed)
-    holds = closed and total == 1
-    record = {
-        "check": "labelprob",
-        "family": family.label,
-        "n": n,
-        "shapes": len(weighed),
-        "labelings": labelings,
-        "equal_per_shape": True,
-        "matches_closed_form": closed,
-        "total_mass": total,
-        "holds": holds,
-    }
-    return record, holds
+def _labelprob(family: Family, n_max: int) -> Iterator[tuple[dict, bool]]:
+    """Does the growth chain's law on shapes match the closed form, n = 1..n_max?
+    Pushed forward a step at a time, each site of each shape of size n-1 carries
+    the shape's mass times the site's to the shape ``_grown`` makes.  The law must
+    sit on exactly ``family.shapes(n)``, giving each shape S n! times its summand
+    (hook_count(S) * shape_probability(S)), and sum to 1.  Being on shapes, it
+    cannot compare labelings: ``equal_per_shape`` is always true; tests do that."""
+    root = family.node([])
+    law = {root.enc: [root, Fraction(1)]}
+    for n in range(1, n_max + 1):
+        labelings = _labeling_count(family, n)
+        if n > 1:
+            law, pushed = {}, law
+            for shape, p in pushed.values():
+                for site, q in addable_sites(GrowthState(LabeledTree(shape, range(1, n)), family)):
+                    grown = _grown(family, shape, site.parent, site.slot)
+                    # the shapes of size n_max are never grown from: only their keys stay
+                    law.setdefault(grown.enc, [grown if n < n_max else None, 0])[1] += p * q
+        shapes, matches = 0, True
+        for shapes, shape in enumerate(family.shapes(n), 1):
+            num, den = family.hook_term(shape)
+            matches &= law.get(shape.enc, [0, None])[1] == num * Fraction(factorial(n), den)
+        matches &= shapes == len(law)
+        total = sum(mass for _, mass in law.values())
+        holds = matches and total == 1
+        yield {"check": "labelprob", "family": family.label, "n": n, "shapes": shapes,
+               "labelings": labelings, "equal_per_shape": True, "matches_closed_form": matches,
+               "total_mass": total, "holds": holds}, holds
+
+
+def _sizes(check: Callable) -> Callable:
+    """The sweep of a check of one size: ``check(context, n)`` for n = 1..n_max."""
+    return lambda context, n_max: (check(context, n) for n in range(1, n_max + 1))
 
 
 FAMILIES = ("binary", "ordered", "tbar")  # the choices of every --family
 
 # verify target, in ``verify --help`` order -> (default --n-max, largest
-# --n-max, check of one size n).  A check takes the oracle (identities) or the
-# growth family (sweeps) and n, and returns the record to print and whether it
-# holds.  The largest n keeps each exhaustive enumeration to seconds.
+# --n-max, check).  A check takes the oracle (identities) or the growth family
+# (sweeps) and n_max, and yields for n = 1..n_max, in turn, the record to print
+# and whether it holds.  The largest n keeps each exhaustive enumeration to seconds.
 VERIFY = {
-    "han": (10, 12, lambda oracle, n: _identity(verify_han(n))),
-    "yang": (7, 8, lambda oracle, n: _identity(verify_yang(n))),
-    "tbar": (7, 8, lambda oracle, n: _identity(verify_tbar(oracle, n))),
-    "han2": (10, 11, lambda oracle, n: _identity(verify_han2(n))),
-    "lemma": (5, 7, _lemma),
+    "han": (10, 12, _sizes(lambda oracle, n: _identity(verify_han(n)))),
+    "yang": (7, 8, _sizes(lambda oracle, n: _identity(verify_yang(n)))),
+    "tbar": (7, 8, _sizes(lambda oracle, n: _identity(verify_tbar(oracle, n)))),
+    "han2": (10, 11, _sizes(lambda oracle, n: _identity(verify_han2(n)))),
+    "lemma": (5, 7, _sizes(_lemma)),
     "labelprob": (5, 7, _labelprob),
 }
 
@@ -213,8 +225,7 @@ def cmd_verify(args) -> int:
         _reject_family_flags(args, allow_oracle=identity == "tbar")
         context = _oracle(args) if identity == "tbar" else None
     failures = 0
-    for n in range(1, n_max + 1):
-        record, holds = check(context, n)
+    for record, holds in check(context, n_max):
         _emit(record, args.json)
         failures += not holds
     return 1 if failures else 0

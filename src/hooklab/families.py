@@ -159,7 +159,7 @@ def parse_oracle(spec: str) -> BranchingOracle:
     if kind == "file":
         try:
             with open(rest, encoding="ascii") as fh:
-                data = json.load(fh, object_pairs_hook=_distinct_keys)
+                data = json.load(fh, object_pairs_hook=_distinct_keys, parse_int=_json_int)
         except OSError as exc:
             raise OracleSyntaxError(f"cannot read oracle file {rest!r}: {exc}") from exc
         except UnicodeDecodeError as exc:
@@ -195,6 +195,15 @@ def _distinct_keys(pairs: list[tuple[str, object]]) -> dict:
             raise OracleSyntaxError(f"oracle file repeats the key {key!r}")
         data[key] = value
     return data
+
+
+def _json_int(digits: str) -> int:
+    """An oracle file's integer; past the digits of ``COUNT_LIMIT`` it is refused before
+    ``int()``, which refuses more than 4300, as ``_parse_count`` does."""
+    if len(digits.lstrip("-0")) > len(str(COUNT_LIMIT)):
+        raise OracleSyntaxError(f"child count of {len(digits)} characters is beyond the bound "
+                                f"{COUNT_LIMIT}")
+    return int(digits)
 
 
 def _parse_count(token: str | int) -> int:

@@ -7,9 +7,10 @@ p, which depends on p's address and on c_p, p's child count before the
 attachment.  The weights, and every other family-specific rule, are methods
 of the family objects in families.py; the chain here is the same for all
 families.  At every state the site probabilities sum to exactly 1, so each
-step is a genuine distribution; the chain's n-th state is a uniformly chosen
-increasing labeling, and the probability of landing on a given labeled tree
-depends only on its shape.
+step is a genuine distribution.  The probability of landing on a given
+labeled tree depends only on its shape: ``shape_probability`` gives it in
+closed form, and ``verify labelprob`` checks it against the chain's own
+law on shapes, pushed forward through ``addable_sites`` and ``_grown``.
 
 ``grow`` runs on a flat state private to the call (``start``,
 ``addable_sites`` and ``attach`` certify it).  Each step lists its sites
@@ -34,7 +35,7 @@ from typing import Callable, Iterator, Optional
 from .families import Family, Probability, insert_child
 from . import identities
 from .identities import ConsistencyError, SizeLimitError, hook_count, hook_values
-from .trees import Address, LabeledTree, Tree, _labelings, _preorder, addresses, check_labeling
+from .trees import Address, LabeledTree, Tree, _labelings, _preorder, addresses
 
 
 @dataclass(frozen=True)
@@ -206,26 +207,6 @@ class _Table:
             if type(node) is tuple:  # a move not yet taken
                 node = kids[i] = self._node(path + (node,))
         return node
-
-
-def labeling_probability(tree: LabeledTree, family: Family) -> Probability:
-    """Chance that growth produces exactly this labeled tree.
-
-    Each child of a parent p joined when p had as many children as the
-    child has earlier-labeled siblings, 0 to k_p - 1, so p contributes
-    w(p, 0) ... w(p, k_p - 1) whatever the labels (``check_labeling``
-    validates them).  Where a new child moves its later siblings on, the
-    product comes out independent of which slots those siblings sit in.
-    """
-    check_labeling(tree)
-    family.check_shape(tree.shape)
-    total: Probability = Fraction(1)
-    todo = [((), tree.shape)]
-    for parent, node in todo:
-        for c, (step, child) in enumerate(node.child_items()):
-            todo.append((parent + (step,), child))
-            total = total * family.weight(parent, c)
-    return total
 
 
 def shape_probability(shape: Tree, family: Family) -> Probability:

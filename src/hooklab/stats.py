@@ -1,7 +1,7 @@
 """Monte-Carlo validation of the growth sampler.
 
 A census enumerates every reachable labeled tree of a family at size n with
-its exact probability, its shape's growth product (weighed once per shape),
+its exact probability, its shape's closed form ``shape_probability``,
 draws N samples through a table of growth histories, and tallies observed
 counts per labeled tree (the finest possible categories).  A chi-squared
 test then compares observed against N * p.
@@ -25,8 +25,7 @@ from typing import Optional
 
 from .families import Family
 from .identities import ConsistencyError
-from .sampler import _Table, enumerate_labelings, labeling_probability
-from .trees import LabeledTree
+from .sampler import _Table, enumerate_labelings, shape_probability
 
 BLOCK_SIZE = 10_000
 EXPECTED_FLOOR = 5
@@ -38,7 +37,7 @@ class LowExpectedCountWarning(UserWarning):
 
 def category_masses(family: Family, n: int) -> dict[str, Fraction]:
     """Exact probability of each labeled tree, keyed by its encoding: its
-    shape's growth product, weighed once per shape at the preorder labeling.
+    shape's closed form, computed once per shape.
 
     Refuses families that cannot grow to size ``n`` and, through
     ``enumerate_labelings``, more than ``identities.TERM_LIMIT`` labeled
@@ -47,7 +46,7 @@ def category_masses(family: Family, n: int) -> dict[str, Fraction]:
     family.check_growable(n)
     masses: dict[str, Fraction] = {}
     for shape, labeled in groupby(enumerate_labelings(family, n), lambda lt: lt.shape):
-        p = Fraction(labeling_probability(LabeledTree(shape, range(1, n + 1)), family))
+        p = shape_probability(shape, family)
         masses.update((lt.enc, p) for lt in labeled)
     total = sum(masses.values())
     if total != 1:

@@ -1,10 +1,11 @@
 import json
 import os
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from hooklab import parse_oracle
+from hooklab import addable_sites, attach, parse_oracle, start
 
 # The CLI tests run hooklab in subprocesses; let them import it
 # from this checkout's src/ as the test process does (pyproject's pythonpath).
@@ -30,6 +31,22 @@ def odd_double_factorial(k: int) -> int:
         out *= k
         k -= 2
     return out
+
+
+def history_products(family, n: int) -> dict:
+    """Every growth history to size n, walked through start, addable_sites
+    and attach: {size: [(labeled tree it reaches, product of its site
+    masses)]}.  No state of size n lists its sites."""
+    reached = {}
+
+    def walk(state, product):
+        reached.setdefault(state.tree.size, []).append((state.tree, product))
+        if state.tree.size < n:
+            for site, p in addable_sites(state):
+                walk(attach(state, site), product * p)
+
+    walk(start(family), Fraction(1))
+    return reached
 
 
 MIXED_ORACLE_TABLE = {"": 2, "0": 3, "1": 1, "default": "const:2"}

@@ -13,7 +13,7 @@ from collections import Counter
 from fractions import Fraction
 from math import factorial, prod
 
-from conftest import MIXED_ORACLE_TABLE
+from conftest import MIXED_ORACLE_TABLE, history_products
 from hooklab import (
     BinaryFamily,
     ConstantBranching,
@@ -37,7 +37,6 @@ from hooklab import (
     han_lhs,
     hook_count,
     hook_lengths,
-    labeling_probability,
     lemma_check,
     parse_oracle,
     run_census,
@@ -167,6 +166,8 @@ def test_criterion_07_one_step_sums_to_one():
 
 
 def test_criterion_08_equal_likelihood_and_total_mass():
+    # the chain's own law: each history's product of site masses, walked
+    # through start, addable_sites and attach
     families = [
         BinaryFamily(),
         OrderedFamily(),
@@ -174,20 +175,16 @@ def test_criterion_08_equal_likelihood_and_total_mass():
         TbarFamily(DepthBranching((2, 3))),
     ]
     for family in families:
-        for n in range(1, 7):
-            by_shape = {}
-            total = None
-            for lt in enumerate_labelings(family, n):
-                p = labeling_probability(lt, family)
-                by_shape.setdefault(lt.shape.enc, (lt.shape, []))[1].append(p)
-                total = p if total is None else total + p
-            for shape, probs in by_shape.values():
-                assert all(p == probs[0] for p in probs), shape.enc
-                assert probs[0] == shape_probability(shape, family), shape.enc
-            assert total == 1
+        for n, reached in history_products(family, 6).items():
+            assert sorted(lt.enc for lt, _ in reached) == sorted(
+                lt.enc for lt in enumerate_labelings(family, n)), (family, n)
+            for lt, p in reached:
+                assert p == shape_probability(lt.shape, family), lt.enc
+            assert sum(p for _, p in reached) == 1
     report(
-        "PASS criterion 8: every labeling of a shape is equally likely, "
-        "matches the closed form, and the masses sum to 1 (all families, n<=6)"
+        "PASS criterion 8: one growth history reaches each labeled tree, its "
+        "product of site masses matches the closed form (so every labeling of "
+        "a shape is equally likely), and the masses sum to 1 (all families, n<=6)"
     )
 
 

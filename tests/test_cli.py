@@ -9,6 +9,7 @@ from hooklab import (
     BinaryFamily,
     OrderedFamily,
     TbarFamily,
+    addable_sites,
     cli,
     identities,
     lemma_check,
@@ -133,6 +134,16 @@ class TestVerify:
         assert out.stdout == ""
         assert out.stderr.startswith("error: ") and "not ASCII" in out.stderr
         assert str(path) in out.stderr
+        assert "Traceback" not in out.stderr
+
+    def test_oracle_file_with_a_huge_integer_is_a_usage_error(self, tmp_path):
+        # int() refuses more than 4300 digits; the digits are counted first
+        path = tmp_path / "oracle.json"
+        path.write_text('{"": ' + "9" * 5000 + ', "default": "const:2"}')
+        out = run("verify", "tbar", "--oracle", f"file:{path}", "--n-max", "3")
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert out.stderr.startswith("error: ") and "the bound 1000000" in out.stderr
         assert "Traceback" not in out.stderr
 
     def test_a_child_count_above_the_bound_is_refused_at_parse_time(self, tmp_path):
@@ -281,19 +292,54 @@ class TestVerify:
         assert states == ["states=1", "states=3", "states=15", "states=105"]
 
     def test_labelprob_weighs_each_shape_once(self, monkeypatch, capsys):
-        # every labeling of a shape has the same product, so no labeling is made
+        # the law is pushed forward on shapes: no labeling is made, and the
+        # sites of each shape of size below n-max are listed once
         monkeypatch.setattr(sampler, "_labelings", None)
-        calls = []
-        real = cli.labeling_probability
-        monkeypatch.setattr(cli, "labeling_probability",
-                            lambda tree, family: calls.append(tree) or real(tree, family))
+        listed = []
+        monkeypatch.setattr(cli, "addable_sites",
+                            lambda state: listed.append(state.tree) or addable_sites(state))
         assert cli.main(["verify", "labelprob", "--family", "binary", "--n-max", "5"]) == 0
         fields = [dict(f.split("=") for f in line.split())
                   for line in capsys.readouterr().out.splitlines()]
         assert [r["shapes"] for r in fields] == [str(catalan(n)) for n in range(1, 6)]
         assert [r["labelings"] for r in fields] == [str(factorial(n)) for n in range(1, 6)]
-        assert len(calls) == sum(catalan(n) for n in range(1, 6))
-        assert all(tree.preorder == tuple(range(1, tree.size + 1)) for tree in calls)
+        assert sorted(tree.shape.enc for tree in listed) == sorted(
+            shape.enc for n in range(1, 5) for shape in BinaryFamily().shapes(n))
+        assert all(tree.preorder == tuple(range(1, tree.size + 1)) for tree in listed)
+
+    def test_labelprob_runs_the_chain_s_moves(self, monkeypatch, capsys):
+        # an ordered leaf put after the child already in its slot, not before
+        # it: the chain lands on the wrong shapes from n=4 on, while every
+        # step's masses still sum to 1 and every formula is unchanged
+        real = sampler.insert_child
+
+        def insert_after(children, slot, child):
+            if any(s == slot for s, _ in children):
+                return real(children, slot + 1, child)
+            return real(children, slot, child)
+
+        monkeypatch.setattr(sampler, "insert_child", insert_after)
+        for m in ("symbolic", "9/2"):
+            assert cli.main(["verify", "labelprob", "--family", "ordered", "--m", m,
+                             "--n-max", "6"]) == 1
+            holds = [line.split()[-1] for line in capsys.readouterr().out.splitlines()]
+            assert holds == ["holds=true"] * 3 + ["holds=false"] * 3, m
+
+    def test_labelprob_stops_at_the_term_limit_before_growing(self, monkeypatch, capsys):
+        # binary has 4! = 24 labeled trees of size 4 and 120 of size 5: the
+        # refusal at n=5 comes before any shape of size 4 is grown
+        monkeypatch.setattr(identities, "TERM_LIMIT", 24)
+        grown = []
+        monkeypatch.setattr(cli, "_grown", lambda family, shape, parent, slot:
+                            grown.append(shape.size) or sampler._grown(family, shape, parent,
+                                                                        slot))
+        assert cli.main(["verify", "labelprob", "--n-max", "7"]) == 2
+        out, err = capsys.readouterr()
+        assert [line.split()[2] for line in out.splitlines()] == ["n=1", "n=2", "n=3", "n=4"]
+        assert err == "error: more than 24 labeled binary trees at n=5\n"
+        # a binary shape of size k has k + 1 sites
+        assert sorted(set(grown)) == [1, 2, 3]
+        assert len(grown) == sum(catalan(k) * (k + 1) for k in range(1, 4))
 
     def test_ordered_m_below_the_largest_child_count_is_a_usage_error(self):
         for check, m, n_max, most in (
@@ -423,7 +469,7 @@ class TestMc:
         def unreachable(*args):
             raise AssertionError("a labeled tree was built or weighed")
 
-        monkeypatch.setattr(stats, "labeling_probability", unreachable)
+        monkeypatch.setattr(stats, "shape_probability", unreachable)
         monkeypatch.setattr(sampler, "_labelings", unreachable)
         assert cli.main(["mc", "--family", "tbar", "--oracle", "const:50", "--n", "5"]) == 2
         assert capsys.readouterr() == (

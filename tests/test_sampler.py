@@ -4,12 +4,13 @@ from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 from itertools import accumulate
+from math import prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import odd_double_factorial
+from conftest import history_products, odd_double_factorial
 from hooklab import (
     AddableSite,
     BinaryFamily,
@@ -19,7 +20,6 @@ from hooklab import (
     FamilyConfigError,
     GrowthState,
     LabeledTree,
-    LabelingError,
     OrderedFamily,
     ProbabilityRangeError,
     SizeLimitError,
@@ -35,7 +35,6 @@ from hooklab import (
     grow,
     hook_count,
     hook_lengths,
-    labeling_probability,
     lemma_check,
     shape_probability,
     start,
@@ -182,55 +181,44 @@ class TestEqualLikelihood:
         return fams
 
     def test_constant_per_shape_and_closed_form(self, mixed_oracle):
+        # Each child of a parent p joined when p had as many children as it
+        # has earlier-labeled siblings, 0 to k_p - 1, so a history's product
+        # is w(p, 0) ... w(p, k_p - 1) over the parents, whatever the labels;
+        # where a new child moves its later siblings on, the product does not
+        # depend on their slots either.  So each labeling of a shape, reached
+        # by exactly one history, gets the shape's closed form.
         for family in self.families(mixed_oracle):
-            for n in range(1, 7):
-                by_shape = {}
-                for lt in enumerate_labelings(family, n):
-                    p = labeling_probability(lt, family)
-                    by_shape.setdefault(lt.shape.enc, (lt.shape, []))[1].append(p)
-                for shape, probs in by_shape.values():
-                    assert all(p == probs[0] for p in probs)
-                    assert probs[0] == shape_probability(shape, family)
-                    assert len(probs) == hook_count(shape)
+            for n, reached in history_products(family, 6).items():
+                assert sorted(lt.enc for lt, _ in reached) == sorted(
+                    lt.enc for lt in enumerate_labelings(family, n)), (family, n)
+                for lt, p in reached:
+                    assert p == shape_probability(lt.shape, family), (family, lt.enc)
 
     def test_total_mass_is_one(self, mixed_oracle):
         for family in self.families(mixed_oracle):
-            for n in range(1, 7):
-                total = None
-                for lt in enumerate_labelings(family, n):
-                    p = labeling_probability(lt, family)
-                    total = p if total is None else total + p
-                assert total == 1
+            for n, reached in history_products(family, 6).items():
+                assert sum(p for _, p in reached) == 1, (family, n)
 
     def test_binary_path_probability(self):
         lt = decode("(:1(:2(:3.,.),.),.)")
-        assert labeling_probability(lt, BINARY) == Fraction(1, 8)
+        assert (lt, Fraction(1, 8)) in history_products(BINARY, 3)[3]
 
     def test_binary_balanced_both_labelings(self):
+        reached = history_products(BINARY, 3)[3]
         for labels in ((1, 2, 3), (1, 3, 2)):
-            lt = LabeledTree(decode("((.,.),(.,.))"), labels)
-            assert labeling_probability(lt, BINARY) == Fraction(1, 4)
+            assert (LabeledTree(decode("((.,.),(.,.))"), labels), Fraction(1, 4)) in reached
 
     def test_single_vertex(self, mixed_oracle):
         for family in self.families(mixed_oracle):
-            lt = start(family).tree
-            assert labeling_probability(lt, family) == 1
-
-    def test_invalid_labeling_rejected(self):
-        lt = LabeledTree(decode("((.,.),(.,.))"), (2, 1, 3))
-        with pytest.raises(LabelingError):
-            labeling_probability(lt, BINARY)
+            assert history_products(family, 1) == {1: [(start(family).tree, 1)]}
 
     def test_wrong_family_rejected(self):
-        lt = decode("(:1(:2))")
         with pytest.raises(FamilyConfigError):
-            labeling_probability(lt, BINARY)
+            shape_probability(decode("(:1(:2))").shape, BINARY)
 
     def test_ordered_probability_above_one_rejected(self):
         # m=1/2: the depth-2 vertex would get (1/2) / (1/2)^2 = 2
         half = OrderedFamily(Fraction(1, 2))
-        with pytest.raises(ProbabilityRangeError):
-            labeling_probability(decode("(:1(:2(:3)))"), half)
         with pytest.raises(ProbabilityRangeError):
             addable_sites(GrowthState(decode("(:1(:2))"), half))
 
@@ -564,6 +552,7 @@ def test_grow_probability_matches_closed_form(kind, n, seed):
         family = OrderedFamily(n + 1)
     else:
         family = TbarFamily(DepthBranching((2, 3)))
-    lt = grow(family, n, random.Random(seed))
+    masses = []
+    lt = grow(family, n, random.Random(seed), on_step=lambda label, site, p: masses.append(p))
     check_labeling(lt)
-    assert labeling_probability(lt, family) == shape_probability(lt.shape, family)
+    assert prod(masses, start=Fraction(1)) == shape_probability(lt.shape, family)

@@ -63,9 +63,9 @@ class TestCategoryMasses:
         # tbar depth:2,3 n=4: 30 shapes, 48 labeled trees
         family = TbarFamily(DepthBranching((2, 3)))
         calls = []
-        real = hooklab.stats.labeling_probability
-        monkeypatch.setattr(hooklab.stats, "labeling_probability",
-                            lambda tree, family: calls.append(tree.shape) or real(tree, family))
+        real = hooklab.stats.shape_probability
+        monkeypatch.setattr(hooklab.stats, "shape_probability",
+                            lambda shape, family: calls.append(shape) or real(shape, family))
         masses = category_masses(family, 4)
         assert len(masses) == 48
         assert calls == list(family.shapes(4))
