@@ -14,6 +14,8 @@ Enumerators yield each tree exactly once in lexicographic order of its
 canonical encoding, and they stream: all they hold is what has been read
 of the streams of subtrees of at most ``MEMO_SIZE`` vertices, each made
 once per call and replayed through ``itertools.tee`` (see ``_kept``).
+The fold of the binary sums also holds, whole, the values of every subtree
+size that it reads more than once (see ``_binary_fold``).
 Encodings are prefix-free, so two trees compare at their first differing
 child, and the character after a shared prefix decides: for binary trees a
 present child "(" sorts before an absent one ".", for ordered trees another
@@ -22,15 +24,19 @@ another "[slot]".  So one generator per family yields every tree of sizes
 1..k at an address in encoding order, and the exact-size stream draws its
 first child from it; no merge of per-size streams is needed.
 
-The generator builds no tree itself: it takes a ``node`` builder and yields
-(size, value) pairs, each value made by ``node`` from the children's values
-and the size (and for slotted trees the vertex's child count, which the
-generator has read).  The public ``enum_*`` pass the tree constructors; a
-family's ``terms`` passes a builder of the hook-length summand, so the
-identity sums build no tree, walk none and ask the oracle nothing more.
-As a summand is its root's factor times its subtrees' summands, the same
-small subtree values recur under every larger root, and the kept streams
-let each call build them once.
+The ordered and slotted generators build no tree themselves: each takes a
+``node`` builder and yields (size, value) pairs, each value made by ``node``
+from the children's values and the size (and for slotted trees the
+vertex's child count, which the generator has read).  ``enum_ordered`` and
+``enum_tbar`` pass the tree constructors; the family's ``terms`` passes a
+builder of the hook-length summand, so the identity sums build no tree,
+walk none and ask the oracle nothing more.  As a summand is its root's
+factor times its subtrees' summands, the same small subtree values recur
+under every larger root, and the kept streams let each call build them
+once.  The binary generator ``_binary`` builds trees; the binary summands,
+which Han's two sums take by the hundred thousand, have a fold of their
+own, ``_binary_fold``, which yields bare ints and pays one multiply per
+summand.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ import json
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import tee
+from itertools import repeat, tee
 from math import factorial, prod
 from typing import Callable, Hashable, Iterable, Iterator, Union
 
@@ -247,8 +253,8 @@ class ProbabilityRangeError(ValueError):
 # integer denominator), with h_v = node.size: growth lands on each of a
 # shape's n!/prod h_v increasing labelings with probability prod w_v.  Its
 # per-vertex factor is one family rule, which hook_term multiplies over a
-# shape and terms(n) folds through the enumerator: terms(n) yields the
-# summand of each of shapes(n), in the same order, and builds no tree.
+# shape and terms(n) folds over the enumerator's recursion: terms(n) yields
+# the summand of each of shapes(n), in the same order, and builds no tree.
 # Messages name a family by its label followed by ``where``, the parameter a
 # user would change ("" when the label says it all).
 
@@ -476,7 +482,7 @@ def _check_size(n: int) -> None:
         raise ValueError("n must be at least 1")
 
 
-MEMO_SIZE = 4  # the largest subtree stream, in vertices, that one enumeration keeps
+MEMO_SIZE = 4  # the largest subtree stream, in vertices, that one enumeration keeps in _kept
 
 
 def _kept(memo: dict, size: int, key: tuple, gen: Callable, *args) -> Iterable:
@@ -485,7 +491,9 @@ def _kept(memo: dict, size: int, key: tuple, gen: Callable, *args) -> Iterable:
     Up to ``MEMO_SIZE`` vertices it is made once per ``memo``: ``memo[key]``
     holds an unread ``tee`` of it, and every reader, then or later, reads a
     copy, which replays what earlier copies pulled and pulls only past their
-    end, so a reader that stops early leaves the rest unmade.
+    end, so a reader that stops early leaves the rest unmade.  The tree
+    enumerators and the ordered and tbar folds keep their streams here; the
+    binary fold, read always to its end, keeps lists (see ``_binary_fold``).
     """
     if size > MEMO_SIZE:
         return gen(*args)
@@ -498,41 +506,96 @@ def _kept(memo: dict, size: int, key: tuple, gen: Callable, *args) -> Iterable:
 def enum_binary(n: int) -> Iterator[BinaryTree]:
     """All binary trees on ``n`` vertices, once each, encoding-ordered."""
     _check_size(n)
-    trees = _binary(n, True, lambda left, right, size: BinaryTree(left, right), {})
-    return (tree for _, tree in trees)
+    return (tree for _, tree in _binary(n, True, {}))
+
+
+def _binary(n: int, exact: bool, memo: dict) -> Iterator[tuple[int, BinaryTree]]:
+    """(size, tree) for the binary trees of size ``n``, or unless ``exact``
+    of sizes 1..n, in encoding order: a present child's "(" sorts before an
+    absent one's "."."""
+    if n > 1:
+        for k, left in _kept(memo, n - 1, (n - 1, False), _binary, n - 1, False, memo):
+            rest = n - 1 - k
+            if rest:
+                for j, right in _kept(memo, rest, (rest, exact), _binary, rest, exact, memo):
+                    yield k + j + 1, BinaryTree(left, right)
+            if not (exact and rest):
+                yield k + 1, BinaryTree(left, None)
+        for j, right in _kept(memo, n - 1, (n - 1, exact), _binary, n - 1, exact, memo):
+            yield j + 1, BinaryTree(None, right)
+    if n == 1 or not exact:
+        yield 1, BinaryTree(None, None)
 
 
 def binary_terms(n: int, hook_den: Callable[[int], int]) -> Iterator[tuple[int, int]]:
     """(1, prod hook_den(h_v)) for each binary tree on ``n`` vertices, in
-    ``enum_binary`` order, folded through the enumerator: no tree is built."""
+    ``enum_binary`` order, folded by ``_binary_fold``, which keeps the sizes
+    up to n-3: no tree is built."""
     _check_size(n)
     dens = [0, *map(hook_den, range(1, n + 1))]
-
-    def node(left: int | None, right: int | None, h: int) -> int:
-        return (left or 1) * (right or 1) * dens[h]
-
-    return ((1, den) for _, den in _binary(n, True, node, {}))
+    return zip(repeat(1), _binary_fold(n, dens, n - 3, {}))
 
 
-def _binary(n: int, exact: bool, node: Callable, memo: dict) -> Iterator[tuple[int, object]]:
-    """(size, node(left, right, size)) for the binary trees of size ``n``, or
-    unless ``exact`` of sizes 1..n, in encoding order: a present child's "("
-    sorts before an absent one's ".".  ``left`` and ``right`` are the values
-    of the children, None where a child is absent."""
+def _binary_fold(n: int, dens: list[int], keep: int, memo: dict) -> Iterator[int]:
+    """prod dens[h_v] for each binary tree of exactly ``n`` vertices, in
+    encoding order.
+
+    The root of a size-n tree reads the values of its right subtrees of size
+    r once for each left subtree of size n-1-r, so more than once for
+    r <= n-3 alone: ``memo[r, True]`` keeps the values of such a size whole,
+    as a list of bare ints in which equal values are one object, for every
+    size up to ``keep``.  The sizes read once, n-2 and n-1, stream.  The left
+    subtrees of all sizes 1..n-1 come from ``_binary_sizes``.  A term costs
+    one multiply: the left value times the root's factor is made once per
+    left subtree.
+    """
+    if n == 1:
+        yield dens[1]
+        return
+    root = dens[n]
+    for k, left in _binary_sizes(n - 1, dens, memo):
+        rest = n - 1 - k
+        if rest:
+            yield from map((left * root).__mul__, _binary_exact(rest, dens, keep, memo))
+        else:
+            yield left * root
+    yield from map(root.__mul__, _binary_exact(n - 1, dens, keep, memo))
+
+
+def _binary_exact(r: int, dens: list[int], keep: int, memo: dict) -> Iterable[int]:
+    """``_binary_fold(r, ...)``, kept whole in ``memo[r, True]`` when r <= ``keep``."""
+    if r > keep:
+        return _binary_fold(r, dens, keep, memo)
+    values = memo.get((r, True))
+    if values is None:
+        pool: dict = {}
+        values = memo[r, True] = [pool.setdefault(v, v) for v in _binary_fold(r, dens, keep, memo)]
+    return values
+
+
+def _binary_sizes(n: int, dens: list[int], memo: dict) -> Iterable[tuple[int, int]]:
+    """(size, prod dens[h_v]) for the binary trees of sizes 1..n, in encoding
+    order; up to ``MEMO_SIZE`` vertices kept whole in ``memo[n, False]``."""
+    if n > MEMO_SIZE:
+        return _binary_mixed(n, dens, memo)
+    items = memo.get((n, False))
+    if items is None:
+        items = memo[n, False] = list(_binary_mixed(n, dens, memo))
+    return items
+
+
+def _binary_mixed(n: int, dens: list[int], memo: dict) -> Iterator[tuple[int, int]]:
+    """``_binary_sizes(n, ...)``, made anew."""
     if n > 1:
-        lefts = _kept(memo, n - 1, (n - 1, False), _binary, n - 1, False, node, memo)
-        for k, left in lefts:
+        for k, left in _binary_sizes(n - 1, dens, memo):
             rest = n - 1 - k
             if rest:
-                rights = _kept(memo, rest, (rest, exact), _binary, rest, exact, node, memo)
-                for j, right in rights:
-                    yield k + j + 1, node(left, right, k + j + 1)
-            if not (exact and rest):
-                yield k + 1, node(left, None, k + 1)
-        for j, right in _kept(memo, n - 1, (n - 1, exact), _binary, n - 1, exact, node, memo):
-            yield j + 1, node(None, right, j + 1)
-    if n == 1 or not exact:
-        yield 1, node(None, None, 1)
+                for j, right in _binary_sizes(rest, dens, memo):
+                    yield k + j + 1, left * right * dens[k + j + 1]
+            yield k + 1, left * dens[k + 1]
+        for j, right in _binary_sizes(n - 1, dens, memo):
+            yield j + 1, right * dens[j + 1]
+    yield 1, dens[1]
 
 
 def enum_ordered(n: int) -> Iterator[OrderedTree]:

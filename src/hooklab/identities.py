@@ -21,12 +21,14 @@ summed symbolically and compared as such.
 
 A summand is a product of per-vertex factors, so a shape's summand is its
 root's factor times its children's summands.  The sums never build a tree:
-each folds its per-vertex factor through the family's enumerator
-(``Family.terms``, ``families.binary_terms``), which yields the summands of
-the shapes in encoding order.  ``_hook_sum`` is the one sum over them: a
-summand is a pair (numerator, integer denominator), numerators are added
-per denominator, and a Fraction is formed only once per distinct
-denominator.
+each folds its per-vertex factor over the recursion of the family's
+enumerator (``Family.terms``; binary trees have a fold of their own,
+``families.binary_terms``), which yields the summands of the shapes in
+encoding order.  The binary sums count their Catalan-many shapes in closed
+form and refuse a size past ``TERM_LIMIT`` before the first term.
+``_hook_sum`` is the one sum over the summands: a summand is a pair
+(numerator, integer denominator), numerators are added per denominator,
+and a Fraction is formed only once per distinct denominator.
 """
 
 from __future__ import annotations
@@ -34,8 +36,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from math import factorial, prod
-from typing import Iterable
+from math import comb, factorial, prod
+from typing import Callable, Iterable
 
 from .exact import RationalFunction
 from .families import (
@@ -161,6 +163,10 @@ class IdentityReport:
         return {name: str(value) if name in exact else value for name, value in vars(self).items()}
 
 
+def _too_many_terms(identity: str, n: int, where: str = "") -> SizeLimitError:
+    return SizeLimitError(f"the {identity} sum at n={n}{where} has more than {TERM_LIMIT} terms")
+
+
 def _verify(
     identity: str, n: int, terms: Iterable[tuple], size: int, where: str = ""
 ) -> IdentityReport:
@@ -168,14 +174,23 @@ def _verify(
     ``SizeLimitError`` once the terms pass ``TERM_LIMIT``."""
     lhs, count = _hook_sum(islice(terms, TERM_LIMIT + 1))
     if count > TERM_LIMIT:
-        raise SizeLimitError(f"the {identity} sum at n={n}{where} has more than "
-                             f"{TERM_LIMIT} terms")
+        raise _too_many_terms(identity, n, where)
     expected = Fraction(1, factorial(size))
     return IdentityReport(identity, n, lhs, expected, lhs == expected, count)
 
 
+def _verify_binary(identity: str, n: int, hook_den: Callable[[int], int],
+                   size: int) -> IdentityReport:
+    """``_verify`` over the binary trees of size ``n``, whose number, the
+    Catalan number C(2n, n)/(n+1), is checked against ``TERM_LIMIT`` before
+    the first term is made."""
+    if n > 0 and comb(2 * n, n) // (n + 1) > TERM_LIMIT:
+        raise _too_many_terms(identity, n)
+    return _verify(identity, n, binary_terms(n, hook_den), size)
+
+
 def verify_han(n: int) -> IdentityReport:
-    return _verify("han", n, BinaryFamily().terms(n), n)
+    return _verify_binary("han", n, BinaryFamily.hook_den, n)
 
 
 def verify_yang(n: int) -> IdentityReport:
@@ -188,7 +203,7 @@ def verify_tbar(oracle: BranchingOracle, n: int) -> IdentityReport:
 
 
 def verify_han2(n: int) -> IdentityReport:
-    return _verify("han2", n, binary_terms(n, _han2_den), 2 * n + 1)
+    return _verify_binary("han2", n, _han2_den, 2 * n + 1)
 
 
 @dataclass(frozen=True)

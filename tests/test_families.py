@@ -11,6 +11,7 @@ import pytest
 
 from conftest import catalan
 from hooklab import (
+    BinaryFamily,
     BinaryTree,
     BranchingOracle,
     ConstantBranching,
@@ -464,30 +465,47 @@ class TestSharedStreams:
         # subtrees of at most MEMO_SIZE vertices; a binary or ordered key
         # names its generator's arguments, and the copy replays exactly what
         # a fresh generator of them yields
-        def binary(left, right, size):
-            return BinaryTree(left, right)
-
         def ordered(children, size):
             return OrderedTree(children)
 
         ordered_gens = {"tree": families._ordered, "seq": families._ordered_seq}
         cases = [
-            (families._binary, (8, True), binary,
-             lambda key: families._binary(*key, binary, {})),
-            (families._ordered, (8, True), ordered,
+            (lambda memo: families._binary(8, True, memo),
+             lambda key: families._binary(*key, {})),
+            (lambda memo: families._ordered(8, True, ordered, memo),
              lambda key: ordered_gens[key[0]](*key[1:], ordered, {})),
-            (families._slotted, (DepthBranching((2, 3)), (), 7, True),
-             lambda children, size, width: 1, None),
+            (lambda memo: families._slotted(DepthBranching((2, 3)), (), 7, True,
+                                            lambda children, size, width: 1, memo), None),
         ]
-        for gen, args, node, fresh in cases:
+        for run, fresh in cases:
             memo = {}
-            assert sum(1 for _ in gen(*args, node, memo)) > 0
+            assert sum(1 for _ in run(memo)) > 0
             assert memo
             for key, head in memo.items():
                 items = list(copy(head))
                 assert all(size <= families.MEMO_SIZE for size, _ in items), key
                 if fresh is not None:
                     assert items == list(fresh(key)), key
+
+    def test_the_binary_fold_keeps_whole_what_it_reads_twice(self):
+        # after a whole fold at n=10, the memo holds the values of exactly
+        # the sizes 1..n-3 (those a root reads more than once) as lists of
+        # ints, equal values one object, and those of sizes 1..k only up
+        # to MEMO_SIZE; each list is what a fresh generator yields
+        n = 10
+        dens = [0, *map(BinaryFamily.hook_den, range(1, n + 1))]
+        memo = {}
+        assert sum(1 for _ in families._binary_fold(n, dens, n - 3, memo)) == catalan(n)
+        exact = sorted(r for r, whole in memo if whole)
+        mixed = sorted(k for k, whole in memo if not whole)
+        assert exact == list(range(1, n - 2))
+        assert mixed == list(range(1, families.MEMO_SIZE + 1))
+        for r in exact:
+            values = memo[r, True]
+            assert values == list(families._binary_fold(r, dens, n - 3, {})), r
+            assert len({id(v) for v in values}) == len(set(values)), r
+        for k in mixed:
+            assert memo[k, False] == list(families._binary_mixed(k, dens, {})), k
 
     def test_a_finished_enumeration_leaves_no_cyclic_garbage(self):
         # reference counting frees a finished enumeration's memo: its kept
@@ -496,6 +514,8 @@ class TestSharedStreams:
         runs = [
             lambda: verify_han(8),
             lambda: verify_han2(7),
+            lambda: verify_han(10),
+            lambda: verify_han2(9),
             lambda: verify_yang(6),
             lambda: verify_tbar(ConstantBranching(3), 6),
             lambda: verify_tbar(DepthBranching((2, 3)), 6),

@@ -21,6 +21,7 @@ from hooklab import (
     enum_binary,
     enum_ordered,
     enum_tbar,
+    families,
     han2_lhs,
     han_lhs,
     hook_count,
@@ -64,6 +65,20 @@ class TestHan:
         assert han_lhs(5) == Fraction(1, 120)  # 42 trees
         with pytest.raises(SizeLimitError, match="more than 42 terms"):
             han_lhs(6)  # 132 trees
+
+    def test_a_binary_sum_past_the_term_limit_makes_no_term(self, monkeypatch):
+        # the Catalan number of shapes refuses the size before the fold runs
+        def fold(*args):
+            raise AssertionError("the fold ran")
+
+        monkeypatch.setattr(families, "_binary_fold", fold)
+        for lhs in (han_lhs, han2_lhs):
+            with pytest.raises(SizeLimitError, match="at n=14 has more than 1000000 terms"):
+                lhs(14)  # 2,674,440 trees
+        monkeypatch.setattr(identities, "TERM_LIMIT", 42)
+        for lhs in (han_lhs, han2_lhs):
+            with pytest.raises(SizeLimitError, match="at n=6 has more than 42 terms"):
+                lhs(6)
 
     def test_report(self):
         r = verify_han(3)
@@ -260,7 +275,7 @@ class TestTermFold:
 
     def test_binary_han_and_han2(self):
         family = BinaryFamily()
-        for n in range(1, 9):
+        for n in range(1, 11):
             trees = list(enum_binary(n))
             assert list(family.terms(n)) == [family.hook_term(t) for t in trees], n
             han2 = [(1, prod((2 * h + 1) * 2 ** (2 * h - 1) for h in hook_lengths(t).values()))
