@@ -14,8 +14,6 @@ Enumerators yield each tree exactly once in lexicographic order of its
 canonical encoding, and they stream: all they hold is what has been read
 of the streams of subtrees of at most ``MEMO_SIZE`` vertices, each made
 once per call and replayed through ``itertools.tee`` (see ``_kept``).
-The fold of the binary sums also holds, whole, the values of every subtree
-size that it reads more than once (see ``_binary_fold``).
 Encodings are prefix-free, so two trees compare at their first differing
 child, and the character after a shared prefix decides: for binary trees a
 present child "(" sorts before an absent one ".", for ordered trees another
@@ -24,19 +22,16 @@ another "[slot]".  So one generator per family yields every tree of sizes
 1..k at an address in encoding order, and the exact-size stream draws its
 first child from it; no merge of per-size streams is needed.
 
-The ordered and slotted generators build no tree themselves: each takes a
-``node`` builder and yields (size, value) pairs, each value made by ``node``
-from the children's values and the size (and for slotted trees the
-vertex's child count, which the generator has read).  ``enum_ordered`` and
-``enum_tbar`` pass the tree constructors; the family's ``terms`` passes a
-builder of the hook-length summand, so the identity sums build no tree,
-walk none and ask the oracle nothing more.  As a summand is its root's
-factor times its subtrees' summands, the same small subtree values recur
-under every larger root, and the kept streams let each call build them
-once.  The binary generator ``_binary`` builds trees; the binary summands,
-which Han's two sums take by the hundred thousand, have a fold of their
-own, ``_binary_fold``, which yields bare ints and pays one multiply per
-summand.
+The identity sums enumerate nothing.  A shape's hook-length summand is its
+root's factor times its children's summands, so the summands of the shapes
+of size n, taken as a multiset (a dict from each distinct (numerator,
+integer denominator) to the number of shapes that have it), follow from
+those of the smaller sizes by the root decomposition: a binary root's two
+subtrees, an ordered root's sequence of children, the filled slots of a
+slotted root.  ``_times`` multiplies two such multisets.  Distinct summands
+are few (674 for the 208,012 binary trees of size 12), so
+``term_sizes(n)``, which yields the multisets of the sizes 1..n in turn,
+builds no tree and asks the oracle once per subtree key and size.
 """
 
 from __future__ import annotations
@@ -45,8 +40,8 @@ import json
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat, tee
-from math import factorial, prod
+from itertools import tee
+from math import comb, factorial, prod
 from typing import Callable, Hashable, Iterable, Iterator, Union
 
 from .exact import RationalFunction, binomial_poly
@@ -131,12 +126,23 @@ class TableBranching(BranchingOracle):
         if any(c < 1 for _, c in self.entries):
             raise FamilyConfigError("child counts must be at least 1")
         object.__setattr__(self, "_lookup", dict(self.entries))
+        # the addresses at or above a listed one; below any other, the default rules
+        above = {addr[:depth] for addr, _ in self.entries for depth in range(len(addr) + 1)}
+        object.__setattr__(self, "_above", above)
 
     def child_count(self, addr: Address) -> int:
         count = self._lookup.get(addr)
         if count is not None:
             return count
         return self.default.child_count(addr)
+
+    def subtree_key(self, addr: Address) -> Hashable:
+        """The address at or above a listed address, else the default's key:
+        no listed address lies at or below ``addr`` then.  Without it the sum
+        groups the slots of a wide default vertex one by one."""
+        if addr in self._above:
+            return addr
+        return "default", self.default.subtree_key(addr)
 
     def __str__(self) -> str:
         listed = ",".join(
@@ -253,8 +259,11 @@ class ProbabilityRangeError(ValueError):
 # integer denominator), with h_v = node.size: growth lands on each of a
 # shape's n!/prod h_v increasing labelings with probability prod w_v.  Its
 # per-vertex factor is one family rule, which hook_term multiplies over a
-# shape and terms(n) folds over the enumerator's recursion: terms(n) yields
-# the summand of each of shapes(n), in the same order, and builds no tree.
+# shape and term_sizes(n) over the root decomposition: for each size 1..n in
+# turn it maps each summand of shapes(size) to the number of shapes that
+# have it, and builds no tree.  Shapes never get fewer as the size grows: a
+# first child below a shape's last vertex in preorder is the new last
+# vertex, so distinct shapes grow into distinct shapes.
 # Messages name a family by its label followed by ``where``, the parameter a
 # user would change ("" when the label says it all).
 
@@ -293,8 +302,8 @@ class BinaryFamily:
         """A vertex's factor 1/(h * 2^(h-1)) of the summand, by its denominator."""
         return h << (h - 1)
 
-    def terms(self, n: int) -> Iterator[tuple[int, int]]:
-        return binary_terms(n, self.hook_den)
+    def term_sizes(self, n: int) -> Iterator[dict[tuple[int, int], int]]:
+        return binary_term_sizes(n, self.hook_den)
 
     def hook_term(self, shape: BinaryTree) -> tuple[int, int]:
         """prod 1/(h_v * 2^(h_v-1)) as (1, denominator)."""
@@ -370,19 +379,23 @@ class OrderedFamily:
             num *= p - i * q
         return num, h * factorial(c) * q ** c * p ** (h - 1)
 
-    def terms(self, n: int) -> Iterator[tuple[int | RationalFunction, int]]:
+    def term_sizes(self, n: int) -> Iterator[dict[tuple[int | RationalFunction, int], int]]:
+        """A root of hook h with c children: ``seqs[c][h-1]``, the sequences
+        of c trees of h-1 vertices in all, times ``vertex_term(c, h)``."""
         _check_size(n)
-        factors = {(c, h): self.vertex_term(c, h) for h in range(1, n + 1) for c in range(h)}
-
-        def node(children: tuple, h: int) -> tuple:
-            num, den = factors[len(children), h]
-            for child_num, child_den in children:
-                if child_den != 1:  # a leaf's term (1, 1) is not multiplied in
-                    num = num * child_num
-                    den *= child_den
-            return num, den
-
-        return (term for _, term in _ordered(n, True, node, {}))
+        trees = [{}]  # by size; no tree has 0 vertices
+        seqs = [[{} for _ in range(n)] for _ in range(n)]
+        seqs[0][0] = {(1, 1): 1}
+        for h in range(1, n + 1):
+            total = h - 1
+            for c in range(1, h):  # a first tree of s vertices, then c-1 more
+                for s in range(1, total - c + 2):
+                    _times(trees[s], seqs[c - 1][total - s], seqs[c][total])
+            tree: dict = {}
+            for c in range(h):
+                _times(seqs[c][total], {self.vertex_term(c, h): 1}, tree)
+            trees.append(tree)
+            yield tree
 
     def hook_term(self, shape: OrderedTree) -> tuple[int | RationalFunction, int]:
         """prod C(m,c_v) / (h_v * m^(h_v-1)) as (numerator, denominator)."""
@@ -444,17 +457,11 @@ class TbarFamily:
         denominator; a leaf's is 1 whatever its width."""
         return h * width ** (h - 1) if h > 1 else 1
 
-    def terms(self, n: int) -> Iterator[tuple[int, int]]:
+    def term_sizes(self, n: int) -> Iterator[dict[tuple[int, int], int]]:
         _check_size(n)
-        hook_den = self.hook_den
-
-        def node(children: tuple, h: int, width: int | None) -> int:
-            den = hook_den(width, h)
-            for _, child in children:
-                den *= child
-            return den
-
-        return ((1, den) for _, den in _slotted(self.oracle, (), n, True, node, {}))
+        memo: dict = {}
+        for size in range(1, n + 1):
+            yield _slotted_terms(self.oracle, (), size, memo)
 
     def hook_term(self, shape: SlottedTree) -> tuple[int, int]:
         """prod 1/(h_v * cbar_v^(h_v-1)) as (1, denominator)."""
@@ -491,9 +498,7 @@ def _kept(memo: dict, size: int, key: tuple, gen: Callable, *args) -> Iterable:
     Up to ``MEMO_SIZE`` vertices it is made once per ``memo``: ``memo[key]``
     holds an unread ``tee`` of it, and every reader, then or later, reads a
     copy, which replays what earlier copies pulled and pulls only past their
-    end, so a reader that stops early leaves the rest unmade.  The tree
-    enumerators and the ordered and tbar folds keep their streams here; the
-    binary fold, read always to its end, keeps lists (see ``_binary_fold``).
+    end, so a reader that stops early leaves the rest unmade.
     """
     if size > MEMO_SIZE:
         return gen(*args)
@@ -501,6 +506,19 @@ def _kept(memo: dict, size: int, key: tuple, gen: Callable, *args) -> Iterable:
     if head is None:
         head = memo[key] = tee(gen(*args), 1)[0]
     return head.__copy__()
+
+
+def _times(a: dict, b: dict, into: dict | None = None) -> dict:
+    """The multiset of the products of a summand of ``a`` and one of ``b``,
+    each a (numerator, integer denominator) mapped to its count, added to
+    ``into`` when given: numerators and denominators multiply, and so do
+    the counts."""
+    out = {} if into is None else into
+    for (a_num, a_den), a_count in a.items():
+        for (b_num, b_den), b_count in b.items():
+            key = a_num * b_num, a_den * b_den
+            out[key] = out.get(key, 0) + a_count * b_count
+    return out
 
 
 def enum_binary(n: int) -> Iterator[BinaryTree]:
@@ -527,104 +545,45 @@ def _binary(n: int, exact: bool, memo: dict) -> Iterator[tuple[int, BinaryTree]]
         yield 1, BinaryTree(None, None)
 
 
-def binary_terms(n: int, hook_den: Callable[[int], int]) -> Iterator[tuple[int, int]]:
-    """(1, prod hook_den(h_v)) for each binary tree on ``n`` vertices, in
-    ``enum_binary`` order, folded by ``_binary_fold``, which keeps the sizes
-    up to n-3: no tree is built."""
+def binary_term_sizes(
+    n: int, hook_den: Callable[[int], int]
+) -> Iterator[dict[tuple[int, int], int]]:
+    """The multisets of (1, prod hook_den(h_v)) over the binary trees on
+    1, ..., ``n`` vertices, in turn: a root of hook h has a left subtree of
+    k vertices and a right one of h-1-k, where 0 vertices is the absent
+    child, (1, 1)."""
     _check_size(n)
-    dens = [0, *map(hook_den, range(1, n + 1))]
-    return zip(repeat(1), _binary_fold(n, dens, n - 3, {}))
-
-
-def _binary_fold(n: int, dens: list[int], keep: int, memo: dict) -> Iterator[int]:
-    """prod dens[h_v] for each binary tree of exactly ``n`` vertices, in
-    encoding order.
-
-    The root of a size-n tree reads the values of its right subtrees of size
-    r once for each left subtree of size n-1-r, so more than once for
-    r <= n-3 alone: ``memo[r, True]`` keeps the values of such a size whole,
-    as a list of bare ints in which equal values are one object, for every
-    size up to ``keep``.  The sizes read once, n-2 and n-1, stream.  The left
-    subtrees of all sizes 1..n-1 come from ``_binary_sizes``.  A term costs
-    one multiply: the left value times the root's factor is made once per
-    left subtree.
-    """
-    if n == 1:
-        yield dens[1]
-        return
-    root = dens[n]
-    for k, left in _binary_sizes(n - 1, dens, memo):
-        rest = n - 1 - k
-        if rest:
-            yield from map((left * root).__mul__, _binary_exact(rest, dens, keep, memo))
-        else:
-            yield left * root
-    yield from map(root.__mul__, _binary_exact(n - 1, dens, keep, memo))
-
-
-def _binary_exact(r: int, dens: list[int], keep: int, memo: dict) -> Iterable[int]:
-    """``_binary_fold(r, ...)``, kept whole in ``memo[r, True]`` when r <= ``keep``."""
-    if r > keep:
-        return _binary_fold(r, dens, keep, memo)
-    values = memo.get((r, True))
-    if values is None:
-        pool: dict = {}
-        values = memo[r, True] = [pool.setdefault(v, v) for v in _binary_fold(r, dens, keep, memo)]
-    return values
-
-
-def _binary_sizes(n: int, dens: list[int], memo: dict) -> Iterable[tuple[int, int]]:
-    """(size, prod dens[h_v]) for the binary trees of sizes 1..n, in encoding
-    order; up to ``MEMO_SIZE`` vertices kept whole in ``memo[n, False]``."""
-    if n > MEMO_SIZE:
-        return _binary_mixed(n, dens, memo)
-    items = memo.get((n, False))
-    if items is None:
-        items = memo[n, False] = list(_binary_mixed(n, dens, memo))
-    return items
-
-
-def _binary_mixed(n: int, dens: list[int], memo: dict) -> Iterator[tuple[int, int]]:
-    """``_binary_sizes(n, ...)``, made anew."""
-    if n > 1:
-        for k, left in _binary_sizes(n - 1, dens, memo):
-            rest = n - 1 - k
-            if rest:
-                for j, right in _binary_sizes(rest, dens, memo):
-                    yield k + j + 1, left * right * dens[k + j + 1]
-            yield k + 1, left * dens[k + 1]
-        for j, right in _binary_sizes(n - 1, dens, memo):
-            yield j + 1, right * dens[j + 1]
-    yield 1, dens[1]
+    sums = [{(1, 1): 1}]
+    for h in range(1, n + 1):
+        children: dict = {}
+        for k in range(h):
+            _times(sums[k], sums[h - 1 - k], children)
+        sums.append(_times(children, {(1, hook_den(h)): 1}))
+        yield sums[h]
 
 
 def enum_ordered(n: int) -> Iterator[OrderedTree]:
     """All ordered trees on ``n`` vertices, once each, encoding-ordered."""
     _check_size(n)
-    trees = _ordered(n, True, lambda children, size: OrderedTree(children), {})
-    return (tree for _, tree in trees)
+    return (tree for _, tree in _ordered(n, True, {}))
 
 
-def _ordered(n: int, exact: bool, node: Callable, memo: dict) -> Iterator[tuple[int, object]]:
-    """(size, node(children, size)) for the ordered trees of size ``n``, or
-    unless ``exact`` of sizes 1..n, in encoding order; ``children`` is the
-    tuple of the children's values."""
-    seqs = _kept(memo, n - 1, ("seq", n - 1, exact), _ordered_seq, n - 1, exact, node, memo)
-    for k, children in seqs:
-        yield k + 1, node(children, k + 1)
+def _ordered(n: int, exact: bool, memo: dict) -> Iterator[tuple[int, OrderedTree]]:
+    """(size, tree) for the ordered trees of size ``n``, or unless ``exact``
+    of sizes 1..n, in encoding order."""
+    for k, children in _kept(memo, n - 1, ("seq", n - 1, exact), _ordered_seq, n - 1, exact, memo):
+        yield k + 1, OrderedTree(children)
 
 
-def _ordered_seq(total: int, exact: bool, node: Callable,
-                 memo: dict) -> Iterator[tuple[int, tuple]]:
-    """(combined size, values) of the child sequences of combined size
+def _ordered_seq(total: int, exact: bool, memo: dict) -> Iterator[tuple[int, tuple]]:
+    """(combined size, trees) of the child sequences of combined size
     ``total`` (unless ``exact``, at most ``total``), ordered by concatenated
     encoding with the parent's ")" after it: another child's "(" sorts
     before that ")", so a sequence comes after every longer one it starts."""
     if total:
-        for k, first in _kept(memo, total, ("tree", total, False), _ordered, total, False, node,
-                              memo):
+        for k, first in _kept(memo, total, ("tree", total, False), _ordered, total, False, memo):
             left = total - k
-            rests = _kept(memo, left, ("seq", left, exact), _ordered_seq, left, exact, node, memo)
+            rests = _kept(memo, left, ("seq", left, exact), _ordered_seq, left, exact, memo)
             for j, rest in rests:
                 yield k + j, (first,) + rest
     if total == 0 or not exact:
@@ -639,26 +598,22 @@ def enum_tbar(oracle: BranchingOracle, n: int) -> Iterator[SlottedTree]:
     children, so never at depth n-1 or beyond.
     """
     _check_size(n)
-    trees = _slotted(oracle, (), n, True, lambda children, size, width: SlottedTree(children), {})
-    return (tree for _, tree in trees)
+    return (tree for _, tree in _slotted(oracle, (), n, True, {}))
 
 
 def _slotted(oracle: BranchingOracle, addr: Address, size: int, exact: bool,
-             node: Callable, memo: dict) -> Iterator[tuple[int, object]]:
-    """(size, node(children, size, width)) for the subtrees at ``addr`` of
-    ``size`` vertices, or unless ``exact`` of 1..size, in encoding order:
-    the leaf "()" first, as ")" sorts before "[".  ``children`` holds
-    (slot, value) pairs and ``width`` is the child count at ``addr``, None
-    for a leaf, whose count is never read."""
+             memo: dict) -> Iterator[tuple[int, SlottedTree]]:
+    """(size, tree) for the subtrees at ``addr`` of ``size`` vertices, or
+    unless ``exact`` of 1..size, in encoding order: the leaf "()" first, as
+    ")" sorts before "["."""
     if size == 1 or not exact:
-        yield 1, node((), 1, None)
+        yield 1, SlottedTree()
     if size > 1:
         width = oracle.child_count(addr)
         key = ("seq", oracle.subtree_key(addr), 0, size - 1, exact)
-        seqs = _kept(memo, size - 1, key, _slot_seq, oracle, addr, 0, width, size - 1, exact, node,
-                     memo)
+        seqs = _kept(memo, size - 1, key, _slot_seq, oracle, addr, 0, width, size - 1, exact, memo)
         for k, children in seqs:
-            yield k + 1, node(children, k + 1, width)
+            yield k + 1, SlottedTree(children)
 
 
 def _slot_seq(
@@ -668,10 +623,9 @@ def _slot_seq(
     width: int,
     budget: int,
     exact: bool,
-    node: Callable,
     memo: dict,
-) -> Iterator[tuple[int, tuple[tuple[int, object], ...]]]:
-    """(combined size, (slot, value) pairs) of the nonempty sequences using
+) -> Iterator[tuple[int, tuple[tuple[int, SlottedTree], ...]]]:
+    """(combined size, (slot, tree) pairs) of the nonempty sequences using
     slots in [min_slot, width), strictly increasing, with subtree sizes
     summing to ``budget`` (unless ``exact``, at most ``budget``); ordered by
     the concatenated "[slot]encoding" text with the parent's ")" after it,
@@ -681,13 +635,66 @@ def _slot_seq(
     for slot in sorted(range(min_slot, width), key=lambda s: f"{s}]"):
         below = addr + (slot,)
         key = ("tree", oracle.subtree_key(below), budget, False)
-        for k, sub in _kept(memo, budget, key, _slotted, oracle, below, budget, False, node, memo):
+        for k, sub in _kept(memo, budget, key, _slotted, oracle, below, budget, False, memo):
             left = budget - k
             if not (exact and left):
                 yield k, ((slot, sub),)
             if left:
                 key = ("seq", oracle.subtree_key(addr), slot + 1, left, exact)
                 rests = _kept(memo, left, key, _slot_seq, oracle, addr, slot + 1, width, left, exact,
-                              node, memo)
+                              memo)
                 for j, rest in rests:
                     yield k + j, ((slot, sub),) + rest
+
+
+def _slotted_terms(oracle: BranchingOracle, addr: Address, size: int,
+                   memo: dict) -> dict[tuple[int, int], int]:
+    """The multiset of ``TbarFamily.hook_term`` over the subtrees at
+    ``addr`` of ``size`` vertices, kept in ``memo`` by the key of ``addr``
+    and ``size``.
+
+    Slots whose child addresses have equal keys form a group: the same
+    subtrees hang below each, and k of a group's q slots can be filled in
+    C(q, k) ways.  ``seqs[t]`` holds the children of the groups taken so
+    far, t vertices in all.
+    """
+    key = oracle.subtree_key(addr), size
+    terms = memo.get(key)
+    if terms is not None:
+        return terms
+    if size == 1:
+        terms = {(1, 1): 1}
+    else:
+        width, budget = oracle.child_count(addr), size - 1
+        groups: dict = {}  # a child's key: [the child's address, slots]
+        for slot in range(width):
+            below = addr + (slot,)
+            groups.setdefault(oracle.subtree_key(below), [below, 0])[1] += 1
+        seqs = _empty_sequences(budget)
+        for below, q in groups.values():
+            subs = [{}] + [_slotted_terms(oracle, below, t, memo) for t in range(1, budget + 1)]
+            group, filled = _empty_sequences(budget), _empty_sequences(budget)
+            for k in range(1, min(q, budget) + 1):
+                filled = _convolve(filled, subs)
+                ways = {(1, 1): comb(q, k)}
+                for t in range(k, budget + 1):
+                    _times(filled[t], ways, group[t])
+            seqs = _convolve(seqs, group)
+        terms = _times(seqs[budget], {(1, TbarFamily.hook_den(width, size)): 1})
+    memo[key] = terms
+    return terms
+
+
+def _empty_sequences(budget: int) -> list[dict]:
+    """Multisets by total size 0..budget that hold the empty sequence alone."""
+    return [{(1, 1): 1}] + [{} for _ in range(budget)]
+
+
+def _convolve(a: list[dict], b: list[dict]) -> list[dict]:
+    """Multisets by total size 0..len(a)-1: at t, each of ``a[i]`` times
+    each of ``b[t-i]``."""
+    out = [{} for _ in a]
+    for i, x in enumerate(a):
+        for j in range(len(a) - i):
+            _times(x, b[j], out[i + j])
+    return out

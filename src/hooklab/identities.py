@@ -21,23 +21,24 @@ summed symbolically and compared as such.
 
 A summand is a product of per-vertex factors, so a shape's summand is its
 root's factor times its children's summands.  The sums never build a tree:
-each folds its per-vertex factor over the recursion of the family's
-enumerator (``Family.terms``; binary trees have a fold of their own,
-``families.binary_terms``), which yields the summands of the shapes in
-encoding order.  The binary sums count their Catalan-many shapes in closed
-form and refuse a size past ``TERM_LIMIT`` before the first term.
-``_hook_sum`` is the one sum over the summands: a summand is a pair
-(numerator, integer denominator), numerators are added per denominator,
-and a Fraction is formed only once per distinct denominator.
+``Family.term_sizes(n)`` (``families.binary_term_sizes`` for binary')
+yields the summands of the shapes of each size 1..n in turn as a multiset,
+each distinct pair (numerator, integer denominator) mapped to the number
+of shapes that have it, made from the smaller sizes by the root
+decomposition.  The number of shapes is the sum of those counts.  As it
+never falls with the size, a sum refuses n at the first size whose shapes
+pass ``TERM_LIMIT``, before it builds a larger one or sums anything.
+``_hook_sum`` is the one sum over the summands: count times numerator is
+added per denominator, and a Fraction is formed only once per distinct
+denominator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
-from math import comb, factorial, prod
-from typing import Callable, Iterable
+from math import factorial, prod
+from typing import Iterable
 
 from .exact import RationalFunction
 from .families import (
@@ -46,7 +47,7 @@ from .families import (
     OrderedFamily,
     Probability,
     TbarFamily,
-    binary_terms,
+    binary_term_sizes,
     enum_binary,
 )
 from .trees import BinaryTree, OrderedTree, Tree, _labelings, _subtrees
@@ -68,16 +69,15 @@ def hook_values(t: Tree) -> list[int]:
     return [node.size for node in _subtrees(t)]
 
 
-def _hook_sum(terms: Iterable[tuple]) -> tuple[Probability, int]:
-    """Sum of ``terms``, each (numerator, integer denominator), and their
-    number; the numerators of equal denominators are added first."""
+def _hook_sum(terms: dict[tuple, int]) -> Probability:
+    """Sum of the multiset ``terms``, each (numerator, integer denominator)
+    mapped to its count; count times numerator is added per denominator
+    first."""
     by_den: dict = {}
-    count = 0
-    for num, den in terms:
+    for (num, den), count in terms.items():
         seen = by_den.get(den)
-        by_den[den] = num if seen is None else seen + num
-        count += 1
-    return sum((num * Fraction(1, den) for den, num in by_den.items()), Fraction(0)), count
+        by_den[den] = count * num if seen is None else seen + count * num
+    return sum((num * Fraction(1, den) for den, num in by_den.items()), Fraction(0))
 
 
 def _han2_den(h: int) -> int:
@@ -100,7 +100,7 @@ def tbar_lhs(oracle: BranchingOracle, n: int) -> Fraction:
 
 def yang_term(t: OrderedTree) -> RationalFunction:
     """The ordered-tree summand prod C(m,c_v) / (h_v * m^(h_v-1)), in m."""
-    return _hook_sum([OrderedFamily().hook_term(t)])[0]
+    return _hook_sum({OrderedFamily().hook_term(t): 1})
 
 
 def yang_lhs(n: int) -> RationalFunction:
@@ -109,7 +109,7 @@ def yang_lhs(n: int) -> RationalFunction:
 
 def yang_sum_at(n: int, point: Fraction) -> Fraction:
     """The ordered-tree sum with every summand evaluated at a concrete m."""
-    return _verify("yang", n, OrderedFamily(point).terms(n), n).lhs
+    return _verify("yang", n, OrderedFamily(point).term_sizes(n), n).lhs
 
 
 def hook_count(t: Tree) -> int:
@@ -163,47 +163,38 @@ class IdentityReport:
         return {name: str(value) if name in exact else value for name, value in vars(self).items()}
 
 
-def _too_many_terms(identity: str, n: int, where: str = "") -> SizeLimitError:
-    return SizeLimitError(f"the {identity} sum at n={n}{where} has more than {TERM_LIMIT} terms")
-
-
 def _verify(
-    identity: str, n: int, terms: Iterable[tuple], size: int, where: str = ""
+    identity: str, n: int, term_sizes: Iterable[dict[tuple, int]], size: int, where: str = ""
 ) -> IdentityReport:
-    """Report on ``sum of terms == 1/size!``, one term per shape; raises
-    ``SizeLimitError`` once the terms pass ``TERM_LIMIT``."""
-    lhs, count = _hook_sum(islice(terms, TERM_LIMIT + 1))
-    if count > TERM_LIMIT:
-        raise _too_many_terms(identity, n, where)
+    """Report on ``sum of terms == 1/size!``, ``terms`` the last of
+    ``term_sizes``, the multisets of one term per shape of each size 1..n;
+    raises ``SizeLimitError`` at the first size whose shapes pass
+    ``TERM_LIMIT``, before the next is built."""
+    for terms in term_sizes:
+        count = sum(terms.values())
+        if count > TERM_LIMIT:
+            raise SizeLimitError(f"the {identity} sum at n={n}{where} has more than "
+                                 f"{TERM_LIMIT} terms")
+    lhs = _hook_sum(terms)
     expected = Fraction(1, factorial(size))
     return IdentityReport(identity, n, lhs, expected, lhs == expected, count)
 
 
-def _verify_binary(identity: str, n: int, hook_den: Callable[[int], int],
-                   size: int) -> IdentityReport:
-    """``_verify`` over the binary trees of size ``n``, whose number, the
-    Catalan number C(2n, n)/(n+1), is checked against ``TERM_LIMIT`` before
-    the first term is made."""
-    if n > 0 and comb(2 * n, n) // (n + 1) > TERM_LIMIT:
-        raise _too_many_terms(identity, n)
-    return _verify(identity, n, binary_terms(n, hook_den), size)
-
-
 def verify_han(n: int) -> IdentityReport:
-    return _verify_binary("han", n, BinaryFamily.hook_den, n)
+    return _verify("han", n, BinaryFamily().term_sizes(n), n)
 
 
 def verify_yang(n: int) -> IdentityReport:
-    return _verify("yang", n, OrderedFamily().terms(n), n)
+    return _verify("yang", n, OrderedFamily().term_sizes(n), n)
 
 
 def verify_tbar(oracle: BranchingOracle, n: int) -> IdentityReport:
     family = TbarFamily(oracle)
-    return _verify("tbar", n, family.terms(n), n, family.where)
+    return _verify("tbar", n, family.term_sizes(n), n, family.where)
 
 
 def verify_han2(n: int) -> IdentityReport:
-    return _verify_binary("han2", n, _han2_den, 2 * n + 1)
+    return _verify("han2", n, binary_term_sizes(n, _han2_den), 2 * n + 1)
 
 
 @dataclass(frozen=True)

@@ -249,7 +249,7 @@ class TestVerify:
 
     def test_a_wrong_leaf_factor_fails_han_and_han2(self, monkeypatch, capsys):
         # every leaf's factor is off by one, and from n=2 on the leaves sit
-        # below the root; han and han2 fold the binary enumerator with
+        # below the root; han and han2 build the binary summands with
         # factors of their own, so each is mutated
         real = BinaryFamily.hook_den
         monkeypatch.setattr(BinaryFamily, "hook_den", staticmethod(lambda h: real(h) + (h == 1)))

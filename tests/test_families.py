@@ -11,7 +11,6 @@ import pytest
 
 from conftest import catalan
 from hooklab import (
-    BinaryFamily,
     BinaryTree,
     BranchingOracle,
     ConstantBranching,
@@ -19,6 +18,7 @@ from hooklab import (
     FamilyConfigError,
     OracleSyntaxError,
     OrderedTree,
+    SizeLimitError,
     SlottedTree,
     TableBranching,
     TbarFamily,
@@ -427,35 +427,40 @@ class TestSharedStreams:
     stays what a fresh stream per subtree would yield."""
 
     def test_equal_keys_mean_equal_counts_below(self, mixed_oracle):
+        deep_table = TableBranching((((0, 1), 4), ((1,), 1)), DepthBranching((2, 3, 1)))
         for oracle in (ConstantBranching(3), DepthBranching((2, 3)), DepthBranching((1, 2, 3)),
-                       mixed_oracle):
+                       mixed_oracle, deep_table):
             below = {}
             for addr in _addresses(oracle, 4):
                 counts = _below(oracle, addr, 3)
                 assert below.setdefault(oracle.subtree_key(addr), counts) == counts, (oracle, addr)
 
     def test_a_key_blind_to_depth_changes_the_terms(self):
-        # under depth:2,3 only the root's count differs, and the root's
-        # stream is never shared, so the mutant needs a third depth
-        mutant = DepthBlindKey((2, 3, 4))
+        # the sum keeps the root's multisets of the sizes it took, so the
+        # blind key hands them, those of const:2, to every vertex below; the
+        # sum still comes to 1/n!, so only the multisets and the count tell
+        mutant, oracle = DepthBlindKey((2, 3, 4)), DepthBranching((2, 3, 4))
         family = TbarFamily(mutant)
-        assert any(list(family.terms(n)) != [family.hook_term(t) for t in enum_tbar(mutant, n)]
-                   for n in range(1, 8))
+        sizes = list(family.term_sizes(7))
+        caught = [n for n in range(1, 8)
+                  if sizes[n - 1] != Counter(family.hook_term(t) for t in enum_tbar(oracle, n))]
+        assert caught == [3, 4, 5, 6, 7]
+        report = verify_tbar(mutant, 5)
+        assert report.holds and report.term_count == 42  # of 221 shapes
 
     def test_a_prefix_makes_only_what_it_reads(self):
-        # under const:50 the first 100 subtrees of size 5 take 2 queries and
-        # their terms 152, with or without shared streams; filling a shared
-        # stream whole before reading it would take far more than 1000
-        for stream in (lambda o: enum_tbar(o, 5), lambda o: TbarFamily(o).terms(5)):
-            prefix = list(islice(stream(BudgetOracle(ConstantBranching(50), 1000)), 100))
-            assert len(prefix) == 100
+        # under const:50 the first 100 subtrees of size 5 take 2 queries,
+        # with or without shared streams; filling a shared stream whole
+        # before reading it would take far more than 1000
+        prefix = list(islice(enum_tbar(BudgetOracle(ConstantBranching(50), 1000), 5), 100))
+        assert len(prefix) == 100
 
     def test_each_call_has_its_own_streams(self):
         # streams kept across calls would leave the second call nothing to ask
         asked = []
         for _ in range(2):
             recording = RecordingOracle(DepthBranching((2, 3)))
-            assert sum(1 for _ in TbarFamily(recording).terms(6)) == 728
+            assert sum(1 for _ in enum_tbar(recording, 6)) == 728
             asked.append(recording.asked)
         assert len(asked[0]) == 81
         assert asked[1] == asked[0]
@@ -465,17 +470,13 @@ class TestSharedStreams:
         # subtrees of at most MEMO_SIZE vertices; a binary or ordered key
         # names its generator's arguments, and the copy replays exactly what
         # a fresh generator of them yields
-        def ordered(children, size):
-            return OrderedTree(children)
-
         ordered_gens = {"tree": families._ordered, "seq": families._ordered_seq}
         cases = [
             (lambda memo: families._binary(8, True, memo),
              lambda key: families._binary(*key, {})),
-            (lambda memo: families._ordered(8, True, ordered, memo),
-             lambda key: ordered_gens[key[0]](*key[1:], ordered, {})),
-            (lambda memo: families._slotted(DepthBranching((2, 3)), (), 7, True,
-                                            lambda children, size, width: 1, memo), None),
+            (lambda memo: families._ordered(8, True, memo),
+             lambda key: ordered_gens[key[0]](*key[1:], {})),
+            (lambda memo: families._slotted(DepthBranching((2, 3)), (), 7, True, memo), None),
         ]
         for run, fresh in cases:
             memo = {}
@@ -486,26 +487,6 @@ class TestSharedStreams:
                 assert all(size <= families.MEMO_SIZE for size, _ in items), key
                 if fresh is not None:
                     assert items == list(fresh(key)), key
-
-    def test_the_binary_fold_keeps_whole_what_it_reads_twice(self):
-        # after a whole fold at n=10, the memo holds the values of exactly
-        # the sizes 1..n-3 (those a root reads more than once) as lists of
-        # ints, equal values one object, and those of sizes 1..k only up
-        # to MEMO_SIZE; each list is what a fresh generator yields
-        n = 10
-        dens = [0, *map(BinaryFamily.hook_den, range(1, n + 1))]
-        memo = {}
-        assert sum(1 for _ in families._binary_fold(n, dens, n - 3, memo)) == catalan(n)
-        exact = sorted(r for r, whole in memo if whole)
-        mixed = sorted(k for k, whole in memo if not whole)
-        assert exact == list(range(1, n - 2))
-        assert mixed == list(range(1, families.MEMO_SIZE + 1))
-        for r in exact:
-            values = memo[r, True]
-            assert values == list(families._binary_fold(r, dens, n - 3, {})), r
-            assert len({id(v) for v in values}) == len(set(values)), r
-        for k in mixed:
-            assert memo[k, False] == list(families._binary_mixed(k, dens, {})), k
 
     def test_a_finished_enumeration_leaves_no_cyclic_garbage(self):
         # reference counting frees a finished enumeration's memo: its kept
@@ -533,28 +514,50 @@ class TestSharedStreams:
 
 
 class CountingOracle(BranchingOracle):
-    """Counts every query; passes queries and stream keys on to ``inner``."""
+    """Records every query; passes queries and stream keys on to ``inner``."""
 
     def __init__(self, inner):
-        self.inner, self.calls = inner, 0
+        self.inner, self.asked = inner, []
 
     def child_count(self, addr):
-        self.calls += 1
+        self.asked.append(addr)
         return self.inner.child_count(addr)
 
     def subtree_key(self, addr):
         return self.inner.subtree_key(addr)
 
 
-class TestReadOnce:
-    """A count the enumerator has read is handed on, not asked again."""
+class TestTbarTerms:
+    def test_the_oracle_is_asked_once_per_key_and_size(self, mixed_oracle):
+        # a vertex of h >= 2 vertices asks its count; at depth d it has at
+        # most n-d of them, so it asks at depth n-2 at most, and a key first
+        # met at depth d is asked for at most n-1-d sizes.  Under const:3
+        # that is once per size 2..n; under depth:2,3 the root asks at the
+        # sizes 2..n and its children's key at 2..n-1; the mixed table keys
+        # the root and its listed children by their addresses
+        queries = {ConstantBranching(3): lambda n: n - 1,
+                   DepthBranching((2, 3)): lambda n: max(2 * n - 3, 0)}
+        for oracle in (ConstantBranching(3), DepthBranching((2, 3)), mixed_oracle):
+            for n in range(1, 9):
+                counting = CountingOracle(oracle)
+                *_, terms = TbarFamily(counting).term_sizes(n)
+                assert sum(terms.values()) == sum(1 for _ in enum_tbar(oracle, n))
+                assert all(len(addr) <= n - 2 for addr in counting.asked), (oracle, n)
+                first: dict = {}
+                for addr in counting.asked:
+                    key = oracle.subtree_key(addr)
+                    first[key] = min(first.get(key, n), len(addr))
+                asks = Counter(oracle.subtree_key(addr) for addr in counting.asked)
+                assert all(asks[key] <= n - 1 - first[key] for key in asks), (oracle, n)
+                if oracle in queries:
+                    assert len(counting.asked) == queries[oracle](n), (oracle, n)
 
-    def test_the_summands_ask_the_oracle_what_the_trees_ask(self):
-        # the builder gets the count the enumerator read, so the summands
-        # ask the oracle nothing the trees do not
-        for spec in ("const:3", "depth:2,3"):
-            for n in (6, 8):
-                ours, theirs = CountingOracle(parse_oracle(spec)), CountingOracle(parse_oracle(spec))
-                terms = sum(1 for _ in TbarFamily(ours).terms(n))
-                assert terms == sum(1 for _ in enum_tbar(theirs, n))
-                assert ours.calls == theirs.calls, (spec, n)
+    def test_a_table_shares_its_default_below_the_listed_addresses(self):
+        # the root alone is listed, so its child and the child's 2000
+        # children all take the default's key: one query per key and size
+        # (the sum takes the sizes 2..4 in turn), where address keys would
+        # ask each of the 2000 at size 2
+        counting = CountingOracle(TableBranching((((), 1),), ConstantBranching(2000)))
+        with pytest.raises(SizeLimitError, match="the tbar sum at n=4 "):
+            verify_tbar(counting, 4)  # 1,999,000 + 2000^2 shapes
+        assert counting.asked == [(), (), (0,), (), (0,)]

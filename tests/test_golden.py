@@ -19,6 +19,9 @@ labeling masses of binary trees, of ordered trees at m=9/2 and of tbar
 trees under the mixed table oracle, yang at its CLI cap and an ordered gate
 at m=10 were captured while each labeling was still weighed by ranking its
 labels and while the kept subtree streams were still filled into lists.
+The sums at the CLI caps (han to 12, han2 to 11 in JSON and as a table,
+tbar depth:2,3 to 8) were captured while the sums still took one summand
+per shape, in encoding order, before they became multisets by subtree size.
 """
 
 import hashlib
@@ -167,6 +170,26 @@ GOLDEN = [
         "mc-ordered-m10-n4",
         "mc --family ordered --m 10 --n 4 --samples 20000 --seed 5 --json",
         "7ecf2015728159d321d08c79f6c18ffa96d3c9fe1e0945cff3e523428850addd",
+    ),
+    (
+        "verify-han-n12",
+        "verify han --n-max 12 --json",
+        "14dcab35d42ea28cbcff7989d3f2245195a8a0e84a2b121c18f79ca9c52ddd03",
+    ),
+    (
+        "verify-han2-n11",
+        "verify han2 --n-max 11 --json",
+        "2cbb0c300571d708262923dd7cba6437c85c50298b536ad5c588d893e1b337e1",
+    ),
+    (
+        "verify-han2-n11-table",
+        "verify han2 --n-max 11",
+        "f2ebf5baf115af9a2ef00ccd37c191e6773ae0ef7b8473ce2c997ff69958d629",
+    ),
+    (
+        "verify-tbar-depth-n8",
+        "verify tbar --oracle depth:2,3 --n-max 8 --json",
+        "37bddcfa03d852271b51fec87b8f2e71eee9bfedfc4082b9dd566e4a00615044",
     ),
 ]
 

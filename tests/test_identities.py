@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from fractions import Fraction
 from math import factorial, prod
 
@@ -21,7 +22,6 @@ from hooklab import (
     enum_binary,
     enum_ordered,
     enum_tbar,
-    families,
     han2_lhs,
     han_lhs,
     hook_count,
@@ -36,7 +36,7 @@ from hooklab import (
     yang_term,
 )
 from hooklab.exact import RationalFunction, binomial_poly
-from hooklab.families import binary_terms
+from hooklab.families import binary_term_sizes
 
 
 class TestHan:
@@ -61,24 +61,18 @@ class TestHan:
             assert factorial(n) * han_lhs(n) == 1
 
     def test_sum_is_bounded_by_the_term_limit(self, monkeypatch):
+        # han and tbar under const:2 have 42 shapes at n=5 and 132 at n=6,
+        # yang 42 at n=6 and 132 at n=7
         monkeypatch.setattr(identities, "TERM_LIMIT", 42)
-        assert han_lhs(5) == Fraction(1, 120)  # 42 trees
+        assert han_lhs(5) == Fraction(1, 120)
+        assert tbar_lhs(ConstantBranching(2), 5) == Fraction(1, 120)
+        assert yang_lhs(6) == Fraction(1, 720)
         with pytest.raises(SizeLimitError, match="more than 42 terms"):
-            han_lhs(6)  # 132 trees
-
-    def test_a_binary_sum_past_the_term_limit_makes_no_term(self, monkeypatch):
-        # the Catalan number of shapes refuses the size before the fold runs
-        def fold(*args):
-            raise AssertionError("the fold ran")
-
-        monkeypatch.setattr(families, "_binary_fold", fold)
-        for lhs in (han_lhs, han2_lhs):
-            with pytest.raises(SizeLimitError, match="at n=14 has more than 1000000 terms"):
-                lhs(14)  # 2,674,440 trees
-        monkeypatch.setattr(identities, "TERM_LIMIT", 42)
-        for lhs in (han_lhs, han2_lhs):
-            with pytest.raises(SizeLimitError, match="at n=6 has more than 42 terms"):
-                lhs(6)
+            han_lhs(6)
+        with pytest.raises(SizeLimitError, match="more than 42 terms"):
+            tbar_lhs(ConstantBranching(2), 6)
+        with pytest.raises(SizeLimitError, match="more than 42 terms"):
+            yang_lhs(7)
 
     def test_report(self):
         r = verify_han(3)
@@ -263,37 +257,97 @@ class TestReductionIdentities:
         assert rows[-1].running_total == 1
 
 
+def test_every_sum_past_the_term_limit_is_refused_before_it_is_summed(monkeypatch):
+    # the sums take the sizes 1..n in turn and refuse n at the first whose
+    # shapes pass the limit, before a larger size is built or anything is
+    # summed: binary at 14 (2,674,440 shapes), ordered at 15 (as many), tbar
+    # under const:3 at 10 (1,430,715); building every size to 30 would take
+    # minutes and gigabytes
+    def hook_sum(terms):
+        raise AssertionError("the sum ran")
+
+    built = []
+
+    def recording(term_sizes):
+        def sizes(*args):
+            built.append(0)
+            for terms in term_sizes(*args):
+                built[-1] += 1
+                yield terms
+        return sizes
+
+    monkeypatch.setattr(identities, "_hook_sum", hook_sum)
+    monkeypatch.setattr(identities, "binary_term_sizes", recording(binary_term_sizes))
+    for family in (BinaryFamily, OrderedFamily, TbarFamily):
+        monkeypatch.setattr(family, "term_sizes", recording(family.term_sizes))
+    big = [
+        ("the han sum at n=14", 14, lambda: han_lhs(14)),
+        ("the han2 sum at n=14", 14, lambda: han2_lhs(14)),
+        ("the tbar sum at n=10 with oracle const:3", 10,
+         lambda: verify_tbar(ConstantBranching(3), 10)),
+        ("the yang sum at n=15", 15, lambda: verify_yang(15)),
+        ("the han sum at n=30", 14, lambda: han_lhs(30)),
+        ("the han2 sum at n=30", 14, lambda: han2_lhs(30)),
+        ("the tbar sum at n=30 with oracle const:3", 10,
+         lambda: tbar_lhs(ConstantBranching(3), 30)),
+        ("the yang sum at n=30", 15, lambda: yang_lhs(30)),
+        ("the yang sum at n=30", 15, lambda: yang_sum_at(30, Fraction(2))),
+    ]
+    for sum_at, size, lhs in big:
+        with pytest.raises(SizeLimitError, match=f"^{sum_at} has more than 1000000 terms$"):
+            lhs()
+        assert built.pop() == size, sum_at
+    monkeypatch.setattr(identities, "TERM_LIMIT", 42)
+    for lhs in (han_lhs, han2_lhs):
+        with pytest.raises(SizeLimitError, match="at n=6 has more than 42 terms"):
+            lhs(6)
+
+
 def test_consistency_error_is_reserved():
     # ConsistencyError guards impossibilities; no valid input raises it
     assert issubclass(ConsistencyError, RuntimeError)
 
 
 class TestTermFold:
-    """The sums fold each vertex factor through the family's enumerator.
-    Position by position in encoding order, a folded term equals the
-    summand of the tree the same enumerator builds at that position."""
+    """The sums take the summands by subtree size, as a multiset per size.
+    It equals the multiset of the summand of each tree the enumerator
+    builds."""
 
     def test_binary_han_and_han2(self):
         family = BinaryFamily()
+        han_sizes = list(family.term_sizes(10))
+        han2_sizes = list(binary_term_sizes(10, identities._han2_den))
         for n in range(1, 11):
             trees = list(enum_binary(n))
-            assert list(family.terms(n)) == [family.hook_term(t) for t in trees], n
-            han2 = [(1, prod((2 * h + 1) * 2 ** (2 * h - 1) for h in hook_lengths(t).values()))
-                    for t in trees]
-            assert list(binary_terms(n, identities._han2_den)) == han2, n
+            assert han_sizes[n - 1] == Counter(family.hook_term(t) for t in trees), n
+            han2 = Counter((1, prod((2 * h + 1) * 2 ** (2 * h - 1)
+                                    for h in hook_lengths(t).values()))
+                           for t in trees)
+            assert han2_sizes[n - 1] == han2, n
 
     def test_tbar(self, mixed_oracle):
         for oracle in (ConstantBranching(3), DepthBranching((2, 3)), mixed_oracle):
             family = TbarFamily(oracle)
+            sizes = list(family.term_sizes(7))
             for n in range(1, 8):
-                terms = [family.hook_term(t) for t in enum_tbar(oracle, n)]
-                assert list(family.terms(n)) == terms, (oracle, n)
+                terms = Counter(family.hook_term(t) for t in enum_tbar(oracle, n))
+                assert sizes[n - 1] == terms, (oracle, n)
 
     def test_ordered_symbolic_and_concrete(self):
-        for family, n_max in ((OrderedFamily(), 7), (OrderedFamily(Fraction(9, 2)), 6)):
+        # at m=2 a vertex with 3 or more children has the factor 0, so
+        # summands of different shapes meet at numerator 0
+        for family, n_max in ((OrderedFamily(), 7), (OrderedFamily(Fraction(9, 2)), 6),
+                              (OrderedFamily(2), 7)):
+            sizes = list(family.term_sizes(n_max))
             for n in range(1, n_max + 1):
-                terms = [family.hook_term(t) for t in enum_ordered(n)]
-                assert list(family.terms(n)) == terms, (family, n)
+                terms = Counter(family.hook_term(t) for t in enum_ordered(n))
+                assert sizes[n - 1] == terms, (family, n)
+
+    def test_a_wide_vertex_fills_its_slots_by_binomials(self):
+        # 500 slots of one key: two children in C(500, 2) ways, or one
+        # child of size 2 (a path) below one of 500 slots, itself 500-wide
+        r = verify_tbar(ConstantBranching(500), 3)
+        assert r.holds and r.term_count == 124_750 + 500 ** 2 == 374_750
 
     def test_the_summands_match_their_closed_forms(self):
         # binary from the hook lengths; concrete m is the symbolic term at m
