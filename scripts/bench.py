@@ -23,6 +23,13 @@ ROUNDS rounds over all rows, and reports each row's best and median round.
            ordered with symbolic m to n=5 and to n=7 (the slowest sweeps)
   enum     a count-only loop over ``enum_binary(12)``, ``enum_ordered(10)``
            and ``enum_tbar`` at n=8 with const:3 and depth:2,3
+  count    ``sampler._labeling_count``, the number of labeled trees that
+           ``verify lemma|labelprob`` print and ``mc`` checks before it
+           builds its masses, at the sweeps' largest sizes (binary n=7,
+           tbar depth:2,3 n=6 and n=7, ordered with symbolic m n=7), and
+           its refusal of tbar const:50 at n=5, which has more than
+           ``identities.TERM_LIMIT`` labeled trees.  A round runs each
+           count ``repeats`` times in a row; the seconds are per count
   identities  the reports ``verify_han`` to n=12, ``verify_han2`` to n=11,
            ``verify_tbar`` to n=8 with const:3 and depth:2,3 and
            ``verify_yang`` to n=8.  A round runs each n of a sweep
@@ -63,6 +70,7 @@ from hooklab import (  # noqa: E402
     ConstantBranching,
     DepthBranching,
     OrderedFamily,
+    SizeLimitError,
     TbarFamily,
     category_masses,
     enum_binary,
@@ -76,6 +84,7 @@ from hooklab import (  # noqa: E402
     verify_yang,
 )
 from hooklab.cli import main as cli_main  # noqa: E402
+from hooklab.sampler import _labeling_count  # noqa: E402
 from speed import SpeedClock  # noqa: E402
 
 ROUNDS = 5
@@ -119,6 +128,15 @@ ENUM = [
     ("tbar depth:2,3 n=8", lambda: enum_tbar(DepthBranching((2, 3)), 8)),
 ]
 
+# (row, family, n, counts per round); the last is refused
+COUNT = [
+    ("binary n=7", BinaryFamily(), 7, 20),
+    ("tbar depth:2,3 n=6", TbarFamily(DepthBranching((2, 3))), 6, 20),
+    ("tbar depth:2,3 n=7", TbarFamily(DepthBranching((2, 3))), 7, 5),
+    ("ordered symbolic n=7", OrderedFamily(), 7, 20),
+    ("tbar const:50 n=5 refused", TbarFamily(ConstantBranching(50)), 5, 1),
+]
+
 # (row, report of one n, largest n, sweeps per round)
 IDENTITIES = [
     ("han", verify_han, 12, 2),
@@ -145,6 +163,14 @@ def _grow(family, n: int, count: int) -> None:
 def _repeat(repeats: int, work, *args) -> None:
     for _ in range(repeats):
         work(*args)
+
+
+def _count(family, n: int) -> int | None:
+    """The number of labeled trees of size ``n``, None when it is refused."""
+    try:
+        return _labeling_count(family, n)
+    except SizeLimitError:
+        return None
 
 
 def _peak_mb(verify, n_max: int) -> float:
@@ -230,6 +256,12 @@ def main() -> int:
     times = _rounds([(row, lambda call=call: sum(1 for _ in call())) for row, call in ENUM])
     enum_rows = [_row(row, times[row], trees=sum(1 for _ in call())) for row, call in ENUM]
 
+    times = _rounds([(row, partial(_repeat, repeats, _count, family, n))
+                     for row, family, n, repeats in COUNT])
+    count_rows = [_row(row, [t / repeats for t in times[row]], repeats=repeats,
+                       labeled_trees=_count(family, n))
+                  for row, family, n, repeats in COUNT]
+
     peaks = {row: _peak_mb(verify, n_max) for row, verify, n_max, _ in IDENTITIES}
     times = _rounds([((row, n), partial(_holds, verify, n, repeats))
                      for row, verify, n_max, repeats in IDENTITIES
@@ -262,6 +294,7 @@ def main() -> int:
         "census_total_seconds": _s(sum(r["best_seconds"] for r in census_rows[:3])),
         "sweeps": sweep_rows,
         "enum": enum_rows,
+        "count": count_rows,
         "identities": identity_rows,
     }
     path = ROOT / f"BENCH_{args.label}.json"

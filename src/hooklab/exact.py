@@ -115,7 +115,9 @@ class RationalFunction:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(("RationalFunction", self.ints, self.scale, self.low))
+        if self.low or len(self.ints) > 1:
+            return hash(("RationalFunction", self.ints, self.scale, self.low))
+        return hash(self.constant_value())  # a constant equals its value
 
     def __neg__(self) -> "RationalFunction":
         return RationalFunction.from_ints([-c for c in self.ints], self.scale, self.low)

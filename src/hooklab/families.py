@@ -11,16 +11,15 @@ count (always finite and at least 1), and enumeration and sampling query it
 lazily, never deeper than the tree size they are producing.
 
 Enumerators yield each tree exactly once in lexicographic order of its
-canonical encoding, and they stream: all they hold is what has been read
-of the streams of subtrees of at most ``MEMO_SIZE`` vertices, each made
-once per call and replayed through ``itertools.tee`` (see ``_kept``).
-Encodings are prefix-free, so two trees compare at their first differing
-child, and the character after a shared prefix decides: for binary trees a
-present child "(" sorts before an absent one ".", for ordered trees another
-child "(" before the closing ")", for slotted trees the closing ")" before
-another "[slot]".  So one generator per family yields every tree of sizes
-1..k at an address in encoding order, and the exact-size stream draws its
-first child from it; no merge of per-size streams is needed.
+canonical encoding, and they stream: all they hold is the chain of
+recursive generators down to the tree they yield next.  Encodings are
+prefix-free, so two trees compare at their first differing child, and the
+character after a shared prefix decides: for binary trees a present child
+"(" sorts before an absent one ".", for ordered trees another child "("
+before the closing ")", for slotted trees the closing ")" before another
+"[slot]".  So one generator per family yields every tree of sizes 1..k at
+an address in encoding order, and the exact-size stream draws its first
+child from it; no merge of per-size streams is needed.
 
 The identity sums enumerate nothing.  A shape's hook-length summand is its
 root's factor times its children's summands, so the summands of the shapes
@@ -40,9 +39,8 @@ import json
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import tee
 from math import comb, factorial, prod
-from typing import Callable, Hashable, Iterable, Iterator, Union
+from typing import Callable, Hashable, Iterator, Union
 
 from .exact import RationalFunction, binomial_poly
 from .trees import Address, BinaryTree, OrderedTree, SlottedTree, Tree, _preorder, _subtrees
@@ -67,9 +65,9 @@ class BranchingOracle:
     def subtree_key(self, addr: Address) -> Hashable:
         """A key for the part of the infinite tree at and below ``addr``:
         two addresses with equal keys have equal child counts at every
-        address relative to them.  The enumerators share the subtree streams
-        of addresses with equal keys.  The address itself is always a safe
-        key; a subclass returns a coarser one where its rule allows."""
+        address relative to them, so the tbar fold shares their multisets.
+        The address is always a safe key; a subclass returns a coarser one
+        where its rule allows."""
         return addr
 
 
@@ -261,9 +259,11 @@ class ProbabilityRangeError(ValueError):
 # per-vertex factor is one family rule, which hook_term multiplies over a
 # shape and term_sizes(n) over the root decomposition: for each size 1..n in
 # turn it maps each summand of shapes(size) to the number of shapes that
-# have it, and builds no tree.  Shapes never get fewer as the size grows: a
-# first child below a shape's last vertex in preorder is the new last
-# vertex, so distinct shapes grow into distinct shapes.
+# have it, and builds no tree.  hook_sizes(n) runs the same fold with the
+# factor 1/h_v, so its multisets hold (1, prod h_v), and n!/prod h_v per shape
+# counts the labelings.  Shapes never get fewer as the size grows: a first
+# child below a shape's last vertex in preorder is the new last vertex, so
+# distinct shapes grow into distinct shapes.
 # Messages name a family by its label followed by ``where``, the parameter a
 # user would change ("" when the label says it all).
 
@@ -304,6 +304,9 @@ class BinaryFamily:
 
     def term_sizes(self, n: int) -> Iterator[dict[tuple[int, int], int]]:
         return binary_term_sizes(n, self.hook_den)
+
+    def hook_sizes(self, n: int) -> Iterator[dict[tuple[int, int], int]]:
+        return binary_term_sizes(n, lambda h: h)
 
     def hook_term(self, shape: BinaryTree) -> tuple[int, int]:
         """prod 1/(h_v * 2^(h_v-1)) as (1, denominator)."""
@@ -380,22 +383,10 @@ class OrderedFamily:
         return num, h * factorial(c) * q ** c * p ** (h - 1)
 
     def term_sizes(self, n: int) -> Iterator[dict[tuple[int | RationalFunction, int], int]]:
-        """A root of hook h with c children: ``seqs[c][h-1]``, the sequences
-        of c trees of h-1 vertices in all, times ``vertex_term(c, h)``."""
-        _check_size(n)
-        trees = [{}]  # by size; no tree has 0 vertices
-        seqs = [[{} for _ in range(n)] for _ in range(n)]
-        seqs[0][0] = {(1, 1): 1}
-        for h in range(1, n + 1):
-            total = h - 1
-            for c in range(1, h):  # a first tree of s vertices, then c-1 more
-                for s in range(1, total - c + 2):
-                    _times(trees[s], seqs[c - 1][total - s], seqs[c][total])
-            tree: dict = {}
-            for c in range(h):
-                _times(seqs[c][total], {self.vertex_term(c, h): 1}, tree)
-            trees.append(tree)
-            yield tree
+        return _ordered_term_sizes(n, self.vertex_term)
+
+    def hook_sizes(self, n: int) -> Iterator[dict[tuple[int, int], int]]:
+        return _ordered_term_sizes(n, lambda c, h: (1, h))
 
     def hook_term(self, shape: OrderedTree) -> tuple[int | RationalFunction, int]:
         """prod C(m,c_v) / (h_v * m^(h_v-1)) as (numerator, denominator)."""
@@ -458,10 +449,10 @@ class TbarFamily:
         return h * width ** (h - 1) if h > 1 else 1
 
     def term_sizes(self, n: int) -> Iterator[dict[tuple[int, int], int]]:
-        _check_size(n)
-        memo: dict = {}
-        for size in range(1, n + 1):
-            yield _slotted_terms(self.oracle, (), size, memo)
+        return _tbar_term_sizes(self.oracle, n, self.hook_den)
+
+    def hook_sizes(self, n: int) -> Iterator[dict[tuple[int, int], int]]:
+        return _tbar_term_sizes(self.oracle, n, lambda width, h: h)
 
     def hook_term(self, shape: SlottedTree) -> tuple[int, int]:
         """prod 1/(h_v * cbar_v^(h_v-1)) as (1, denominator)."""
@@ -489,25 +480,6 @@ def _check_size(n: int) -> None:
         raise ValueError("n must be at least 1")
 
 
-MEMO_SIZE = 4  # the largest subtree stream, in vertices, that one enumeration keeps in _kept
-
-
-def _kept(memo: dict, size: int, key: tuple, gen: Callable, *args) -> Iterable:
-    """The stream ``gen(*args)`` of subtrees of at most ``size`` vertices.
-
-    Up to ``MEMO_SIZE`` vertices it is made once per ``memo``: ``memo[key]``
-    holds an unread ``tee`` of it, and every reader, then or later, reads a
-    copy, which replays what earlier copies pulled and pulls only past their
-    end, so a reader that stops early leaves the rest unmade.
-    """
-    if size > MEMO_SIZE:
-        return gen(*args)
-    head = memo.get(key)
-    if head is None:
-        head = memo[key] = tee(gen(*args), 1)[0]
-    return head.__copy__()
-
-
 def _times(a: dict, b: dict, into: dict | None = None) -> dict:
     """The multiset of the products of a summand of ``a`` and one of ``b``,
     each a (numerator, integer denominator) mapped to its count, added to
@@ -524,25 +496,24 @@ def _times(a: dict, b: dict, into: dict | None = None) -> dict:
 def enum_binary(n: int) -> Iterator[BinaryTree]:
     """All binary trees on ``n`` vertices, once each, encoding-ordered."""
     _check_size(n)
-    return (tree for _, tree in _binary(n, True, {}))
+    return _binary(n, True)
 
 
-def _binary(n: int, exact: bool, memo: dict) -> Iterator[tuple[int, BinaryTree]]:
-    """(size, tree) for the binary trees of size ``n``, or unless ``exact``
-    of sizes 1..n, in encoding order: a present child's "(" sorts before an
-    absent one's "."."""
+def _binary(n: int, exact: bool) -> Iterator[BinaryTree]:
+    """The binary trees of size ``n``, or unless ``exact`` of sizes 1..n, in
+    encoding order: a present child's "(" sorts before an absent one's "."."""
     if n > 1:
-        for k, left in _kept(memo, n - 1, (n - 1, False), _binary, n - 1, False, memo):
-            rest = n - 1 - k
+        for left in _binary(n - 1, False):
+            rest = n - 1 - left.size
             if rest:
-                for j, right in _kept(memo, rest, (rest, exact), _binary, rest, exact, memo):
-                    yield k + j + 1, BinaryTree(left, right)
+                for right in _binary(rest, exact):
+                    yield BinaryTree(left, right)
             if not (exact and rest):
-                yield k + 1, BinaryTree(left, None)
-        for j, right in _kept(memo, n - 1, (n - 1, exact), _binary, n - 1, exact, memo):
-            yield j + 1, BinaryTree(None, right)
+                yield BinaryTree(left, None)
+        for right in _binary(n - 1, exact):
+            yield BinaryTree(None, right)
     if n == 1 or not exact:
-        yield 1, BinaryTree(None, None)
+        yield BinaryTree(None, None)
 
 
 def binary_term_sizes(
@@ -565,29 +536,48 @@ def binary_term_sizes(
 def enum_ordered(n: int) -> Iterator[OrderedTree]:
     """All ordered trees on ``n`` vertices, once each, encoding-ordered."""
     _check_size(n)
-    return (tree for _, tree in _ordered(n, True, {}))
+    return _ordered(n, True)
 
 
-def _ordered(n: int, exact: bool, memo: dict) -> Iterator[tuple[int, OrderedTree]]:
-    """(size, tree) for the ordered trees of size ``n``, or unless ``exact``
-    of sizes 1..n, in encoding order."""
-    for k, children in _kept(memo, n - 1, ("seq", n - 1, exact), _ordered_seq, n - 1, exact, memo):
-        yield k + 1, OrderedTree(children)
+def _ordered(n: int, exact: bool) -> Iterator[OrderedTree]:
+    """The ordered trees of size ``n``, or unless ``exact`` of sizes 1..n, in
+    encoding order."""
+    for children in _ordered_seq(n - 1, exact):
+        yield OrderedTree(children)
 
 
-def _ordered_seq(total: int, exact: bool, memo: dict) -> Iterator[tuple[int, tuple]]:
-    """(combined size, trees) of the child sequences of combined size
-    ``total`` (unless ``exact``, at most ``total``), ordered by concatenated
-    encoding with the parent's ")" after it: another child's "(" sorts
-    before that ")", so a sequence comes after every longer one it starts."""
+def _ordered_seq(total: int, exact: bool) -> Iterator[tuple[OrderedTree, ...]]:
+    """The child sequences of combined size ``total`` (unless ``exact``, at
+    most ``total``), ordered by concatenated encoding with the parent's ")"
+    after it: another child's "(" sorts before that ")", so a sequence comes
+    after every longer one it starts."""
     if total:
-        for k, first in _kept(memo, total, ("tree", total, False), _ordered, total, False, memo):
-            left = total - k
-            rests = _kept(memo, left, ("seq", left, exact), _ordered_seq, left, exact, memo)
-            for j, rest in rests:
-                yield k + j, (first,) + rest
+        for first in _ordered(total, False):
+            for rest in _ordered_seq(total - first.size, exact):
+                yield (first,) + rest
     if total == 0 or not exact:
-        yield 0, ()
+        yield ()
+
+
+def _ordered_term_sizes(n: int, vertex_term: Callable) -> Iterator[dict[tuple, int]]:
+    """The multisets of prod ``vertex_term(c_v, h_v)`` over the ordered trees
+    on 1, ..., ``n`` vertices, in turn: a root of hook h with c children is
+    ``vertex_term(c, h)`` times ``seqs[c][h-1]``, the sequences of c trees
+    of h-1 vertices in all."""
+    _check_size(n)
+    trees = [{}]  # by size; no tree has 0 vertices
+    seqs = [[{} for _ in range(n)] for _ in range(n)]
+    seqs[0][0] = {(1, 1): 1}
+    for h in range(1, n + 1):
+        total = h - 1
+        for c in range(1, h):  # a first tree of s vertices, then c-1 more
+            for s in range(1, total - c + 2):
+                _times(trees[s], seqs[c - 1][total - s], seqs[c][total])
+        tree: dict = {}
+        for c in range(h):
+            _times(seqs[c][total], {vertex_term(c, h): 1}, tree)
+        trees.append(tree)
+        yield tree
 
 
 def enum_tbar(oracle: BranchingOracle, n: int) -> Iterator[SlottedTree]:
@@ -598,22 +588,20 @@ def enum_tbar(oracle: BranchingOracle, n: int) -> Iterator[SlottedTree]:
     children, so never at depth n-1 or beyond.
     """
     _check_size(n)
-    return (tree for _, tree in _slotted(oracle, (), n, True, {}))
+    return _slotted(oracle, (), n, True)
 
 
-def _slotted(oracle: BranchingOracle, addr: Address, size: int, exact: bool,
-             memo: dict) -> Iterator[tuple[int, SlottedTree]]:
-    """(size, tree) for the subtrees at ``addr`` of ``size`` vertices, or
-    unless ``exact`` of 1..size, in encoding order: the leaf "()" first, as
-    ")" sorts before "["."""
+def _slotted(oracle: BranchingOracle, addr: Address, size: int,
+             exact: bool) -> Iterator[SlottedTree]:
+    """The subtrees at ``addr`` of ``size`` vertices, or unless ``exact`` of
+    1..size, in encoding order: the leaf "()" first, as ")" sorts before
+    "["."""
     if size == 1 or not exact:
-        yield 1, SlottedTree()
+        yield SlottedTree()
     if size > 1:
         width = oracle.child_count(addr)
-        key = ("seq", oracle.subtree_key(addr), 0, size - 1, exact)
-        seqs = _kept(memo, size - 1, key, _slot_seq, oracle, addr, 0, width, size - 1, exact, memo)
-        for k, children in seqs:
-            yield k + 1, SlottedTree(children)
+        for children in _slot_seq(oracle, addr, 0, width, size - 1, exact):
+            yield SlottedTree(children)
 
 
 def _slot_seq(
@@ -623,35 +611,37 @@ def _slot_seq(
     width: int,
     budget: int,
     exact: bool,
-    memo: dict,
-) -> Iterator[tuple[int, tuple[tuple[int, SlottedTree], ...]]]:
-    """(combined size, (slot, tree) pairs) of the nonempty sequences using
-    slots in [min_slot, width), strictly increasing, with subtree sizes
-    summing to ``budget`` (unless ``exact``, at most ``budget``); ordered by
-    the concatenated "[slot]encoding" text with the parent's ")" after it,
-    so a sequence comes before every longer one it starts."""
+) -> Iterator[tuple[tuple[int, SlottedTree], ...]]:
+    """The nonempty sequences of (slot, tree) pairs using slots in
+    [min_slot, width), strictly increasing, with subtree sizes summing to
+    ``budget`` (unless ``exact``, at most ``budget``); ordered by the
+    concatenated "[slot]encoding" text with the parent's ")" after it, so a
+    sequence comes before every longer one it starts."""
     # "[12]..." sorts before "[1]..." because a digit precedes "]", so order
     # candidate leading slots by the slot text with the bracket appended.
     for slot in sorted(range(min_slot, width), key=lambda s: f"{s}]"):
-        below = addr + (slot,)
-        key = ("tree", oracle.subtree_key(below), budget, False)
-        for k, sub in _kept(memo, budget, key, _slotted, oracle, below, budget, False, memo):
-            left = budget - k
+        for sub in _slotted(oracle, addr + (slot,), budget, False):
+            left = budget - sub.size
             if not (exact and left):
-                yield k, ((slot, sub),)
+                yield ((slot, sub),)
             if left:
-                key = ("seq", oracle.subtree_key(addr), slot + 1, left, exact)
-                rests = _kept(memo, left, key, _slot_seq, oracle, addr, slot + 1, width, left, exact,
-                              memo)
-                for j, rest in rests:
-                    yield k + j, ((slot, sub),) + rest
+                for rest in _slot_seq(oracle, addr, slot + 1, width, left, exact):
+                    yield ((slot, sub),) + rest
 
 
-def _slotted_terms(oracle: BranchingOracle, addr: Address, size: int,
+def _tbar_term_sizes(oracle: BranchingOracle, n: int, hook_den: Callable) -> Iterator[dict]:
+    """``_slotted_terms`` at the root for the sizes 1..n in turn, one memo."""
+    _check_size(n)
+    memo: dict = {}
+    for size in range(1, n + 1):
+        yield _slotted_terms(oracle, (), size, hook_den, memo)
+
+
+def _slotted_terms(oracle: BranchingOracle, addr: Address, size: int, hook_den: Callable,
                    memo: dict) -> dict[tuple[int, int], int]:
-    """The multiset of ``TbarFamily.hook_term`` over the subtrees at
-    ``addr`` of ``size`` vertices, kept in ``memo`` by the key of ``addr``
-    and ``size``.
+    """The multiset of (1, prod ``hook_den(cbar_v, h_v)``) over the subtrees
+    at ``addr`` of ``size`` vertices, kept in ``memo`` by the key of
+    ``addr`` and ``size``.
 
     Slots whose child addresses have equal keys form a group: the same
     subtrees hang below each, and k of a group's q slots can be filled in
@@ -672,7 +662,8 @@ def _slotted_terms(oracle: BranchingOracle, addr: Address, size: int,
             groups.setdefault(oracle.subtree_key(below), [below, 0])[1] += 1
         seqs = _empty_sequences(budget)
         for below, q in groups.values():
-            subs = [{}] + [_slotted_terms(oracle, below, t, memo) for t in range(1, budget + 1)]
+            subs = [{}] + [_slotted_terms(oracle, below, t, hook_den, memo)
+                           for t in range(1, budget + 1)]
             group, filled = _empty_sequences(budget), _empty_sequences(budget)
             for k in range(1, min(q, budget) + 1):
                 filled = _convolve(filled, subs)
@@ -680,7 +671,7 @@ def _slotted_terms(oracle: BranchingOracle, addr: Address, size: int,
                 for t in range(k, budget + 1):
                     _times(filled[t], ways, group[t])
             seqs = _convolve(seqs, group)
-        terms = _times(seqs[budget], {(1, TbarFamily.hook_den(width, size)): 1})
+        terms = _times(seqs[budget], {(1, hook_den(width, size)): 1})
     memo[key] = terms
     return terms
 

@@ -28,13 +28,13 @@ import random
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
+from math import factorial, lcm, prod
 from operator import itemgetter
 from typing import Callable, Iterator, Optional
 
 from .families import Family, Probability, insert_child
 from . import identities
-from .identities import ConsistencyError, SizeLimitError, hook_count, hook_values
+from .identities import ConsistencyError, SizeLimitError, hook_values
 from .trees import Address, LabeledTree, Tree, _labelings, _preorder, addresses
 
 
@@ -221,13 +221,19 @@ def shape_probability(shape: Tree, family: Family) -> Probability:
 
 
 def _labeling_count(family: Family, n: int) -> int:
-    """The number of reachable size-``n`` labeled trees, n!/prod h_v per
-    shape of ``family.shapes(n)``; ``SizeLimitError`` as soon as the count
-    passes ``identities.TERM_LIMIT``."""
+    """The number of reachable size-``n`` labeled trees, size!/prod h_v per
+    shape, summed over the multisets of ``family.hook_sizes(n)``, so no shape
+    is made.  The count never falls with the size, so ``SizeLimitError``
+    comes at the first size whose count passes ``identities.TERM_LIMIT``."""
     limit = identities.TERM_LIMIT
-    total = 0
-    for shape in family.shapes(n):
-        total += hook_count(shape)
+    for size, hooks in enumerate(family.hook_sizes(n), 1):
+        total, labels = 0, factorial(size)
+        for (_, hook_prod), shapes in hooks.items():
+            labelings, r = divmod(labels, hook_prod)
+            if r:
+                raise ConsistencyError(f"hook product {hook_prod} of a {family.label} shape"
+                                       f"{family.where} does not divide {size}!")
+            total += shapes * labelings
         if total > limit:
             raise SizeLimitError(f"more than {limit} labeled {family.label} trees at n={n}"
                                  f"{family.where}")
@@ -238,9 +244,9 @@ def enumerate_labelings(family: Family, n: int) -> Iterator[LabeledTree]:
     """Every reachable size-``n`` labeled tree: each increasing labeling of
     each of ``family.shapes(n)``, which growth reaches by one history each.
     Weights are never computed, so symbolic or out-of-range ones do no harm.
-    The labelings are counted first (``_labeling_count``), so past
-    ``identities.TERM_LIMIT`` of them ``SizeLimitError`` comes before any
-    labeled tree is built."""
+    The labelings are counted first, by ``_labeling_count``, which makes no
+    shape, so past ``identities.TERM_LIMIT`` of them ``SizeLimitError`` comes
+    before any shape is made."""
     _labeling_count(family, n)
     for shape in family.shapes(n):
         for labels in _labelings(shape):

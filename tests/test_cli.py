@@ -325,6 +325,28 @@ class TestVerify:
             holds = [line.split()[-1] for line in capsys.readouterr().out.splitlines()]
             assert holds == ["holds=true"] * 3 + ["holds=false"] * 3, m
 
+    def test_a_sweep_makes_the_shapes_of_each_size_once_and_none_past_the_limit(
+            self, monkeypatch, capsys):
+        # 24 labeled binary trees of size 4, 120 of size 5; 15 and 105 under
+        # const:3 at sizes 3 and 4.  The count comes from the hook products,
+        # so the refused size makes no shape, and each size below it
+        # makes its shapes once
+        made = []
+        for family in (BinaryFamily, TbarFamily):
+            real = family.shapes
+            monkeypatch.setattr(family, "shapes", lambda self, n, real=real:
+                                made.append(n) or real(self, n))
+        cases = ((24, (), "more than 24 labeled binary trees at n=5\n", 4),
+                 (100, ("--family", "tbar", "--oracle", "const:3"),
+                  "more than 100 labeled tbar trees at n=4 with oracle const:3\n", 3))
+        for limit, family_args, message, last in cases:
+            monkeypatch.setattr(identities, "TERM_LIMIT", limit)
+            for check in ("lemma", "labelprob"):
+                made.clear()
+                assert cli.main(["verify", check, *family_args, "--n-max", "7"]) == 2
+                assert capsys.readouterr().err == "error: " + message
+                assert made == list(range(1, last + 1)), (check, family_args)
+
     def test_labelprob_stops_at_the_term_limit_before_growing(self, monkeypatch, capsys):
         # binary has 4! = 24 labeled trees of size 4 and 120 of size 5: the
         # refusal at n=5 comes before any shape of size 4 is grown
@@ -465,12 +487,14 @@ class TestMc:
     def test_a_size_past_the_term_limit_is_refused_before_any_tree_is_weighed(
             self, monkeypatch, capsys):
         # const:50 has more than 10^6 labeled trees of size 5; they are
-        # counted from the shapes' hook lengths, never built or weighed
+        # counted from the hook products folded by subtree size, so no shape
+        # is made, and no labeled tree is built or weighed
         def unreachable(*args):
-            raise AssertionError("a labeled tree was built or weighed")
+            raise AssertionError("a shape or a labeled tree was made or weighed")
 
         monkeypatch.setattr(stats, "shape_probability", unreachable)
         monkeypatch.setattr(sampler, "_labelings", unreachable)
+        monkeypatch.setattr(TbarFamily, "shapes", unreachable)
         assert cli.main(["mc", "--family", "tbar", "--oracle", "const:50", "--n", "5"]) == 2
         assert capsys.readouterr() == (
             "", "error: more than 1000000 labeled tbar trees at n=5 with oracle const:50\n")

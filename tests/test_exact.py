@@ -118,6 +118,17 @@ class TestRationalFunction:
         assert rf(M * M, 2) == ONE
         assert RationalFunction((0, 0), -5) == RationalFunction()
 
+    def test_a_constant_hashes_as_the_number_it_equals(self):
+        # equal values must hash alike, so a set or dict key holds one of them
+        for value in (0, 3, Fraction(1, 2), Fraction(-7, 3)):
+            f = RationalFunction.constant(value)
+            assert f == value and hash(f) == hash(value)
+            assert len({f, value}) == 1 and {value: "number"}[f] == "number"
+            assert {f: "function"}[value] == "function"
+        assert RationalFunction() == 0 and len({RationalFunction(), 0, Fraction(0)}) == 1
+        # a function that is not constant keeps its own hash and equals no number
+        assert len({M, ONE, 1}) == 2 and M != 1
+
     def test_monic_denominator(self):
         f = rf(M - poly(2), 1) * Fraction(1, 3)  # (m-2)/(3m)
         assert f.den == M

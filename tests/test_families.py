@@ -3,7 +3,6 @@ import heapq
 import json
 import re
 from collections import Counter
-from copy import copy
 from dataclasses import FrozenInstanceError
 from itertools import islice
 
@@ -32,7 +31,6 @@ from hooklab import (
     verify_tbar,
     verify_yang,
 )
-from hooklab import families
 
 
 class TestOracles:
@@ -423,8 +421,8 @@ class BudgetOracle(BranchingOracle):
 
 
 class TestSharedStreams:
-    """Each enumeration replays its small subtree streams; what it yields
-    stays what a fresh stream per subtree would yield."""
+    """Equal subtree keys share the tbar fold's multisets; an enumeration
+    streams its trees, made as far as they are read, one call at a time."""
 
     def test_equal_keys_mean_equal_counts_below(self, mixed_oracle):
         deep_table = TableBranching((((0, 1), 4), ((1,), 1)), DepthBranching((2, 3, 1)))
@@ -465,33 +463,10 @@ class TestSharedStreams:
         assert len(asked[0]) == 81
         assert asked[1] == asked[0]
 
-    def test_kept_streams_are_small_and_whole(self):
-        # after a whole enumeration, a copy of each kept stream replays only
-        # subtrees of at most MEMO_SIZE vertices; a binary or ordered key
-        # names its generator's arguments, and the copy replays exactly what
-        # a fresh generator of them yields
-        ordered_gens = {"tree": families._ordered, "seq": families._ordered_seq}
-        cases = [
-            (lambda memo: families._binary(8, True, memo),
-             lambda key: families._binary(*key, {})),
-            (lambda memo: families._ordered(8, True, memo),
-             lambda key: ordered_gens[key[0]](*key[1:], {})),
-            (lambda memo: families._slotted(DepthBranching((2, 3)), (), 7, True, memo), None),
-        ]
-        for run, fresh in cases:
-            memo = {}
-            assert sum(1 for _ in run(memo)) > 0
-            assert memo
-            for key, head in memo.items():
-                items = list(copy(head))
-                assert all(size <= families.MEMO_SIZE for size, _ in items), key
-                if fresh is not None:
-                    assert items == list(fresh(key)), key
-
     def test_a_finished_enumeration_leaves_no_cyclic_garbage(self):
-        # reference counting frees a finished enumeration's memo: its kept
-        # generators have run to their end, and nothing else in it refers
-        # back to it (closures over the memo would)
+        # reference counting frees what a finished enumeration or sum made:
+        # its generators have run to their end, and nothing in a sum's memo
+        # refers back to the memo (closures over it would)
         runs = [
             lambda: verify_han(8),
             lambda: verify_han2(7),
@@ -534,23 +509,27 @@ class TestTbarTerms:
         # met at depth d is asked for at most n-1-d sizes.  Under const:3
         # that is once per size 2..n; under depth:2,3 the root asks at the
         # sizes 2..n and its children's key at 2..n-1; the mixed table keys
-        # the root and its listed children by their addresses
+        # the root and its listed children by their addresses.  The hook
+        # products are the same fold as the summands, so they ask alike
         queries = {ConstantBranching(3): lambda n: n - 1,
                    DepthBranching((2, 3)): lambda n: max(2 * n - 3, 0)}
         for oracle in (ConstantBranching(3), DepthBranching((2, 3)), mixed_oracle):
             for n in range(1, 9):
-                counting = CountingOracle(oracle)
-                *_, terms = TbarFamily(counting).term_sizes(n)
-                assert sum(terms.values()) == sum(1 for _ in enum_tbar(oracle, n))
-                assert all(len(addr) <= n - 2 for addr in counting.asked), (oracle, n)
-                first: dict = {}
-                for addr in counting.asked:
-                    key = oracle.subtree_key(addr)
-                    first[key] = min(first.get(key, n), len(addr))
-                asks = Counter(oracle.subtree_key(addr) for addr in counting.asked)
-                assert all(asks[key] <= n - 1 - first[key] for key in asks), (oracle, n)
-                if oracle in queries:
-                    assert len(counting.asked) == queries[oracle](n), (oracle, n)
+                shapes = sum(1 for _ in enum_tbar(oracle, n))
+                for sizes in ("term_sizes", "hook_sizes"):
+                    counting = CountingOracle(oracle)
+                    *_, terms = getattr(TbarFamily(counting), sizes)(n)
+                    case = oracle, sizes, n
+                    assert sum(terms.values()) == shapes, case
+                    assert all(len(addr) <= n - 2 for addr in counting.asked), case
+                    first: dict = {}
+                    for addr in counting.asked:
+                        key = oracle.subtree_key(addr)
+                        first[key] = min(first.get(key, n), len(addr))
+                    asks = Counter(oracle.subtree_key(addr) for addr in counting.asked)
+                    assert all(asks[key] <= n - 1 - first[key] for key in asks), case
+                    if oracle in queries:
+                        assert len(counting.asked) == queries[oracle](n), case
 
     def test_a_table_shares_its_default_below_the_listed_addresses(self):
         # the root alone is listed, so its child and the child's 2000

@@ -1,10 +1,11 @@
 import copy
 import random
+import re
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 from itertools import accumulate
-from math import prod
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,7 @@ from hooklab import (
     OrderedFamily,
     ProbabilityRangeError,
     SizeLimitError,
+    TableBranching,
     TbarFamily,
     addable_sites,
     attach,
@@ -39,9 +41,9 @@ from hooklab import (
     shape_probability,
     start,
 )
-from hooklab import identities
+from hooklab import families, identities
 from hooklab.exact import RationalFunction
-from hooklab.sampler import _Flat, _Table
+from hooklab.sampler import _Flat, _labeling_count, _Table
 
 BINARY = BinaryFamily()
 SYMBOLIC = OrderedFamily()
@@ -270,8 +272,6 @@ class TestPaperStatement:
 
 class TestLabelingEnumeration:
     def test_counts(self):
-        from math import factorial
-
         for n in range(1, 7):
             assert sum(1 for _ in enumerate_labelings(BINARY, n)) == factorial(n)
             assert sum(1 for _ in enumerate_labelings(SYMBOLIC, n)) == (
@@ -279,11 +279,33 @@ class TestLabelingEnumeration:
             )
 
     def test_the_term_limit_is_checked_before_the_first_tree(self, monkeypatch):
-        # binary has 4! = 24 labeled trees of size 4
-        monkeypatch.setattr(identities, "TERM_LIMIT", 23)
-        labeled = enumerate_labelings(BINARY, 4)
-        with pytest.raises(SizeLimitError, match=r"^more than 23 labeled binary trees at n=4$"):
-            next(labeled)
+        # 4! = 24 labeled binary trees of size 4, 5!! = 15 ordered, 105 under
+        # const:3.  The count folds the hook products of the sizes 1..4 alone,
+        # whatever the size asked for, and makes no shape
+        def unreachable(self, n):
+            raise AssertionError("a shape was made")
+
+        def recording(hook_sizes):
+            def sizes(self, n):
+                for hooks in hook_sizes(self, n):
+                    folded.append(len(folded) + 1)
+                    yield hooks
+            return sizes
+
+        for family, limit, message in (
+                (BINARY, 23, "more than 23 labeled binary trees at n={}"),
+                (SYMBOLIC, 14, "more than 14 labeled ordered trees at n={}"),
+                (TbarFamily(ConstantBranching(3)), 104,
+                 "more than 104 labeled tbar trees at n={} with oracle const:3")):
+            monkeypatch.setattr(type(family), "shapes", unreachable)
+            monkeypatch.setattr(type(family), "hook_sizes", recording(type(family).hook_sizes))
+            monkeypatch.setattr(identities, "TERM_LIMIT", limit)
+            for n in (4, 30):
+                folded = []
+                labeled = enumerate_labelings(family, n)
+                with pytest.raises(SizeLimitError, match=f"^{re.escape(message.format(n))}$"):
+                    next(labeled)
+                assert folded == [1, 2, 3, 4], (family, n)
 
     def test_all_valid_and_distinct(self):
         seen = set()
@@ -291,6 +313,34 @@ class TestLabelingEnumeration:
             check_labeling(lt)
             assert lt.enc not in seen
             seen.add(lt.enc)
+
+
+class TestLabelingCount:
+    """``_labeling_count`` folds the hook products by subtree size, as the
+    sums fold their summands; it makes no shape."""
+
+    def test_the_fold_counts_what_the_hook_walk_counts(self, mixed_oracle, monkeypatch):
+        # binary n=10 has 10! labeled trees, past the limit the sweeps keep
+        monkeypatch.setattr(identities, "TERM_LIMIT", 10 ** 9)
+        table = TableBranching((((0, 1), 4), ((1,), 1)), DepthBranching((2, 3, 1)))
+        cases = [(BINARY, 10), (SYMBOLIC, 9), (OrderedFamily(Fraction(9, 2)), 9)]
+        cases += [(TbarFamily(oracle), 8) for oracle in (
+            ConstantBranching(1), ConstantBranching(2), ConstantBranching(3),
+            DepthBranching((2, 3)), DepthBranching((1, 2, 3)), mixed_oracle, table)]
+        for family, n_max in cases:
+            hooks = list(family.hook_sizes(n_max))
+            for n in range(1, n_max + 1):
+                counts = [hook_count(t) for t in family.shapes(n)]  # n!/prod h_v
+                products = Counter((1, factorial(n) // c) for c in counts)
+                assert hooks[n - 1] == products, (family, n)
+                assert _labeling_count(family, n) == sum(counts), (family, n)
+
+    def test_a_hook_product_that_does_not_divide_is_inconsistent(self, monkeypatch):
+        # a mutant rule 1/(h+1) makes products that need not divide size!
+        monkeypatch.setattr(BinaryFamily, "hook_sizes",
+                            lambda self, n: families.binary_term_sizes(n, lambda h: h + 1))
+        with pytest.raises(ConsistencyError, match="does not divide"):
+            _labeling_count(BINARY, 4)
 
 
 class FixedRandom:
