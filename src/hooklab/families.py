@@ -25,12 +25,14 @@ The identity sums enumerate nothing.  A shape's hook-length summand is its
 root's factor times its children's summands, so the summands of the shapes
 of size n, taken as a multiset (a dict from each distinct (numerator,
 integer denominator) to the number of shapes that have it), follow from
-those of the smaller sizes by the root decomposition: a binary root's two
-subtrees, an ordered root's sequence of children, the filled slots of a
-slotted root.  ``_times`` multiplies two such multisets.  Distinct summands
-are few (674 for the 208,012 binary trees of size 12), so
+those of the smaller sizes by the root decomposition: an ordered root's
+sequence of children, the filled slots of a slotted root.  The binary trees
+are the rooted subtrees of the complete binary tree, so they take the
+slotted fold.  Both folds extend the sequences of k subtrees by total size
+with one step, ``_sequence_step``, and ``_times`` multiplies two multisets.
+Distinct summands are few (674 for the 208,012 binary trees of size 12), so
 ``term_sizes(n)``, which yields the multisets of the sizes 1..n in turn,
-builds no tree and asks the oracle once per subtree key and size.
+builds no tree and asks the oracle once per subtree key.
 """
 
 from __future__ import annotations
@@ -89,6 +91,10 @@ class ConstantBranching(BranchingOracle):
 
     def __str__(self) -> str:
         return f"const:{self.count}"
+
+
+# the complete binary tree, whose rooted subtrees are the binary trees
+_COMPLETE_BINARY = ConstantBranching(2)
 
 
 @dataclass(frozen=True)
@@ -303,10 +309,10 @@ class BinaryFamily:
         return h << (h - 1)
 
     def term_sizes(self, n: int) -> Iterator[dict[tuple[int, int], int]]:
-        return binary_term_sizes(n, self.hook_den)
+        return slotted_term_sizes(_COMPLETE_BINARY, n, lambda width, h: self.hook_den(h))
 
     def hook_sizes(self, n: int) -> Iterator[dict[tuple[int, int], int]]:
-        return binary_term_sizes(n, lambda h: h)
+        return slotted_term_sizes(_COMPLETE_BINARY, n, lambda width, h: h)
 
     def hook_term(self, shape: BinaryTree) -> tuple[int, int]:
         """prod 1/(h_v * 2^(h_v-1)) as (1, denominator)."""
@@ -445,14 +451,14 @@ class TbarFamily:
     def hook_den(width: int | None, h: int) -> int:
         """A vertex's factor 1/(h * cbar^(h-1)) of the summand, for cbar =
         ``width`` children in the infinite tree and hook h, by its
-        denominator; a leaf's is 1 whatever its width."""
+        denominator; a leaf's is 1 whatever its width (None in the fold)."""
         return h * width ** (h - 1) if h > 1 else 1
 
     def term_sizes(self, n: int) -> Iterator[dict[tuple[int, int], int]]:
-        return _tbar_term_sizes(self.oracle, n, self.hook_den)
+        return slotted_term_sizes(self.oracle, n, self.hook_den)
 
     def hook_sizes(self, n: int) -> Iterator[dict[tuple[int, int], int]]:
-        return _tbar_term_sizes(self.oracle, n, lambda width, h: h)
+        return slotted_term_sizes(self.oracle, n, lambda width, h: h)
 
     def hook_term(self, shape: SlottedTree) -> tuple[int, int]:
         """prod 1/(h_v * cbar_v^(h_v-1)) as (1, denominator)."""
@@ -516,23 +522,6 @@ def _binary(n: int, exact: bool) -> Iterator[BinaryTree]:
         yield BinaryTree(None, None)
 
 
-def binary_term_sizes(
-    n: int, hook_den: Callable[[int], int]
-) -> Iterator[dict[tuple[int, int], int]]:
-    """The multisets of (1, prod hook_den(h_v)) over the binary trees on
-    1, ..., ``n`` vertices, in turn: a root of hook h has a left subtree of
-    k vertices and a right one of h-1-k, where 0 vertices is the absent
-    child, (1, 1)."""
-    _check_size(n)
-    sums = [{(1, 1): 1}]
-    for h in range(1, n + 1):
-        children: dict = {}
-        for k in range(h):
-            _times(sums[k], sums[h - 1 - k], children)
-        sums.append(_times(children, {(1, hook_den(h)): 1}))
-        yield sums[h]
-
-
 def enum_ordered(n: int) -> Iterator[OrderedTree]:
     """All ordered trees on ``n`` vertices, once each, encoding-ordered."""
     _check_size(n)
@@ -563,21 +552,30 @@ def _ordered_term_sizes(n: int, vertex_term: Callable) -> Iterator[dict[tuple, i
     """The multisets of prod ``vertex_term(c_v, h_v)`` over the ordered trees
     on 1, ..., ``n`` vertices, in turn: a root of hook h with c children is
     ``vertex_term(c, h)`` times ``seqs[c][h-1]``, the sequences of c trees
-    of h-1 vertices in all."""
+    of h-1 vertices in all, and the sequences of one tree are the trees."""
     _check_size(n)
-    trees = [{}]  # by size; no tree has 0 vertices
-    seqs = [[{} for _ in range(n)] for _ in range(n)]
-    seqs[0][0] = {(1, 1): 1}
+    trees: list[dict] = [{}]  # by size; no tree has 0 vertices
+    seqs: dict = {1: trees}  # seqs[c][total]
     for h in range(1, n + 1):
         total = h - 1
-        for c in range(1, h):  # a first tree of s vertices, then c-1 more
-            for s in range(1, total - c + 2):
-                _times(trees[s], seqs[c - 1][total - s], seqs[c][total])
-        tree: dict = {}
-        for c in range(h):
+        tree = {} if total else {vertex_term(0, 1): 1}
+        for c in range(1, h):
+            if c > 1:
+                seqs.setdefault(c, {})[total] = _sequence_step(seqs, c, total, {})
             _times(seqs[c][total], {vertex_term(c, h): 1}, tree)
         trees.append(tree)
         yield tree
+
+
+def _sequence_step(seqs: dict, k: int, t: int, into: dict) -> dict:
+    """Adds to ``into``, and returns, the multiset of the sequences of k >= 2
+    subtrees of t vertices in all: a first subtree of s vertices from
+    ``seqs[1][s]``, then k-1 more of t-s from ``seqs[k-1][t-s]``, where
+    ``seqs[j][u]`` holds the sequences of j subtrees of u vertices, j <= u < t."""
+    first, rest = seqs[1], seqs[k - 1]
+    for s in range(1, t - k + 2):
+        _times(first[s], rest[t - s], into)
+    return into
 
 
 def enum_tbar(oracle: BranchingOracle, n: int) -> Iterator[SlottedTree]:
@@ -629,63 +627,61 @@ def _slot_seq(
                     yield ((slot, sub),) + rest
 
 
-def _tbar_term_sizes(oracle: BranchingOracle, n: int, hook_den: Callable) -> Iterator[dict]:
-    """``_slotted_terms`` at the root for the sizes 1..n in turn, one memo."""
+def slotted_term_sizes(oracle: BranchingOracle, n: int,
+                       hook_den: Callable[[int | None, int], int]) -> Iterator[dict]:
+    """The multisets of (1, prod ``hook_den(cbar_v, h_v)``) over the rooted
+    subtrees of the oracle's infinite tree on 1, ..., ``n`` vertices, in
+    turn; a leaf's factor is ``hook_den(None, 1)``, as its width is never
+    read."""
     _check_size(n)
     memo: dict = {}
+    root = oracle.subtree_key(())
     for size in range(1, n + 1):
-        yield _slotted_terms(oracle, (), size, hook_den, memo)
+        yield _grow(oracle, memo, root, (), size, hook_den)[size]
 
 
-def _slotted_terms(oracle: BranchingOracle, addr: Address, size: int, hook_den: Callable,
-                   memo: dict) -> dict[tuple[int, int], int]:
-    """The multiset of (1, prod ``hook_den(cbar_v, h_v)``) over the subtrees
-    at ``addr`` of ``size`` vertices, kept in ``memo`` by the key of
-    ``addr`` and ``size``.
+def _grow(oracle: BranchingOracle, memo: dict, key: Hashable, addr: Address, size: int,
+          hook_den: Callable) -> list[dict]:
+    """The multisets by size of the subtrees at ``addr``, of subtree key
+    ``key``, up to ``size`` vertices; ``memo[key]`` keeps them from size 2 on.
 
-    Slots whose child addresses have equal keys form a group: the same
-    subtrees hang below each, and k of a group's q slots can be filled in
-    C(q, k) ways.  ``seqs[t]`` holds the children of the groups taken so
-    far, t vertices in all.
+    A key's width and slot groups are read once, at its first size with
+    children, so at depth n-2 at most.  Slots whose children have equal keys
+    form a group: the same subtrees hang below each, so k of its q slots can
+    be filled in C(q, k) ways.  By total size t, ``seqs[k][t]`` holds the
+    sequences of k subtrees (``seqs[1]`` is the child key's sizes),
+    ``fills[t]`` the group's fillings and ``joined[t]`` those of the groups
+    up to this one; each new size adds the one new total t = size-1.
     """
-    key = oracle.subtree_key(addr), size
-    terms = memo.get(key)
-    if terms is not None:
-        return terms
+    sizes = [{}, {(1, hook_den(None, 1)): 1}]
     if size == 1:
-        terms = {(1, 1): 1}
-    else:
-        width, budget = oracle.child_count(addr), size - 1
-        groups: dict = {}  # a child's key: [the child's address, slots]
+        return sizes
+    if key not in memo:
+        width = oracle.child_count(addr)
+        groups: dict = {}  # a child's key: [first slot, slots, seqs, fills, joined]
         for slot in range(width):
-            below = addr + (slot,)
-            groups.setdefault(oracle.subtree_key(below), [below, 0])[1] += 1
-        seqs = _empty_sequences(budget)
-        for below, q in groups.values():
-            subs = [{}] + [_slotted_terms(oracle, below, t, hook_den, memo)
-                           for t in range(1, budget + 1)]
-            group, filled = _empty_sequences(budget), _empty_sequences(budget)
-            for k in range(1, min(q, budget) + 1):
-                filled = _convolve(filled, subs)
-                ways = {(1, 1): comb(q, k)}
-                for t in range(k, budget + 1):
-                    _times(filled[t], ways, group[t])
-            seqs = _convolve(seqs, group)
-        terms = _times(seqs[budget], {(1, hook_den(width, size)): 1})
-    memo[key] = terms
-    return terms
-
-
-def _empty_sequences(budget: int) -> list[dict]:
-    """Multisets by total size 0..budget that hold the empty sequence alone."""
-    return [{(1, 1): 1}] + [{} for _ in range(budget)]
-
-
-def _convolve(a: list[dict], b: list[dict]) -> list[dict]:
-    """Multisets by total size 0..len(a)-1: at t, each of ``a[i]`` times
-    each of ``b[t-i]``."""
-    out = [{} for _ in a]
-    for i, x in enumerate(a):
-        for j in range(len(a) - i):
-            _times(x, b[j], out[i + j])
-    return out
+            child = oracle.subtree_key(addr + (slot,))
+            if child not in groups:
+                fills = [{(1, 1): 1}]
+                groups[child] = [slot, 0, {}, fills, [{(1, 1): 1}] if groups else fills]
+            groups[child][1] += 1
+        memo[key] = width, groups, sizes
+    width, groups, sizes = memo[key]
+    for t in range(len(sizes) - 1, size):
+        earlier = None
+        for child, (slot, q, seqs, fills, joined) in groups.items():
+            seqs[1] = _grow(oracle, memo, child, addr + (slot,), t, hook_den)
+            fills.append(_times(seqs[1][t], {(1, 1): q}))
+            for k in range(2, min(q, t) + 1):
+                if k < q:
+                    seqs.setdefault(k, {})[t] = _sequence_step(seqs, k, t, {})
+                    _times(seqs[k][t], {(1, 1): comb(q, k)}, fills[t])
+                else:  # C(q, q) = 1, and no longer sequence is needed
+                    _sequence_step(seqs, k, t, fills[t])
+            if earlier is not None:
+                joined.append({})
+                for i in range(t + 1):
+                    _times(earlier[i], fills[t - i], joined[t])
+            earlier = joined
+        sizes.append(_times(earlier[t], {(1, hook_den(width, t + 1)): 1}))
+    return sizes

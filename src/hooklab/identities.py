@@ -21,16 +21,16 @@ summed symbolically and compared as such.
 
 A summand is a product of per-vertex factors, so a shape's summand is its
 root's factor times its children's summands.  The sums never build a tree:
-``Family.term_sizes(n)`` (``families.binary_term_sizes`` for binary')
-yields the summands of the shapes of each size 1..n in turn as a multiset,
-each distinct pair (numerator, integer denominator) mapped to the number
-of shapes that have it, made from the smaller sizes by the root
-decomposition.  The number of shapes is the sum of those counts.  As it
-never falls with the size, a sum refuses n at the first size whose shapes
-pass ``TERM_LIMIT``, before it builds a larger one or sums anything.
-``_hook_sum`` is the one sum over the summands: count times numerator is
-added per denominator, and a Fraction is formed only once per distinct
-denominator.
+``Family.term_sizes(n)`` (for binary', ``families.slotted_term_sizes`` on
+the complete binary tree with ``_han2_den``) yields the summands of the
+shapes of each size 1..n in turn as a multiset, each distinct pair
+(numerator, integer denominator) mapped to the number of shapes that have
+it, made from the smaller sizes by the root decomposition.  The number of
+shapes is the sum of those counts.  As it never falls with the size, a sum
+refuses n at the first size whose shapes pass ``TERM_LIMIT``, before it
+builds a larger one or sums anything.  ``_hook_sum`` is the one sum over
+the summands: count times numerator is added per denominator, and a
+Fraction is formed only once per distinct denominator.
 """
 
 from __future__ import annotations
@@ -47,8 +47,9 @@ from .families import (
     OrderedFamily,
     Probability,
     TbarFamily,
-    binary_term_sizes,
     enum_binary,
+    slotted_term_sizes,
+    _COMPLETE_BINARY,
 )
 from .trees import BinaryTree, OrderedTree, Tree, _labelings, _subtrees
 
@@ -194,7 +195,8 @@ def verify_tbar(oracle: BranchingOracle, n: int) -> IdentityReport:
 
 
 def verify_han2(n: int) -> IdentityReport:
-    return _verify("han2", n, binary_term_sizes(n, _han2_den), 2 * n + 1)
+    sizes = slotted_term_sizes(_COMPLETE_BINARY, n, lambda width, h: _han2_den(h))
+    return _verify("han2", n, sizes, 2 * n + 1)
 
 
 @dataclass(frozen=True)

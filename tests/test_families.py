@@ -489,30 +489,32 @@ class TestSharedStreams:
 
 
 class CountingOracle(BranchingOracle):
-    """Records every query; passes queries and stream keys on to ``inner``."""
+    """Records every query and every key asked for; passes both on to ``inner``."""
 
     def __init__(self, inner):
-        self.inner, self.asked = inner, []
+        self.inner, self.asked, self.keyed = inner, [], []
 
     def child_count(self, addr):
         self.asked.append(addr)
         return self.inner.child_count(addr)
 
     def subtree_key(self, addr):
+        self.keyed.append(addr)
         return self.inner.subtree_key(addr)
 
 
 class TestTbarTerms:
-    def test_the_oracle_is_asked_once_per_key_and_size(self, mixed_oracle):
+    def test_the_oracle_is_asked_once_per_key(self, mixed_oracle):
         # a vertex of h >= 2 vertices asks its count; at depth d it has at
-        # most n-d of them, so it asks at depth n-2 at most, and a key first
-        # met at depth d is asked for at most n-1-d sizes.  Under const:3
-        # that is once per size 2..n; under depth:2,3 the root asks at the
-        # sizes 2..n and its children's key at 2..n-1; the mixed table keys
-        # the root and its listed children by their addresses.  The hook
-        # products are the same fold as the summands, so they ask alike
-        queries = {ConstantBranching(3): lambda n: n - 1,
-                   DepthBranching((2, 3)): lambda n: max(2 * n - 3, 0)}
+        # most n-d of them, so it asks at depth n-2 at most.  A key's count
+        # and slot groups are read once per fold call, at the first size at
+        # which it has children: under const:3 once from n=2 on; under
+        # depth:2,3 the root at n=2 and its children's key from n=3 on; the
+        # mixed table keys the root and its listed children by their
+        # addresses.  The hook products are the same fold as the summands,
+        # so they ask alike
+        queries = {ConstantBranching(3): lambda n: min(n - 1, 1),
+                   DepthBranching((2, 3)): lambda n: min(n - 1, 2)}
         for oracle in (ConstantBranching(3), DepthBranching((2, 3)), mixed_oracle):
             for n in range(1, 9):
                 shapes = sum(1 for _ in enum_tbar(oracle, n))
@@ -522,21 +524,18 @@ class TestTbarTerms:
                     case = oracle, sizes, n
                     assert sum(terms.values()) == shapes, case
                     assert all(len(addr) <= n - 2 for addr in counting.asked), case
-                    first: dict = {}
-                    for addr in counting.asked:
-                        key = oracle.subtree_key(addr)
-                        first[key] = min(first.get(key, n), len(addr))
                     asks = Counter(oracle.subtree_key(addr) for addr in counting.asked)
-                    assert all(asks[key] <= n - 1 - first[key] for key in asks), case
+                    assert all(count == 1 for count in asks.values()), case
                     if oracle in queries:
                         assert len(counting.asked) == queries[oracle](n), case
 
     def test_a_table_shares_its_default_below_the_listed_addresses(self):
         # the root alone is listed, so its child and the child's 2000
-        # children all take the default's key: one query per key and size
-        # (the sum takes the sizes 2..4 in turn), where address keys would
-        # ask each of the 2000 at size 2
+        # children all take the default's key: one query per key, and the
+        # 2000 keys are asked for once, where address keys would ask each
+        # of the 2000 at size 2 (the sum takes the sizes 2..4 in turn)
         counting = CountingOracle(TableBranching((((), 1),), ConstantBranching(2000)))
         with pytest.raises(SizeLimitError, match="the tbar sum at n=4 "):
             verify_tbar(counting, 4)  # 1,999,000 + 2000^2 shapes
-        assert counting.asked == [(), (), (0,), (), (0,)]
+        assert counting.asked == [(), (0,)]
+        assert counting.keyed == [(), (0,)] + [(0, slot) for slot in range(2000)]

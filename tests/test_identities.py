@@ -13,6 +13,7 @@ from hooklab import (
     DepthBranching,
     OrderedFamily,
     SizeLimitError,
+    TableBranching,
     TbarFamily,
     brute_force_labelings,
     completion,
@@ -36,7 +37,7 @@ from hooklab import (
     yang_term,
 )
 from hooklab.exact import RationalFunction, binomial_poly
-from hooklab.families import binary_term_sizes
+from hooklab.families import slotted_term_sizes
 
 
 class TestHan:
@@ -277,7 +278,7 @@ def test_every_sum_past_the_term_limit_is_refused_before_it_is_summed(monkeypatc
         return sizes
 
     monkeypatch.setattr(identities, "_hook_sum", hook_sum)
-    monkeypatch.setattr(identities, "binary_term_sizes", recording(binary_term_sizes))
+    monkeypatch.setattr(identities, "slotted_term_sizes", recording(slotted_term_sizes))
     for family in (BinaryFamily, OrderedFamily, TbarFamily):
         monkeypatch.setattr(family, "term_sizes", recording(family.term_sizes))
     big = [
@@ -316,7 +317,8 @@ class TestTermFold:
     def test_binary_han_and_han2(self):
         family = BinaryFamily()
         han_sizes = list(family.term_sizes(10))
-        han2_sizes = list(binary_term_sizes(10, identities._han2_den))
+        han2_sizes = list(slotted_term_sizes(ConstantBranching(2), 10,
+                                             lambda width, h: identities._han2_den(h)))
         for n in range(1, 11):
             trees = list(enum_binary(n))
             assert han_sizes[n - 1] == Counter(family.hook_term(t) for t in trees), n
@@ -326,12 +328,25 @@ class TestTermFold:
             assert han2_sizes[n - 1] == han2, n
 
     def test_tbar(self, mixed_oracle):
-        for oracle in (ConstantBranching(3), DepthBranching((2, 3)), mixed_oracle):
+        # the last table puts a group of two default slots beside a listed
+        # one-slot vertex, so the root joins the fillings of two groups
+        beside = TableBranching((((), 3), ((0,), 1)), ConstantBranching(2))
+        for oracle in (ConstantBranching(3), DepthBranching((2, 3)), mixed_oracle,
+                       ConstantBranching(2), DepthBranching((1, 2, 3)), beside):
             family = TbarFamily(oracle)
             sizes = list(family.term_sizes(7))
             for n in range(1, 8):
                 terms = Counter(family.hook_term(t) for t in enum_tbar(oracle, n))
                 assert sizes[n - 1] == terms, (oracle, n)
+
+    def test_han_is_the_tbar_sum_on_the_complete_binary_tree(self):
+        # the paper's last identity with cbar = 2 at every vertex is Han's:
+        # the binary trees are the rooted subtrees of the complete binary
+        # tree, with the same vertex factor 1/(h * 2^(h-1))
+        binary, tbar = BinaryFamily(), TbarFamily(ConstantBranching(2))
+        assert list(binary.term_sizes(12)) == list(tbar.term_sizes(12))
+        assert list(binary.hook_sizes(12)) == list(tbar.hook_sizes(12))
+        assert all(binary.hook_den(h) == tbar.hook_den(2, h) for h in range(1, 13))
 
     def test_ordered_symbolic_and_concrete(self):
         # at m=2 a vertex with 3 or more children has the factor 0, so

@@ -337,8 +337,8 @@ class TestLabelingCount:
 
     def test_a_hook_product_that_does_not_divide_is_inconsistent(self, monkeypatch):
         # a mutant rule 1/(h+1) makes products that need not divide size!
-        monkeypatch.setattr(BinaryFamily, "hook_sizes",
-                            lambda self, n: families.binary_term_sizes(n, lambda h: h + 1))
+        monkeypatch.setattr(BinaryFamily, "hook_sizes", lambda self, n: families.slotted_term_sizes(
+            ConstantBranching(2), n, lambda width, h: h + 1))
         with pytest.raises(ConsistencyError, match="does not divide"):
             _labeling_count(BINARY, 4)
 
