@@ -182,8 +182,7 @@ def _labelprob(family: Family, n_max: int) -> Iterator[tuple[dict, bool]]:
                     law.setdefault(grown.enc, [grown if n < n_max else None, 0])[1] += p * q
         shapes, matches = 0, True
         for shapes, shape in enumerate(family.shapes(n), 1):
-            num, den = family.hook_term(shape)
-            matches &= law.get(shape.enc, [0, None])[1] == num * Fraction(factorial(n), den)
+            matches &= law.get(shape.enc, [0, None])[1] == factorial(n) * family.hook_term(shape)
         matches &= shapes == len(law)
         total = sum(mass for _, mass in law.values())
         holds = matches and total == 1

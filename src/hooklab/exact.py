@@ -13,6 +13,8 @@ denominator of the form ``c * m**k``.  A value is stored as integer
 coefficients over one positive integer scale, reduced by one gcd, so
 arithmetic works on ints and forms no Fraction per coefficient.  The stored
 form is unique, so "this sum is the constant 1/n!" is decided by ``==``.
+A ``TermSum`` carries such a sum of summands with their number through the
+term folds of families.py.
 
 All values are immutable after construction; arithmetic goes through the
 usual operators.
@@ -20,6 +22,7 @@ usual operators.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd, lcm
@@ -183,6 +186,25 @@ class RationalFunction:
 
     def __repr__(self) -> str:
         return f"RationalFunction({[str(c) for c in self.coeffs]}, low={self.low})"
+
+
+@dataclass(slots=True)
+class TermSum:
+    """Exact summands by their sum and their number: the value the term
+    folds add, multiply and scale by integers in place of the summands."""
+
+    total: Fraction | RationalFunction
+    count: int = 1
+
+    def __add__(self, other: TermSum) -> TermSum:
+        return TermSum(self.total + other.total, self.count + other.count)
+
+    def __mul__(self, other: TermSum | int) -> TermSum:
+        if isinstance(other, int):
+            return TermSum(other * self.total, other * self.count)
+        return TermSum(self.total * other.total, self.count * other.count)
+
+    __rmul__ = __mul__
 
 
 def _as_ratfunc(value: "RationalFunction | Scalar") -> RationalFunction:

@@ -22,17 +22,18 @@ an address in encoding order, and the exact-size stream draws its first
 child from it; no merge of per-size streams is needed.
 
 The identity sums enumerate nothing.  A shape's hook-length summand is its
-root's factor times its children's summands, so the summands of the shapes
-of size n, taken as a multiset (a dict from each distinct (numerator,
-integer denominator) to the number of shapes that have it), follow from
-those of the smaller sizes by the root decomposition: an ordered root's
-sequence of children, the filled slots of a slotted root.  The binary trees
-are the rooted subtrees of the complete binary tree, so they take the
-slotted fold.  Both folds extend the sequences of k subtrees by total size
-with one step, ``_sequence_step``, and ``_times`` multiplies two multisets.
-Distinct summands are few (674 for the 208,012 binary trees of size 12), so
-``term_sizes(n)``, which yields the multisets of the sizes 1..n in turn,
-builds no tree and asks the oracle once per subtree key.
+root's factor times its children's summands, so the sum over the shapes of
+size n follows from the sums of the smaller sizes by the root decomposition:
+the root's factor times the product of its children's sums, over the ways to
+fill the root by subtree sizes (an ordered root's sequence of children, the
+filled slots of a slotted root).  The binary trees are the rooted subtrees
+of the complete binary tree, so they take the slotted fold.  Both folds
+extend the sequences of k subtrees by total size with one step,
+``_sequence_step``, and use only ``+``, ``*`` and integer scaling of the
+values the vertex factor returns: ``hook_sizes`` folds Fractions and
+``term_sizes`` a ``TermSum``, the sum with its number of shapes.  So
+``term_sizes(n)``, which yields the sizes 1..n in turn, builds no tree and
+asks the oracle once per subtree key.
 """
 
 from __future__ import annotations
@@ -41,10 +42,12 @@ import json
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import comb, factorial, prod
+from operator import add
 from typing import Callable, Hashable, Iterator, Union
 
-from .exact import RationalFunction, binomial_poly
+from .exact import RationalFunction, TermSum, binomial_poly
 from .trees import Address, BinaryTree, OrderedTree, SlottedTree, Tree, _preorder, _subtrees
 
 COUNT_LIMIT = 10 ** 6  # the most children a parsed oracle gives one vertex
@@ -67,7 +70,7 @@ class BranchingOracle:
     def subtree_key(self, addr: Address) -> Hashable:
         """A key for the part of the infinite tree at and below ``addr``:
         two addresses with equal keys have equal child counts at every
-        address relative to them, so the tbar fold shares their multisets.
+        address relative to them, so the tbar fold shares their sums.
         The address is always a safe key; a subclass returns a coarser one
         where its rule allows."""
         return addr
@@ -254,20 +257,24 @@ class ProbabilityRangeError(ValueError):
     """A site probability left [0, 1]; the family parameters are unusable."""
 
 
+def _hook_factor(_, h: int) -> Fraction:
+    """A vertex's factor 1/h of the hook products' fold."""
+    return Fraction(1, h)
+
+
 # Each family owns its growth rules: its shapes of size n, a vertex's open
 # slots from its address and (slot, child) pairs (a used slot puts the leaf
 # before its child), the probability ("weight") of a new vertex, building a
 # node (``node([])`` is a leaf), and the shape and growability checks.  A
 # weight depends only on the parent's address and child count c, not the slot.
-# The hook-length summand hook_term(shape) is prod w_v/h_v as (numerator,
-# integer denominator), with h_v = node.size: growth lands on each of a
-# shape's n!/prod h_v increasing labelings with probability prod w_v.  Its
-# per-vertex factor is one family rule, which hook_term multiplies over a
-# shape and term_sizes(n) over the root decomposition: for each size 1..n in
-# turn it maps each summand of shapes(size) to the number of shapes that
-# have it, and builds no tree.  hook_sizes(n) runs the same fold with the
-# factor 1/h_v, so its multisets hold (1, prod h_v), and n!/prod h_v per shape
-# counts the labelings.  Shapes never get fewer as the size grows: a first
+# The hook-length summand hook_term(shape) is prod w_v/h_v, an exact value,
+# with h_v = node.size: growth lands on each of a shape's n!/prod h_v
+# increasing labelings with probability prod w_v.  Its per-vertex factor is
+# one family rule, which hook_term multiplies over a shape and term_sizes(n)
+# over the root decomposition: for each size 1..n in turn it yields the sum
+# of the summands of shapes(size) with their number, and builds no tree.
+# hook_sizes(n) runs the same fold with the factor 1/h_v, so size! times its
+# sum counts the labelings.  Shapes never get fewer as the size grows: a first
 # child below a shape's last vertex in preorder is the new last vertex, so
 # distinct shapes grow into distinct shapes.
 # Messages name a family by its label followed by ``where``, the parameter a
@@ -308,15 +315,16 @@ class BinaryFamily:
         """A vertex's factor 1/(h * 2^(h-1)) of the summand, by its denominator."""
         return h << (h - 1)
 
-    def term_sizes(self, n: int) -> Iterator[dict[tuple[int, int], int]]:
-        return slotted_term_sizes(_COMPLETE_BINARY, n, lambda width, h: self.hook_den(h))
+    def term_sizes(self, n: int) -> Iterator[TermSum]:
+        return slotted_term_sizes(_COMPLETE_BINARY, n,
+                                  lambda width, h: TermSum(Fraction(1, self.hook_den(h))))
 
-    def hook_sizes(self, n: int) -> Iterator[dict[tuple[int, int], int]]:
-        return slotted_term_sizes(_COMPLETE_BINARY, n, lambda width, h: h)
+    def hook_sizes(self, n: int) -> Iterator[Fraction]:
+        return slotted_term_sizes(_COMPLETE_BINARY, n, _hook_factor)
 
-    def hook_term(self, shape: BinaryTree) -> tuple[int, int]:
-        """prod 1/(h_v * 2^(h_v-1)) as (1, denominator)."""
-        return 1, prod([self.hook_den(node.size) for node in _subtrees(shape)])
+    def hook_term(self, shape: BinaryTree) -> Fraction:
+        """prod 1/(h_v * 2^(h_v-1))."""
+        return Fraction(1, prod([self.hook_den(node.size) for node in _subtrees(shape)]))
 
 
 @dataclass(frozen=True)
@@ -388,20 +396,21 @@ class OrderedFamily:
             num *= p - i * q
         return num, h * factorial(c) * q ** c * p ** (h - 1)
 
-    def term_sizes(self, n: int) -> Iterator[dict[tuple[int | RationalFunction, int], int]]:
-        return _ordered_term_sizes(n, self.vertex_term)
+    def _vertex_factor(self, c: int, h: int) -> Probability:
+        """``vertex_term(c, h)`` as one exact value."""
+        num, den = self.vertex_term(c, h)
+        return num * Fraction(1, den)
 
-    def hook_sizes(self, n: int) -> Iterator[dict[tuple[int, int], int]]:
-        return _ordered_term_sizes(n, lambda c, h: (1, h))
+    def term_sizes(self, n: int) -> Iterator[TermSum]:
+        return _ordered_term_sizes(n, lambda c, h: TermSum(self._vertex_factor(c, h)))
 
-    def hook_term(self, shape: OrderedTree) -> tuple[int | RationalFunction, int]:
-        """prod C(m,c_v) / (h_v * m^(h_v-1)) as (numerator, denominator)."""
-        num, den = 1, 1
-        for node in _subtrees(shape):
-            vertex_num, vertex_den = self.vertex_term(len(node.children), node.size)
-            num = vertex_num * num
-            den *= vertex_den
-        return num, den
+    def hook_sizes(self, n: int) -> Iterator[Fraction]:
+        return _ordered_term_sizes(n, _hook_factor)
+
+    def hook_term(self, shape: OrderedTree) -> Probability:
+        """prod C(m,c_v) / (h_v * m^(h_v-1)), numerators and denominators apart."""
+        terms = [self.vertex_term(len(node.children), node.size) for node in _subtrees(shape)]
+        return prod([num for num, _ in terms]) * Fraction(1, prod([den for _, den in terms]))
 
 
 @dataclass(frozen=True)
@@ -454,17 +463,18 @@ class TbarFamily:
         denominator; a leaf's is 1 whatever its width (None in the fold)."""
         return h * width ** (h - 1) if h > 1 else 1
 
-    def term_sizes(self, n: int) -> Iterator[dict[tuple[int, int], int]]:
-        return slotted_term_sizes(self.oracle, n, self.hook_den)
+    def term_sizes(self, n: int) -> Iterator[TermSum]:
+        return slotted_term_sizes(self.oracle, n,
+                                  lambda width, h: TermSum(Fraction(1, self.hook_den(width, h))))
 
-    def hook_sizes(self, n: int) -> Iterator[dict[tuple[int, int], int]]:
-        return slotted_term_sizes(self.oracle, n, lambda width, h: h)
+    def hook_sizes(self, n: int) -> Iterator[Fraction]:
+        return slotted_term_sizes(self.oracle, n, _hook_factor)
 
-    def hook_term(self, shape: SlottedTree) -> tuple[int, int]:
-        """prod 1/(h_v * cbar_v^(h_v-1)) as (1, denominator)."""
+    def hook_term(self, shape: SlottedTree) -> Fraction:
+        """prod 1/(h_v * cbar_v^(h_v-1))."""
         count = self.oracle.child_count
-        return 1, prod([self.hook_den(count(addr), node.size)
-                        for addr, node in _preorder(shape) if node.children])
+        return Fraction(1, prod([self.hook_den(count(addr), node.size)
+                                 for addr, node in _preorder(shape) if node.children]))
 
 
 Family = Union[BinaryFamily, OrderedFamily, TbarFamily]
@@ -484,19 +494,6 @@ def insert_child(children: list, slot: int, child) -> list:
 def _check_size(n: int) -> None:
     if n < 1:
         raise ValueError("n must be at least 1")
-
-
-def _times(a: dict, b: dict, into: dict | None = None) -> dict:
-    """The multiset of the products of a summand of ``a`` and one of ``b``,
-    each a (numerator, integer denominator) mapped to its count, added to
-    ``into`` when given: numerators and denominators multiply, and so do
-    the counts."""
-    out = {} if into is None else into
-    for (a_num, a_den), a_count in a.items():
-        for (b_num, b_den), b_count in b.items():
-            key = a_num * b_num, a_den * b_den
-            out[key] = out.get(key, 0) + a_count * b_count
-    return out
 
 
 def enum_binary(n: int) -> Iterator[BinaryTree]:
@@ -548,34 +545,30 @@ def _ordered_seq(total: int, exact: bool) -> Iterator[tuple[OrderedTree, ...]]:
         yield ()
 
 
-def _ordered_term_sizes(n: int, vertex_term: Callable) -> Iterator[dict[tuple, int]]:
-    """The multisets of prod ``vertex_term(c_v, h_v)`` over the ordered trees
-    on 1, ..., ``n`` vertices, in turn: a root of hook h with c children is
-    ``vertex_term(c, h)`` times ``seqs[c][h-1]``, the sequences of c trees
-    of h-1 vertices in all, and the sequences of one tree are the trees."""
+def _ordered_term_sizes(n: int, vertex: Callable) -> Iterator:
+    """The sums of prod ``vertex(c_v, h_v)`` over the ordered trees on 1,
+    ..., ``n`` vertices, in turn: a root of hook h with c children is
+    ``vertex(c, h)`` times ``seqs[c][h-1]``, the sequences of c trees of h-1
+    vertices in all, and the sequences of one tree are the trees."""
     _check_size(n)
-    trees: list[dict] = [{}]  # by size; no tree has 0 vertices
+    trees: list = [0]  # by size; no tree has 0 vertices
     seqs: dict = {1: trees}  # seqs[c][total]
     for h in range(1, n + 1):
         total = h - 1
-        tree = {} if total else {vertex_term(0, 1): 1}
-        for c in range(1, h):
-            if c > 1:
-                seqs.setdefault(c, {})[total] = _sequence_step(seqs, c, total, {})
-            _times(seqs[c][total], {vertex_term(c, h): 1}, tree)
-        trees.append(tree)
-        yield tree
+        for c in range(2, h):
+            seqs.setdefault(c, {})[total] = _sequence_step(seqs, c, total)
+        trees.append(reduce(add, [seqs[c][total] * vertex(c, h) for c in range(1, h)])
+                     if total else vertex(0, 1))
+        yield trees[h]
 
 
-def _sequence_step(seqs: dict, k: int, t: int, into: dict) -> dict:
-    """Adds to ``into``, and returns, the multiset of the sequences of k >= 2
-    subtrees of t vertices in all: a first subtree of s vertices from
-    ``seqs[1][s]``, then k-1 more of t-s from ``seqs[k-1][t-s]``, where
-    ``seqs[j][u]`` holds the sequences of j subtrees of u vertices, j <= u < t."""
+def _sequence_step(seqs: dict, k: int, t: int):
+    """The sum over the sequences of k >= 2 subtrees of t vertices in all: a
+    first subtree of s vertices from ``seqs[1][s]``, then k-1 more of t-s
+    from ``seqs[k-1][t-s]``, where ``seqs[j][u]`` sums the sequences of j
+    subtrees of u vertices, j <= u < t."""
     first, rest = seqs[1], seqs[k - 1]
-    for s in range(1, t - k + 2):
-        _times(first[s], rest[t - s], into)
-    return into
+    return reduce(add, [first[s] * rest[t - s] for s in range(1, t - k + 2)])
 
 
 def enum_tbar(oracle: BranchingOracle, n: int) -> Iterator[SlottedTree]:
@@ -628,32 +621,32 @@ def _slot_seq(
 
 
 def slotted_term_sizes(oracle: BranchingOracle, n: int,
-                       hook_den: Callable[[int | None, int], int]) -> Iterator[dict]:
-    """The multisets of (1, prod ``hook_den(cbar_v, h_v)``) over the rooted
-    subtrees of the oracle's infinite tree on 1, ..., ``n`` vertices, in
-    turn; a leaf's factor is ``hook_den(None, 1)``, as its width is never
-    read."""
+                       vertex: Callable[[int | None, int], object]) -> Iterator:
+    """The sums of prod ``vertex(cbar_v, h_v)`` over the rooted subtrees of
+    the oracle's infinite tree on 1, ..., ``n`` vertices, in turn; a leaf's
+    factor is ``vertex(None, 1)``, as its width is never read."""
     _check_size(n)
     memo: dict = {}
     root = oracle.subtree_key(())
     for size in range(1, n + 1):
-        yield _grow(oracle, memo, root, (), size, hook_den)[size]
+        yield _grow(oracle, memo, root, (), size, vertex)[size]
 
 
 def _grow(oracle: BranchingOracle, memo: dict, key: Hashable, addr: Address, size: int,
-          hook_den: Callable) -> list[dict]:
-    """The multisets by size of the subtrees at ``addr``, of subtree key
-    ``key``, up to ``size`` vertices; ``memo[key]`` keeps them from size 2 on.
+          vertex: Callable) -> list:
+    """The sums by size of the subtrees at ``addr``, of subtree key ``key``,
+    up to ``size`` vertices; ``memo[key]`` keeps them from size 2 on.
 
     A key's width and slot groups are read once, at its first size with
     children, so at depth n-2 at most.  Slots whose children have equal keys
     form a group: the same subtrees hang below each, so k of its q slots can
-    be filled in C(q, k) ways.  By total size t, ``seqs[k][t]`` holds the
+    be filled in C(q, k) ways.  By total size t, ``seqs[k][t]`` sums the
     sequences of k subtrees (``seqs[1]`` is the child key's sizes),
     ``fills[t]`` the group's fillings and ``joined[t]`` those of the groups
-    up to this one; each new size adds the one new total t = size-1.
+    up to this one, the empty filling being 1; each new size adds the one new
+    total t = size-1.
     """
-    sizes = [{}, {(1, hook_den(None, 1)): 1}]
+    sizes = [0, vertex(None, 1)]
     if size == 1:
         return sizes
     if key not in memo:
@@ -662,26 +655,25 @@ def _grow(oracle: BranchingOracle, memo: dict, key: Hashable, addr: Address, siz
         for slot in range(width):
             child = oracle.subtree_key(addr + (slot,))
             if child not in groups:
-                fills = [{(1, 1): 1}]
-                groups[child] = [slot, 0, {}, fills, [{(1, 1): 1}] if groups else fills]
+                fills = [1]
+                groups[child] = [slot, 0, {}, fills, [1] if groups else fills]
             groups[child][1] += 1
         memo[key] = width, groups, sizes
     width, groups, sizes = memo[key]
     for t in range(len(sizes) - 1, size):
         earlier = None
         for child, (slot, q, seqs, fills, joined) in groups.items():
-            seqs[1] = _grow(oracle, memo, child, addr + (slot,), t, hook_den)
-            fills.append(_times(seqs[1][t], {(1, 1): q}))
+            seqs[1] = _grow(oracle, memo, child, addr + (slot,), t, vertex)
+            fill = [q * seqs[1][t]]
             for k in range(2, min(q, t) + 1):
-                if k < q:
-                    seqs.setdefault(k, {})[t] = _sequence_step(seqs, k, t, {})
-                    _times(seqs[k][t], {(1, 1): comb(q, k)}, fills[t])
-                else:  # C(q, q) = 1, and no longer sequence is needed
-                    _sequence_step(seqs, k, t, fills[t])
+                seq = _sequence_step(seqs, k, t)
+                if k < q:  # else C(q, q) = 1, and no longer sequence is needed
+                    seqs.setdefault(k, {})[t] = seq
+                    seq = comb(q, k) * seq
+                fill.append(seq)
+            fills.append(reduce(add, fill))
             if earlier is not None:
-                joined.append({})
-                for i in range(t + 1):
-                    _times(earlier[i], fills[t - i], joined[t])
+                joined.append(reduce(add, [earlier[i] * fills[t - i] for i in range(t + 1)]))
             earlier = joined
-        sizes.append(_times(earlier[t], {(1, hook_den(width, t + 1)): 1}))
+        sizes.append(earlier[t] * vertex(width, t + 1))
     return sizes

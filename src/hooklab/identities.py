@@ -22,15 +22,11 @@ summed symbolically and compared as such.
 A summand is a product of per-vertex factors, so a shape's summand is its
 root's factor times its children's summands.  The sums never build a tree:
 ``Family.term_sizes(n)`` (for binary', ``families.slotted_term_sizes`` on
-the complete binary tree with ``_han2_den``) yields the summands of the
-shapes of each size 1..n in turn as a multiset, each distinct pair
-(numerator, integer denominator) mapped to the number of shapes that have
-it, made from the smaller sizes by the root decomposition.  The number of
-shapes is the sum of those counts.  As it never falls with the size, a sum
-refuses n at the first size whose shapes pass ``TERM_LIMIT``, before it
-builds a larger one or sums anything.  ``_hook_sum`` is the one sum over
-the summands: count times numerator is added per denominator, and a
-Fraction is formed only once per distinct denominator.
+the complete binary tree with ``_han2_den``) yields, for each size 1..n in
+turn, the sum of the summands of its shapes and the number of shapes, made
+from the smaller sizes by the root decomposition.  As the number never falls
+with the size, a sum refuses n at the first size whose shapes pass
+``TERM_LIMIT``, before it builds a larger one.
 """
 
 from __future__ import annotations
@@ -40,7 +36,7 @@ from fractions import Fraction
 from math import factorial, prod
 from typing import Iterable
 
-from .exact import RationalFunction
+from .exact import RationalFunction, TermSum
 from .families import (
     BinaryFamily,
     BranchingOracle,
@@ -70,17 +66,6 @@ def hook_values(t: Tree) -> list[int]:
     return [node.size for node in _subtrees(t)]
 
 
-def _hook_sum(terms: dict[tuple, int]) -> Probability:
-    """Sum of the multiset ``terms``, each (numerator, integer denominator)
-    mapped to its count; count times numerator is added per denominator
-    first."""
-    by_den: dict = {}
-    for (num, den), count in terms.items():
-        seen = by_den.get(den)
-        by_den[den] = count * num if seen is None else seen + count * num
-    return sum((num * Fraction(1, den) for den, num in by_den.items()), Fraction(0))
-
-
 def _han2_den(h: int) -> int:
     """A vertex's factor 1/((2h+1) * 2^(2h-1)) of the binary' summand, by
     its denominator."""
@@ -101,7 +86,7 @@ def tbar_lhs(oracle: BranchingOracle, n: int) -> Fraction:
 
 def yang_term(t: OrderedTree) -> RationalFunction:
     """The ordered-tree summand prod C(m,c_v) / (h_v * m^(h_v-1)), in m."""
-    return _hook_sum({OrderedFamily().hook_term(t): 1})
+    return OrderedFamily().hook_term(t)
 
 
 def yang_lhs(n: int) -> RationalFunction:
@@ -165,20 +150,19 @@ class IdentityReport:
 
 
 def _verify(
-    identity: str, n: int, term_sizes: Iterable[dict[tuple, int]], size: int, where: str = ""
+    identity: str, n: int, term_sizes: Iterable[TermSum], size: int, where: str = ""
 ) -> IdentityReport:
     """Report on ``sum of terms == 1/size!``, ``terms`` the last of
-    ``term_sizes``, the multisets of one term per shape of each size 1..n;
+    ``term_sizes``, the sums of one term per shape of each size 1..n;
     raises ``SizeLimitError`` at the first size whose shapes pass
     ``TERM_LIMIT``, before the next is built."""
     for terms in term_sizes:
-        count = sum(terms.values())
-        if count > TERM_LIMIT:
+        if terms.count > TERM_LIMIT:
             raise SizeLimitError(f"the {identity} sum at n={n}{where} has more than "
                                  f"{TERM_LIMIT} terms")
-    lhs = _hook_sum(terms)
     expected = Fraction(1, factorial(size))
-    return IdentityReport(identity, n, lhs, expected, lhs == expected, count)
+    return IdentityReport(identity, n, terms.total, expected, terms.total == expected,
+                          terms.count)
 
 
 def verify_han(n: int) -> IdentityReport:
@@ -195,7 +179,8 @@ def verify_tbar(oracle: BranchingOracle, n: int) -> IdentityReport:
 
 
 def verify_han2(n: int) -> IdentityReport:
-    sizes = slotted_term_sizes(_COMPLETE_BINARY, n, lambda width, h: _han2_den(h))
+    sizes = slotted_term_sizes(_COMPLETE_BINARY, n,
+                               lambda width, h: TermSum(Fraction(1, _han2_den(h))))
     return _verify("han2", n, sizes, 2 * n + 1)
 
 

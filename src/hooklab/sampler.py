@@ -216,28 +216,27 @@ def shape_probability(shape: Tree, family: Family) -> Probability:
     probability: the family's hook-length summand times prod h_v.
     """
     family.check_shape(shape)
-    num, den = family.hook_term(shape)
-    return num * Fraction(prod(hook_values(shape)), den)
+    return prod(hook_values(shape)) * family.hook_term(shape)
 
 
 def _labeling_count(family: Family, n: int) -> int:
-    """The number of reachable size-``n`` labeled trees, size!/prod h_v per
-    shape, summed over the multisets of ``family.hook_sizes(n)``, so no shape
-    is made.  The count never falls with the size, so ``SizeLimitError``
-    comes at the first size whose count passes ``identities.TERM_LIMIT``."""
+    """The number of reachable size-``n`` labeled trees: size!/prod h_v per
+    shape, so size! times the sum of 1/prod h_v over the shapes, which
+    ``family.hook_sizes(n)`` gives without making a shape.  A sum that size!
+    does not make an integer raises ``ConsistencyError``.  The count never
+    falls with the size, so ``SizeLimitError`` comes at the first size whose
+    count passes ``identities.TERM_LIMIT``."""
     limit = identities.TERM_LIMIT
     for size, hooks in enumerate(family.hook_sizes(n), 1):
-        total, labels = 0, factorial(size)
-        for (_, hook_prod), shapes in hooks.items():
-            labelings, r = divmod(labels, hook_prod)
-            if r:
-                raise ConsistencyError(f"hook product {hook_prod} of a {family.label} shape"
-                                       f"{family.where} does not divide {size}!")
-            total += shapes * labelings
+        total = factorial(size) * hooks
+        if total.denominator != 1:
+            raise ConsistencyError(f"{size}! times the sum of 1/prod h_v over the {family.label} "
+                                   f"shapes of size {size}{family.where} is {total}: a hook "
+                                   f"product does not divide {size}!")
         if total > limit:
             raise SizeLimitError(f"more than {limit} labeled {family.label} trees at n={n}"
                                  f"{family.where}")
-    return total
+    return total.numerator
 
 
 def enumerate_labelings(family: Family, n: int) -> Iterator[LabeledTree]:

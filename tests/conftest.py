@@ -1,11 +1,13 @@
 import json
 import os
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from hooklab import addable_sites, attach, parse_oracle, start
+from hooklab import addable_sites, attach, families, parse_oracle, start
+from hooklab.exact import TermSum
 
 # The CLI tests run hooklab in subprocesses; let them import it
 # from this checkout's src/ as the test process does (pyproject's pythonpath).
@@ -47,6 +49,49 @@ def history_products(family, n: int) -> dict:
 
     walk(start(family), Fraction(1))
     return reached
+
+
+class Multiset(Counter):
+    """A value of the term folds for the tests: each exact summand mapped to
+    the number of shapes that have it.  ``+`` adds the counts, ``*`` takes
+    the product of every summand of one with every summand of the other, and
+    an integer scales the counts, so a fold of these keeps every summand
+    that production's sums add up."""
+
+    @classmethod
+    def of(cls, term) -> "Multiset":
+        return cls({term: 1})
+
+    def __add__(self, other: "Multiset") -> "Multiset":
+        out = Multiset(self)
+        out.update(other)
+        return out
+
+    def __mul__(self, other: "Multiset | int") -> "Multiset":
+        if isinstance(other, int):
+            return Multiset({term: other * count for term, count in self.items()})
+        out = Multiset()
+        for a, a_count in self.items():
+            for b, b_count in other.items():
+                out[a * b] += a_count * b_count
+        return out
+
+    __rmul__ = __mul__
+
+    def term_sum(self) -> TermSum:
+        """The sum and count that production folds in place of this multiset."""
+        return TermSum(sum(count * term for term, count in self.items()), sum(self.values()))
+
+
+def multiset_sizes(sizes, *args) -> list:
+    """``list(sizes(*args))`` with the term folds run on ``Multiset`` values:
+    ``sizes`` is a family's ``term_sizes`` or ``hook_sizes``, whose vertex
+    factors stay production's, each made the multiset that holds it once."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(families, "TermSum", Multiset.of)
+        hook_factor = families._hook_factor
+        patch.setattr(families, "_hook_factor", lambda width, h: Multiset.of(hook_factor(width, h)))
+        return list(sizes(*args))
 
 
 MIXED_ORACLE_TABLE = {"": 2, "0": 3, "1": 1, "default": "const:2"}

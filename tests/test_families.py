@@ -8,7 +8,7 @@ from itertools import islice
 
 import pytest
 
-from conftest import catalan
+from conftest import catalan, multiset_sizes
 from hooklab import (
     BinaryTree,
     BranchingOracle,
@@ -421,7 +421,7 @@ class BudgetOracle(BranchingOracle):
 
 
 class TestSharedStreams:
-    """Equal subtree keys share the tbar fold's multisets; an enumeration
+    """Equal subtree keys share the tbar fold's sums; an enumeration
     streams its trees, made as far as they are read, one call at a time."""
 
     def test_equal_keys_mean_equal_counts_below(self, mixed_oracle):
@@ -434,12 +434,12 @@ class TestSharedStreams:
                 assert below.setdefault(oracle.subtree_key(addr), counts) == counts, (oracle, addr)
 
     def test_a_key_blind_to_depth_changes_the_terms(self):
-        # the sum keeps the root's multisets of the sizes it took, so the
-        # blind key hands them, those of const:2, to every vertex below; the
-        # sum still comes to 1/n!, so only the multisets and the count tell
+        # the sum keeps the root's sums of the sizes it took, so the blind
+        # key hands them, those of const:2, to every vertex below; the sum
+        # still comes to 1/n!, so only the multisets and the count tell
         mutant, oracle = DepthBlindKey((2, 3, 4)), DepthBranching((2, 3, 4))
         family = TbarFamily(mutant)
-        sizes = list(family.term_sizes(7))
+        sizes = multiset_sizes(family.term_sizes, 7)
         caught = [n for n in range(1, 8)
                   if sizes[n - 1] != Counter(family.hook_term(t) for t in enum_tbar(oracle, n))]
         assert caught == [3, 4, 5, 6, 7]
@@ -520,7 +520,7 @@ class TestTbarTerms:
                 shapes = sum(1 for _ in enum_tbar(oracle, n))
                 for sizes in ("term_sizes", "hook_sizes"):
                     counting = CountingOracle(oracle)
-                    *_, terms = getattr(TbarFamily(counting), sizes)(n)
+                    *_, terms = multiset_sizes(getattr(TbarFamily(counting), sizes), n)
                     case = oracle, sizes, n
                     assert sum(terms.values()) == shapes, case
                     assert all(len(addr) <= n - 2 for addr in counting.asked), case

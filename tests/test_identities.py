@@ -5,6 +5,7 @@ from math import factorial, prod
 
 import pytest
 
+from conftest import Multiset, multiset_sizes
 from hooklab import (
     BinaryFamily,
     BinaryTree,
@@ -260,13 +261,9 @@ class TestReductionIdentities:
 
 def test_every_sum_past_the_term_limit_is_refused_before_it_is_summed(monkeypatch):
     # the sums take the sizes 1..n in turn and refuse n at the first whose
-    # shapes pass the limit, before a larger size is built or anything is
-    # summed: binary at 14 (2,674,440 shapes), ordered at 15 (as many), tbar
-    # under const:3 at 10 (1,430,715); building every size to 30 would take
-    # minutes and gigabytes
-    def hook_sum(terms):
-        raise AssertionError("the sum ran")
-
+    # shapes pass the limit, before a larger size is built: binary at 14
+    # (2,674,440 shapes), ordered at 15 (as many), tbar under const:3 at 10
+    # (1,430,715); no size past it is built
     built = []
 
     def recording(term_sizes):
@@ -277,7 +274,6 @@ def test_every_sum_past_the_term_limit_is_refused_before_it_is_summed(monkeypatc
                 yield terms
         return sizes
 
-    monkeypatch.setattr(identities, "_hook_sum", hook_sum)
     monkeypatch.setattr(identities, "slotted_term_sizes", recording(slotted_term_sizes))
     for family in (BinaryFamily, OrderedFamily, TbarFamily):
         monkeypatch.setattr(family, "term_sizes", recording(family.term_sizes))
@@ -310,22 +306,28 @@ def test_consistency_error_is_reserved():
 
 
 class TestTermFold:
-    """The sums take the summands by subtree size, as a multiset per size.
-    It equals the multiset of the summand of each tree the enumerator
-    builds."""
+    """The sums take the summands by subtree size.  Run on multisets, the
+    fold gives per size the multiset of the summand of each tree the
+    enumerator builds; production's sum and count are that multiset's."""
 
     def test_binary_han_and_han2(self):
         family = BinaryFamily()
-        han_sizes = list(family.term_sizes(10))
-        han2_sizes = list(slotted_term_sizes(ConstantBranching(2), 10,
-                                             lambda width, h: identities._han2_den(h)))
+        han_sums = list(family.term_sizes(10))
+        han_sizes = multiset_sizes(family.term_sizes, 10)
+        def han2_factor(width, h):
+            return Multiset.of(Fraction(1, identities._han2_den(h)))
+
+        han2_sizes = multiset_sizes(slotted_term_sizes, ConstantBranching(2), 10, han2_factor)
         for n in range(1, 11):
             trees = list(enum_binary(n))
             assert han_sizes[n - 1] == Counter(family.hook_term(t) for t in trees), n
-            han2 = Counter((1, prod((2 * h + 1) * 2 ** (2 * h - 1)
-                                    for h in hook_lengths(t).values()))
+            assert han_sums[n - 1] == han_sizes[n - 1].term_sum(), n
+            han2 = Counter(Fraction(1, prod((2 * h + 1) * 2 ** (2 * h - 1)
+                                            for h in hook_lengths(t).values()))
                            for t in trees)
             assert han2_sizes[n - 1] == han2, n
+            report = identities.verify_han2(n)
+            assert (report.lhs, report.term_count) == (sum(han2.elements()), len(trees)), n
 
     def test_tbar(self, mixed_oracle):
         # the last table puts a group of two default slots beside a listed
@@ -334,29 +336,35 @@ class TestTermFold:
         for oracle in (ConstantBranching(3), DepthBranching((2, 3)), mixed_oracle,
                        ConstantBranching(2), DepthBranching((1, 2, 3)), beside):
             family = TbarFamily(oracle)
-            sizes = list(family.term_sizes(7))
+            sums = list(family.term_sizes(7))
+            sizes = multiset_sizes(family.term_sizes, 7)
             for n in range(1, 8):
                 terms = Counter(family.hook_term(t) for t in enum_tbar(oracle, n))
                 assert sizes[n - 1] == terms, (oracle, n)
+                assert sums[n - 1] == sizes[n - 1].term_sum(), (oracle, n)
 
     def test_han_is_the_tbar_sum_on_the_complete_binary_tree(self):
         # the paper's last identity with cbar = 2 at every vertex is Han's:
         # the binary trees are the rooted subtrees of the complete binary
         # tree, with the same vertex factor 1/(h * 2^(h-1))
         binary, tbar = BinaryFamily(), TbarFamily(ConstantBranching(2))
-        assert list(binary.term_sizes(12)) == list(tbar.term_sizes(12))
-        assert list(binary.hook_sizes(12)) == list(tbar.hook_sizes(12))
+        for sizes in ("term_sizes", "hook_sizes"):
+            assert (multiset_sizes(getattr(binary, sizes), 12)
+                    == multiset_sizes(getattr(tbar, sizes), 12)), sizes
+            assert list(getattr(binary, sizes)(12)) == list(getattr(tbar, sizes)(12)), sizes
         assert all(binary.hook_den(h) == tbar.hook_den(2, h) for h in range(1, 13))
 
     def test_ordered_symbolic_and_concrete(self):
         # at m=2 a vertex with 3 or more children has the factor 0, so
-        # summands of different shapes meet at numerator 0
+        # summands of different shapes meet at 0
         for family, n_max in ((OrderedFamily(), 7), (OrderedFamily(Fraction(9, 2)), 6),
                               (OrderedFamily(2), 7)):
-            sizes = list(family.term_sizes(n_max))
+            sums = list(family.term_sizes(n_max))
+            sizes = multiset_sizes(family.term_sizes, n_max)
             for n in range(1, n_max + 1):
                 terms = Counter(family.hook_term(t) for t in enum_ordered(n))
                 assert sizes[n - 1] == terms, (family, n)
+                assert sums[n - 1] == sizes[n - 1].term_sum(), (family, n)
 
     def test_a_wide_vertex_fills_its_slots_by_binomials(self):
         # 500 slots of one key: two children in C(500, 2) ways, or one
@@ -368,8 +376,7 @@ class TestTermFold:
         # binary from the hook lengths; concrete m is the symbolic term at m
         for t in enum_binary(6):
             hooks = hook_lengths(t).values()
-            assert BinaryFamily().hook_term(t) == (1, prod(h * 2 ** (h - 1) for h in hooks))
+            assert BinaryFamily().hook_term(t) == Fraction(1, prod(h * 2 ** (h - 1) for h in hooks))
         m = Fraction(9, 2)
         for t in enum_ordered(6):
-            num, den = OrderedFamily(m).hook_term(t)
-            assert Fraction(num, den) == yang_term(t).evaluate(m)
+            assert OrderedFamily(m).hook_term(t) == yang_term(t).evaluate(m)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import history_products, odd_double_factorial
+from conftest import history_products, multiset_sizes, odd_double_factorial
 from hooklab import (
     AddableSite,
     BinaryFamily,
@@ -328,17 +328,19 @@ class TestLabelingCount:
             ConstantBranching(1), ConstantBranching(2), ConstantBranching(3),
             DepthBranching((2, 3)), DepthBranching((1, 2, 3)), mixed_oracle, table)]
         for family, n_max in cases:
-            hooks = list(family.hook_sizes(n_max))
+            sums = list(family.hook_sizes(n_max))
+            hooks = multiset_sizes(family.hook_sizes, n_max)
             for n in range(1, n_max + 1):
                 counts = [hook_count(t) for t in family.shapes(n)]  # n!/prod h_v
-                products = Counter((1, factorial(n) // c) for c in counts)
+                products = Counter(Fraction(c, factorial(n)) for c in counts)  # 1/prod h_v
                 assert hooks[n - 1] == products, (family, n)
+                assert sums[n - 1] == hooks[n - 1].term_sum().total, (family, n)
                 assert _labeling_count(family, n) == sum(counts), (family, n)
 
     def test_a_hook_product_that_does_not_divide_is_inconsistent(self, monkeypatch):
         # a mutant rule 1/(h+1) makes products that need not divide size!
         monkeypatch.setattr(BinaryFamily, "hook_sizes", lambda self, n: families.slotted_term_sizes(
-            ConstantBranching(2), n, lambda width, h: h + 1))
+            ConstantBranching(2), n, lambda width, h: Fraction(1, h + 1)))
         with pytest.raises(ConsistencyError, match="does not divide"):
             _labeling_count(BINARY, 4)
 
