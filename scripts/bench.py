@@ -30,15 +30,19 @@ ROUNDS rounds over all rows, and reports each row's best and median round.
            its refusal of tbar const:50 at n=5, which has more than
            ``identities.TERM_LIMIT`` labeled trees.  A round runs each
            count ``repeats`` times in a row; the seconds are per count
-  identities  the reports ``verify_han`` to n=12, ``verify_han2`` to n=11,
-           ``verify_tbar`` to n=8 with const:3 and depth:2,3 and
-           ``verify_yang`` to n=8.  A round runs each n of a sweep
-           ``repeats`` times in a row, so that even the fastest sweep keeps
-           a round near half a second or more; the seconds reported are per
-           sweep (a round's time over ``repeats``): the median of each n and
-           the best and median of the whole sweep.  An untimed pass first
-           runs each sweep once under ``tracemalloc`` and records its peak
-           of traced memory in MB.  Exits if a report does not hold
+  identities  the sweeps ``verify han`` to n=12, ``han2`` to n=11, ``tbar``
+           to n=8 with const:3 and depth:2,3 and ``yang`` to n=8, each one
+           ``cli.main`` call with stdout discarded.  A round runs each sweep
+           ``repeats`` times in a row; the seconds reported are per sweep.
+           An untimed pass first runs each sweep once under ``tracemalloc``
+           and records its peak of traced memory in MB
+  reach    the largest n to which each identity sweep of ``identities``
+           (with ``--json``) runs within REACH_BUDGET scaled seconds, by
+           doubling n and then bisecting; a row also ends where the sweep
+           exits nonzero, past its ``--n-max`` bound (``stop`` "cap") or
+           refused (``stop`` "refused"), else ``stop`` is "budget"
+
+The script stops unless each timed sweep exits 0.
 
 The file also records the machine, the number of cores, the Python version,
 the commit of the checkout the script sits in (``git describe --always
@@ -51,6 +55,7 @@ Usage:
 
 import argparse
 import contextlib
+import io
 import json
 import os
 import platform
@@ -77,18 +82,17 @@ from hooklab import (  # noqa: E402
     enum_ordered,
     enum_tbar,
     grow,
+    identities,
     run_census,
-    verify_han,
-    verify_han2,
-    verify_tbar,
-    verify_yang,
 )
+from hooklab.cli import VERIFY  # noqa: E402
 from hooklab.cli import main as cli_main  # noqa: E402
 from hooklab.sampler import _labeling_count  # noqa: E402
 from speed import SpeedClock  # noqa: E402
 
 ROUNDS = 5
 SAMPLES = 200_000  # criterion 10's
+REACH_BUDGET = 1.0  # scaled seconds, about what one sweep at a --n-max bound takes
 
 # (row, family, n, trees per repeat)
 GROW = [
@@ -137,21 +141,28 @@ COUNT = [
     ("tbar const:50 n=5 refused", TbarFamily(ConstantBranching(50)), 5, 1),
 ]
 
-# (row, report of one n, largest n, sweeps per round)
+# (row, verify arguments, largest n, sweeps per round)
 IDENTITIES = [
-    ("han", verify_han, 12, 2),
-    ("han2", verify_han2, 11, 4),
-    ("tbar const:3", partial(verify_tbar, ConstantBranching(3)), 8, 3),
-    ("tbar depth:2,3", partial(verify_tbar, DepthBranching((2, 3))), 8, 5),
-    ("yang", verify_yang, 8, 10),
+    ("han", ["han"], 12, 20),
+    ("han2", ["han2"], 11, 40),
+    ("tbar const:3", ["tbar", "--oracle", "const:3"], 8, 40),
+    ("tbar depth:2,3", ["tbar", "--oracle", "depth:2,3"], 8, 40),
+    ("yang", ["yang"], 8, 40),
 ]
 
 
-def _sweep(argv: list[str]) -> None:
+def _argv(args: list[str], n_max: int) -> list[str]:
+    return ["verify", *args, "--n-max", str(n_max), "--json"]
+
+
+def _sweep(argv: list[str]) -> int:
     with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
-        status = cli_main(argv)
-    if status != 0:
-        raise SystemExit(f"{' '.join(argv)} exited {status}")
+        return cli_main(argv)
+
+
+def _passes(argv: list[str]) -> None:
+    if _sweep(argv) != 0:
+        raise SystemExit(f"{' '.join(argv)} did not exit 0")
 
 
 def _grow(family, n: int, count: int) -> None:
@@ -166,31 +177,53 @@ def _repeat(repeats: int, work, *args) -> None:
 
 
 def _count(family, n: int) -> int | None:
-    """The number of labeled trees of size ``n``, None when it is refused."""
+    """The number of labeled trees of size ``n``, None past
+    ``identities.TERM_LIMIT``.  ``_labeling_count`` yields the count of each
+    size 1..n; at older commits it returned the one count, or refused, so
+    this runs there too."""
     try:
-        return _labeling_count(family, n)
+        count = _labeling_count(family, n)
     except SizeLimitError:
         return None
+    if not isinstance(count, int):
+        *_, count = count
+    return count if count <= identities.TERM_LIMIT else None
 
 
-def _peak_mb(verify, n_max: int) -> float:
-    """The peak of memory traced by ``tracemalloc`` over one sweep of the
-    reports ``verify`` to ``n_max``, in MB."""
+def _peak_mb(argv: list[str]) -> float:
+    """The peak of memory traced by ``tracemalloc`` over one sweep, in MB."""
     tracemalloc.start()
     try:
-        for n in range(1, n_max + 1):
-            _holds(verify, n, 1)
+        _passes(argv)
         return round(tracemalloc.get_traced_memory()[1] / 2 ** 20, 3)
     finally:
         tracemalloc.stop()
 
 
-def _holds(verify, n: int, repeats: int) -> None:
-    for _ in range(repeats):
-        report = verify(n)
-        if not report.holds:
-            raise SystemExit(f"{report.identity} at n={n}: lhs={report.lhs}, "
-                             f"expected {report.expected}")
+def _reach(clock: SpeedClock, args: list[str]) -> dict:
+    """The largest n whose sweep exits 0 within REACH_BUDGET scaled seconds,
+    its seconds, what stopped the next n, and every run's exit status and
+    seconds by n."""
+    bound = VERIFY[args[0]][1]
+    runs = {}
+
+    def run(n: int) -> bool:
+        mark = clock.mark()
+        with contextlib.redirect_stderr(io.StringIO()):
+            status = _sweep(_argv(args, n))
+        runs[n] = status, _s(clock.seconds_since(mark)[0])
+        return status == 0 and runs[n][1] <= REACH_BUDGET
+
+    good, bad = 0, 1
+    while run(bad):
+        good, bad = bad, 2 * bad
+    while bad - good > 1:
+        middle = (good + bad) // 2
+        good, bad = (middle, bad) if run(middle) else (good, middle)
+    status, _ = runs[bad]
+    stop = "budget" if status == 0 else "cap" if bad > bound else "refused"
+    return {"reach": good, "seconds": runs[good][1] if good else None, "stop": stop,
+            "runs": {n: list(runs[n]) for n in sorted(runs)}}
 
 
 def _rounds(works) -> dict[object, list[float]]:
@@ -250,7 +283,7 @@ def main() -> int:
                         masses_median_seconds=_s(median(times[row, "masses"])))
                    for row, _, _, draws, repeats in CENSUS]
 
-    times = _rounds([(row, partial(_sweep, argv)) for row, argv in SWEEPS])
+    times = _rounds([(row, partial(_passes, argv)) for row, argv in SWEEPS])
     sweep_rows = [_row(row, times[row], argv=argv) for row, argv in SWEEPS]
 
     times = _rounds([(row, lambda call=call: sum(1 for _ in call())) for row, call in ENUM])
@@ -262,18 +295,19 @@ def main() -> int:
                        labeled_trees=_count(family, n))
                   for row, family, n, repeats in COUNT]
 
-    peaks = {row: _peak_mb(verify, n_max) for row, verify, n_max, _ in IDENTITIES}
-    times = _rounds([((row, n), partial(_holds, verify, n, repeats))
-                     for row, verify, n_max, repeats in IDENTITIES
-                     for n in range(1, n_max + 1)])
-    identity_rows = []
-    for row, _, n_max, repeats in IDENTITIES:
-        per_n = [[t / repeats for t in times[row, n]] for n in range(1, n_max + 1)]
-        identity_rows.append(_row(
-            row, [sum(sweep) for sweep in zip(*per_n)], n_max=n_max, repeats=repeats,
-            tracemalloc_peak_mb=peaks[row],
-            median_seconds_by_n={n: _s(median(t)) for n, t in enumerate(per_n, 1)},
-        ))
+    peaks = {row: _peak_mb(_argv(identity, n_max)) for row, identity, n_max, _ in IDENTITIES}
+    times = _rounds([(row, partial(_repeat, repeats, _passes, _argv(identity, n_max)))
+                     for row, identity, n_max, repeats in IDENTITIES])
+    identity_rows = [_row(row, [t / repeats for t in times[row]], argv=_argv(identity, n_max),
+                          repeats=repeats, tracemalloc_peak_mb=peaks[row])
+                     for row, identity, n_max, repeats in IDENTITIES]
+
+    reach_rows = []
+    with SpeedClock() as clock:
+        for row, identity, _, _ in IDENTITIES:
+            reach_rows.append({"row": row, "budget_seconds": REACH_BUDGET,
+                               **_reach(clock, identity)})
+            print(json.dumps(reach_rows[-1]), flush=True)
 
     doc = {
         "label": args.label,
@@ -296,6 +330,7 @@ def main() -> int:
         "enum": enum_rows,
         "count": count_rows,
         "identities": identity_rows,
+        "reach": reach_rows,
     }
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(doc, indent=2) + "\n")

@@ -21,7 +21,7 @@ import sys
 from fractions import Fraction
 from functools import cache
 from math import factorial
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .families import (
     BinaryFamily,
@@ -36,17 +36,16 @@ from .families import (
 )
 from .identities import (
     ConsistencyError,
+    IdentityReport,
     SizeLimitError,
+    _verify,
     completion_census,
-    verify_han,
-    verify_han2,
-    verify_tbar,
-    verify_yang,
 )
 from .sampler import (
     GrowthState,
     _grown,
     _labeling_count,
+    _within_limit,
     addable_sites,
     grow,
     lemma_check,
@@ -148,18 +147,20 @@ def _sweep_family(args, n_max: int) -> Family:
     return family
 
 
-def _identity(report) -> tuple[dict, bool]:
-    return report.to_json_dict(), report.holds
+def _identity(reports: Iterator[IdentityReport]) -> Iterator[tuple[dict, bool]]:
+    return ((report.to_json_dict(), report.holds) for report in reports)
 
 
-def _lemma(family: Family, n: int) -> tuple[dict, bool]:
-    """Does the lemma hold at every reachable state of size n?  A state's sites
-    depend on its shape alone, so each shape is checked once, none skipped."""
-    states = _labeling_count(family, n)
-    holds = all([lemma_check(GrowthState(LabeledTree(shape, range(1, n + 1)), family))
-                 for shape in family.shapes(n)])
-    record = {"check": "lemma", "family": family.label, "n": n, "states": states, "holds": holds}
-    return record, holds
+def _lemma(family: Family, n_max: int) -> Iterator[tuple[dict, bool]]:
+    """Does the lemma hold at every reachable state of size n, n = 1..n_max?
+    A state's sites depend on its shape alone, so each shape is checked once,
+    none skipped."""
+    for n, count in enumerate(_labeling_count(family, n_max), 1):
+        states = _within_limit(family, n, count)
+        holds = all([lemma_check(GrowthState(LabeledTree(shape, range(1, n + 1)), family))
+                     for shape in family.shapes(n)])
+        yield {"check": "lemma", "family": family.label, "n": n, "states": states,
+               "holds": holds}, holds
 
 
 def _labelprob(family: Family, n_max: int) -> Iterator[tuple[dict, bool]]:
@@ -171,8 +172,8 @@ def _labelprob(family: Family, n_max: int) -> Iterator[tuple[dict, bool]]:
     cannot compare labelings: ``equal_per_shape`` is always true; tests do that."""
     root = family.node([])
     law = {root.enc: [root, Fraction(1)]}
-    for n in range(1, n_max + 1):
-        labelings = _labeling_count(family, n)
+    for n, count in enumerate(_labeling_count(family, n_max), 1):
+        labelings = _within_limit(family, n, count)
         if n > 1:
             law, pushed = {}, law
             for shape, p in pushed.values():
@@ -191,23 +192,19 @@ def _labelprob(family: Family, n_max: int) -> Iterator[tuple[dict, bool]]:
                "total_mass": total, "holds": holds}, holds
 
 
-def _sizes(check: Callable) -> Callable:
-    """The sweep of a check of one size: ``check(context, n)`` for n = 1..n_max."""
-    return lambda context, n_max: (check(context, n) for n in range(1, n_max + 1))
-
-
 FAMILIES = ("binary", "ordered", "tbar")  # the choices of every --family
 
 # verify target, in ``verify --help`` order -> (default --n-max, largest
 # --n-max, check).  A check takes the oracle (identities) or the growth family
 # (sweeps) and n_max, and yields for n = 1..n_max, in turn, the record to print
-# and whether it holds.  The largest n keeps each exhaustive enumeration to seconds.
+# and whether it holds, all from one fold pass.  The largest n keeps a sweep
+# to about a second (see README for the oracles that take longer).
 VERIFY = {
-    "han": (10, 12, _sizes(lambda oracle, n: _identity(verify_han(n)))),
-    "yang": (7, 8, _sizes(lambda oracle, n: _identity(verify_yang(n)))),
-    "tbar": (7, 8, _sizes(lambda oracle, n: _identity(verify_tbar(oracle, n)))),
-    "han2": (10, 11, _sizes(lambda oracle, n: _identity(verify_han2(n)))),
-    "lemma": (5, 7, _sizes(_lemma)),
+    "han": (10, 300, lambda oracle, n_max: _identity(_verify("han", n_max, BinaryFamily()))),
+    "yang": (7, 60, lambda oracle, n_max: _identity(_verify("yang", n_max, OrderedFamily()))),
+    "tbar": (7, 50, lambda oracle, n_max: _identity(_verify("tbar", n_max, TbarFamily(oracle)))),
+    "han2": (10, 250, lambda oracle, n_max: _identity(_verify("han2", n_max))),
+    "lemma": (5, 7, _lemma),
     "labelprob": (5, 7, _labelprob),
 }
 

@@ -228,7 +228,7 @@ def _json_int(digits: str) -> int:
 def _parse_count(token: str | int) -> int:
     """A child count: ASCII digits in a spec, a JSON integer in a file, at
     most ``COUNT_LIMIT``: a vertex with more already has more than
-    ``identities.TERM_LIMIT`` (10^6) subtrees of size 2."""
+    ``identities.TERM_LIMIT`` (10^6) labeled trees of size 2."""
     if isinstance(token, str) and not (token.isascii() and token.isdigit()):
         raise OracleSyntaxError(f"bad child count {token!r}")
     # the length first, as int() refuses more than 4300 digits

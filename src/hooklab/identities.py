@@ -24,9 +24,9 @@ root's factor times its children's summands.  The sums never build a tree:
 ``Family.term_sizes(n)`` (for binary', ``families.slotted_term_sizes`` on
 the complete binary tree with ``_han2_den``) yields, for each size 1..n in
 turn, the sum of the summands of its shapes and the number of shapes, made
-from the smaller sizes by the root decomposition.  As the number never falls
-with the size, a sum refuses n at the first size whose shapes pass
-``TERM_LIMIT``, before it builds a larger one.
+from the smaller sizes by the root decomposition.  That work grows with n
+polynomially, not with the number of shapes, so no shape count bounds a sum,
+and one pass of the fold reports on every size of a sweep.
 """
 
 from __future__ import annotations
@@ -34,12 +34,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, prod
-from typing import Iterable
+from typing import Iterator
 
 from .exact import RationalFunction, TermSum
 from .families import (
     BinaryFamily,
     BranchingOracle,
+    Family,
     OrderedFamily,
     Probability,
     TbarFamily,
@@ -50,7 +51,7 @@ from .families import (
 from .trees import BinaryTree, OrderedTree, Tree, _labelings, _subtrees
 
 BRUTE_FORCE_BOUND = 11
-TERM_LIMIT = 10 ** 6  # shapes one identity sum takes, labeled trees one enumeration yields
+TERM_LIMIT = 10 ** 6  # labeled trees one enumeration yields or one count admits
 
 
 class ConsistencyError(RuntimeError):
@@ -95,7 +96,7 @@ def yang_lhs(n: int) -> RationalFunction:
 
 def yang_sum_at(n: int, point: Fraction) -> Fraction:
     """The ordered-tree sum with every summand evaluated at a concrete m."""
-    return _verify("yang", n, OrderedFamily(point).term_sizes(n), n).lhs
+    return _last(_verify("yang", n, OrderedFamily(point))).lhs
 
 
 def hook_count(t: Tree) -> int:
@@ -149,39 +150,36 @@ class IdentityReport:
         return {name: str(value) if name in exact else value for name, value in vars(self).items()}
 
 
-def _verify(
-    identity: str, n: int, term_sizes: Iterable[TermSum], size: int, where: str = ""
-) -> IdentityReport:
-    """Report on ``sum of terms == 1/size!``, ``terms`` the last of
-    ``term_sizes``, the sums of one term per shape of each size 1..n;
-    raises ``SizeLimitError`` at the first size whose shapes pass
-    ``TERM_LIMIT``, before the next is built."""
-    for terms in term_sizes:
-        if terms.count > TERM_LIMIT:
-            raise SizeLimitError(f"the {identity} sum at n={n}{where} has more than "
-                                 f"{TERM_LIMIT} terms")
-    expected = Fraction(1, factorial(size))
-    return IdentityReport(identity, n, terms.total, expected, terms.total == expected,
-                          terms.count)
+def _verify(identity: str, n: int, family: Family | None = None) -> Iterator[IdentityReport]:
+    """A report on ``sum == 1/n!`` for each n = 1..``n``, in turn, from one pass
+    of ``family.term_sizes(n)``; with no family, on binary' against 1/(2n+1)!."""
+    sizes = slotted_term_sizes(_COMPLETE_BINARY, n, lambda width, h: TermSum(
+        Fraction(1, _han2_den(h)))) if family is None else family.term_sizes(n)
+    for size, terms in enumerate(sizes, 1):
+        expected = Fraction(1, factorial(2 * size + 1 if family is None else size))
+        yield IdentityReport(identity, size, terms.total, expected, terms.total == expected,
+                             terms.count)
+
+
+def _last(reports: Iterator[IdentityReport]) -> IdentityReport:
+    *_, report = reports
+    return report
 
 
 def verify_han(n: int) -> IdentityReport:
-    return _verify("han", n, BinaryFamily().term_sizes(n), n)
+    return _last(_verify("han", n, BinaryFamily()))
 
 
 def verify_yang(n: int) -> IdentityReport:
-    return _verify("yang", n, OrderedFamily().term_sizes(n), n)
+    return _last(_verify("yang", n, OrderedFamily()))
 
 
 def verify_tbar(oracle: BranchingOracle, n: int) -> IdentityReport:
-    family = TbarFamily(oracle)
-    return _verify("tbar", n, family.term_sizes(n), n, family.where)
+    return _last(_verify("tbar", n, TbarFamily(oracle)))
 
 
 def verify_han2(n: int) -> IdentityReport:
-    sizes = slotted_term_sizes(_COMPLETE_BINARY, n,
-                               lambda width, h: TermSum(Fraction(1, _han2_den(h))))
-    return _verify("han2", n, sizes, 2 * n + 1)
+    return _last(_verify("han2", n))
 
 
 @dataclass(frozen=True)

@@ -219,24 +219,27 @@ def shape_probability(shape: Tree, family: Family) -> Probability:
     return prod(hook_values(shape)) * family.hook_term(shape)
 
 
-def _labeling_count(family: Family, n: int) -> int:
-    """The number of reachable size-``n`` labeled trees: size!/prod h_v per
-    shape, so size! times the sum of 1/prod h_v over the shapes, which
-    ``family.hook_sizes(n)`` gives without making a shape.  A sum that size!
-    does not make an integer raises ``ConsistencyError``.  The count never
-    falls with the size, so ``SizeLimitError`` comes at the first size whose
-    count passes ``identities.TERM_LIMIT``."""
-    limit = identities.TERM_LIMIT
+def _labeling_count(family: Family, n: int) -> Iterator[int]:
+    """The number of reachable labeled trees of each size 1..``n`` in turn:
+    size! times the sum of 1/prod h_v over its shapes, from one pass of
+    ``family.hook_sizes(n)``, which makes no shape.  A sum that size! does
+    not make an integer raises ``ConsistencyError``."""
     for size, hooks in enumerate(family.hook_sizes(n), 1):
         total = factorial(size) * hooks
         if total.denominator != 1:
             raise ConsistencyError(f"{size}! times the sum of 1/prod h_v over the {family.label} "
                                    f"shapes of size {size}{family.where} is {total}: a hook "
                                    f"product does not divide {size}!")
-        if total > limit:
-            raise SizeLimitError(f"more than {limit} labeled {family.label} trees at n={n}"
-                                 f"{family.where}")
-    return total.numerator
+        yield total.numerator
+
+
+def _within_limit(family: Family, n: int, count: int) -> int:
+    """``count``, the labeled trees of size ``n``, unless it passes ``identities.TERM_LIMIT``;
+    counts never fall with the size, so a sweep stops at its first size past it."""
+    if count > identities.TERM_LIMIT:
+        raise SizeLimitError(f"more than {identities.TERM_LIMIT} labeled {family.label} trees "
+                             f"at n={n}{family.where}")
+    return count
 
 
 def enumerate_labelings(family: Family, n: int) -> Iterator[LabeledTree]:
@@ -246,7 +249,8 @@ def enumerate_labelings(family: Family, n: int) -> Iterator[LabeledTree]:
     The labelings are counted first, by ``_labeling_count``, which makes no
     shape, so past ``identities.TERM_LIMIT`` of them ``SizeLimitError`` comes
     before any shape is made."""
-    _labeling_count(family, n)
+    for count in _labeling_count(family, n):
+        _within_limit(family, n, count)
     for shape in family.shapes(n):
         for labels in _labelings(shape):
             yield LabeledTree(shape, labels)

@@ -2,7 +2,9 @@ import json
 import subprocess
 import sys
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
+
+import pytest
 
 from conftest import catalan
 from hooklab import (
@@ -24,6 +26,23 @@ def run(*args, env=None):
     return subprocess.run(
         CMD + list(args), capture_output=True, text=True, env=env
     )
+
+
+@pytest.fixture
+def folds(monkeypatch):
+    """The fold calls made, by name: the families' ``term_sizes`` and
+    ``hook_sizes``, and han2's ``slotted_term_sizes``."""
+    calls = []
+
+    def recording(name, fold):
+        return lambda *args: calls.append(name) or fold(*args)
+
+    for family in (BinaryFamily, OrderedFamily, TbarFamily):
+        for name in ("term_sizes", "hook_sizes"):
+            monkeypatch.setattr(family, name, recording(name, getattr(family, name)))
+    monkeypatch.setattr(identities, "slotted_term_sizes",
+                        recording("slotted_term_sizes", identities.slotted_term_sizes))
+    return calls
 
 
 class TestVerify:
@@ -170,26 +189,62 @@ class TestVerify:
             assert "'default' entry" in out.stderr
             assert "Traceback" not in out.stderr
 
-    def test_n_max_above_the_bound_is_a_usage_error(self):
-        for args, bound in ((("han", "--n-max", "13"), 12),
-                            (("lemma", "--family", "tbar", "--n-max", "8"), 7)):
-            out = run("verify", *args)
-            assert out.returncode == 2
-            assert f"--n-max <= {bound}" in out.stderr
-            assert out.stdout == ""
+    def test_n_max_above_the_bound_is_a_usage_error(self, folds, capsys):
+        for args, bound in ((("han",), 300), (("han2",), 250), (("yang",), 60),
+                            (("tbar", "--oracle", "const:3"), 50),
+                            (("lemma", "--family", "tbar"), 7), (("labelprob",), 7)):
+            assert cli.main(["verify", *args, "--n-max", str(bound + 1)]) == 2, args
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == (f"error: 'verify {args[0]}' is limited to --n-max <= {bound}, "
+                           f"got {bound + 1}\n")
+        assert folds == []
 
-    def test_a_sum_past_the_term_limit_is_a_usage_error(self, monkeypatch, capsys):
-        # const:50 has 3725 subtrees of size 3; at the real limit, 10^6, it
-        # stops at n=5 (328,350 terms at n=4), where --n-max 8 once ran on
-        monkeypatch.setattr(identities, "TERM_LIMIT", 3724)
-        assert cli.main(["verify", "tbar", "--oracle", "const:50", "--n-max", "8"]) == 2
-        out, err = capsys.readouterr()
-        assert [line.split()[1] for line in out.splitlines()] == ["n=1", "n=2"]
-        assert err == ("error: the tbar sum at n=3 with oracle const:50 has more than "
-                       "3724 terms\n")
-        monkeypatch.setattr(identities, "TERM_LIMIT", 3725)
-        assert cli.main(["verify", "tbar", "--oracle", "const:50", "--n-max", "3"]) == 0
-        assert "term_count=3725" in capsys.readouterr().out
+    def test_a_sweep_makes_one_fold_pass(self, folds, capsys):
+        for args, fold in ((("han",), "term_sizes"), (("han2",), "slotted_term_sizes"),
+                           (("yang",), "term_sizes"),
+                           (("tbar", "--oracle", "depth:2,3"), "term_sizes"),
+                           (("lemma",), "hook_sizes"),
+                           (("lemma", "--family", "ordered", "--m", "symbolic"), "hook_sizes"),
+                           (("labelprob", "--family", "tbar", "--oracle", "const:3"),
+                            "hook_sizes")):
+            folds.clear()
+            assert cli.main(["verify", *args, "--n-max", "5"]) == 0, args
+            assert len(capsys.readouterr().out.splitlines()) == 5
+            assert folds == [fold], args
+
+    def test_every_sum_to_its_cap_matches_the_closed_forms(self, capsys):
+        # past any enumeration's reach: 1/n! (1/(2n+1)! for han2), and as
+        # many shapes as there are binary trees on n vertices (Catalan(n)),
+        # ordered trees on n vertices (Catalan(n-1)) and subtrees of the
+        # complete m-ary tree (the Fuss-Catalan number C(mn, n)/((m-1)n+1))
+        catalans = [catalan(n) for n in range(cli.VERIFY["han"][1] + 1)]
+        cases = [(("han",), catalans.__getitem__, factorial),
+                 (("han2",), catalans.__getitem__, lambda n: factorial(2 * n + 1)),
+                 (("yang",), lambda n: catalans[n - 1], factorial)]
+        cases += [(("tbar", "--oracle", f"const:{m}"),
+                   lambda n, m=m: comb(m * n, n) // ((m - 1) * n + 1), factorial)
+                  for m in range(1, 5)]
+        for args, shapes, den in cases:
+            bound = cli.VERIFY[args[0]][1]
+            assert cli.main(["verify", *args, "--n-max", str(bound), "--json"]) == 0, args
+            docs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+            assert [doc["n"] for doc in docs] == list(range(1, bound + 1)), args
+            for n, doc in enumerate(docs, 1):
+                assert doc["lhs"] == doc["expected"] == str(Fraction(1, den(n))), (args, n)
+                assert doc["holds"] and doc["term_count"] == shapes(n), (args, n)
+
+    def test_a_sum_past_the_term_limit_runs(self, monkeypatch, capsys):
+        # const:50 has 3725 subtrees of size 3 and more than 10^6 of size 5;
+        # the limit bounds labeled trees, not the sums, whose work grows
+        # with n alone
+        for limit in (3724, identities.TERM_LIMIT):
+            monkeypatch.setattr(identities, "TERM_LIMIT", limit)
+            assert cli.main(["verify", "tbar", "--oracle", "const:50", "--n-max", "8"]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert [line.split()[1] for line in lines] == [f"n={n}" for n in range(1, 9)]
+            assert all("holds=true" in line for line in lines)
+            assert lines[2].endswith(" term_count=3725")
 
     def test_a_sweep_past_the_term_limit_is_a_usage_error(self, monkeypatch, capsys):
         # binary has n! labeled trees of size n: 24 at n=4, 120 at n=5

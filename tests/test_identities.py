@@ -62,19 +62,16 @@ class TestHan:
         for n in range(1, 10):
             assert factorial(n) * han_lhs(n) == 1
 
-    def test_sum_is_bounded_by_the_term_limit(self, monkeypatch):
+    def test_sum_is_not_bounded_by_the_term_limit(self, monkeypatch):
         # han and tbar under const:2 have 42 shapes at n=5 and 132 at n=6,
-        # yang 42 at n=6 and 132 at n=7
+        # yang 42 at n=6 and 132 at n=7; the limit bounds labeled trees, and
+        # a sum's work grows with n, not with its shapes
         monkeypatch.setattr(identities, "TERM_LIMIT", 42)
-        assert han_lhs(5) == Fraction(1, 120)
-        assert tbar_lhs(ConstantBranching(2), 5) == Fraction(1, 120)
-        assert yang_lhs(6) == Fraction(1, 720)
-        with pytest.raises(SizeLimitError, match="more than 42 terms"):
-            han_lhs(6)
-        with pytest.raises(SizeLimitError, match="more than 42 terms"):
-            tbar_lhs(ConstantBranching(2), 6)
-        with pytest.raises(SizeLimitError, match="more than 42 terms"):
-            yang_lhs(7)
+        assert han_lhs(6) == Fraction(1, 720)
+        assert han2_lhs(6) == Fraction(1, factorial(13))
+        assert tbar_lhs(ConstantBranching(2), 6) == Fraction(1, 720)
+        assert yang_lhs(7) == Fraction(1, 5040)
+        assert verify_han(6).term_count == verify_yang(7).term_count == 132
 
     def test_report(self):
         r = verify_han(3)
@@ -259,11 +256,11 @@ class TestReductionIdentities:
         assert rows[-1].running_total == 1
 
 
-def test_every_sum_past_the_term_limit_is_refused_before_it_is_summed(monkeypatch):
-    # the sums take the sizes 1..n in turn and refuse n at the first whose
-    # shapes pass the limit, before a larger size is built: binary at 14
-    # (2,674,440 shapes), ordered at 15 (as many), tbar under const:3 at 10
-    # (1,430,715); no size past it is built
+def test_every_sum_past_the_old_term_limit_is_exact_in_one_pass(monkeypatch):
+    # the sums once refused n at the first size past 10^6 shapes: binary at
+    # 14 (2,674,440 shapes), ordered at 15 (as many), tbar under const:3 at
+    # 10 (1,430,715).  Each is exact there and at 30, from one pass of its
+    # fold, which builds the sizes 1..n once each
     built = []
 
     def recording(term_sizes):
@@ -277,27 +274,15 @@ def test_every_sum_past_the_term_limit_is_refused_before_it_is_summed(monkeypatc
     monkeypatch.setattr(identities, "slotted_term_sizes", recording(slotted_term_sizes))
     for family in (BinaryFamily, OrderedFamily, TbarFamily):
         monkeypatch.setattr(family, "term_sizes", recording(family.term_sizes))
-    big = [
-        ("the han sum at n=14", 14, lambda: han_lhs(14)),
-        ("the han2 sum at n=14", 14, lambda: han2_lhs(14)),
-        ("the tbar sum at n=10 with oracle const:3", 10,
-         lambda: verify_tbar(ConstantBranching(3), 10)),
-        ("the yang sum at n=15", 15, lambda: verify_yang(15)),
-        ("the han sum at n=30", 14, lambda: han_lhs(30)),
-        ("the han2 sum at n=30", 14, lambda: han2_lhs(30)),
-        ("the tbar sum at n=30 with oracle const:3", 10,
-         lambda: tbar_lhs(ConstantBranching(3), 30)),
-        ("the yang sum at n=30", 15, lambda: yang_lhs(30)),
-        ("the yang sum at n=30", 15, lambda: yang_sum_at(30, Fraction(2))),
-    ]
-    for sum_at, size, lhs in big:
-        with pytest.raises(SizeLimitError, match=f"^{sum_at} has more than 1000000 terms$"):
-            lhs()
-        assert built.pop() == size, sum_at
-    monkeypatch.setattr(identities, "TERM_LIMIT", 42)
-    for lhs in (han_lhs, han2_lhs):
-        with pytest.raises(SizeLimitError, match="at n=6 has more than 42 terms"):
-            lhs(6)
+    for n in (10, 14, 15, 30):
+        expected = Fraction(1, factorial(n))
+        assert han_lhs(n) == expected, n
+        assert han2_lhs(n) == Fraction(1, factorial(2 * n + 1)), n
+        assert tbar_lhs(ConstantBranching(3), n) == expected, n
+        assert yang_lhs(n) == expected, n
+        assert yang_sum_at(n, Fraction(2)) == expected, n
+        assert built == [n] * 5, n
+        built.clear()
 
 
 def test_consistency_error_is_reserved():
