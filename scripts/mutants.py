@@ -1,0 +1,131 @@
+#!/usr/bin/env python3
+"""Run the test suite against textual mutants of the hook folds.
+
+Each mutant below replaces one piece of source text.  For each, the script
+copies src/, tests/ and pyproject.toml to a fresh temporary directory,
+applies the mutant there (never to this checkout) and runs the whole suite
+in that copy, as ``python -m pytest`` from its root does.  It runs the
+unmutated copy first: a suite that fails there makes every row meaningless.
+
+A mutant lists one or more forms, each a list of (file under src/hooklab,
+old text, new text) edits; the first form whose every old text occurs
+exactly once is applied.  A later form is the same fault in an older
+layout of the code, so the same list measures an older commit (copy this
+script into its checkout).  A mutant no form of which applies is "stale".
+
+It prints one row per mutant: its name, "caught" or "survived" (or
+"stale", or "error" when pytest exits with neither pass nor fail), the
+number of tests that fail with it, and their ids.  It exits 1 if the
+unmutated suite does not pass, if a mutant is stale or errs, if a mutant not
+marked equivalent survives, or if one marked equivalent is caught (then it
+is not equivalent, or a test is flaky).
+
+Usage:
+    python3 scripts/mutants.py
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+DOUBLE_C_M_2 = [
+    # OrderedFamily.binomial
+    [("families.py",
+      "        return Fraction(prod([p - i * q for i in range(c)]), q ** c * factorial(c))\n",
+      "        return Fraction(prod([p - i * q for i in range(c)]), q ** c * factorial(c))"
+      " * (2 if c == 2 else 1)\n"),
+     ("families.py",
+      "            return binomial_poly(c)\n",
+      "            return binomial_poly(c) * (2 if c == 2 else 1)\n")],
+    # OrderedFamily.vertex_term, which gave C(m, c) / (h m^(h-1)) as (num, den)
+    [("families.py",
+      "        num = q ** (h - 1)\n",
+      "        num = q ** (h - 1) * (2 if c == 2 else 1)\n"),
+     ("families.py",
+      "            return binomial_poly(c) * RationalFunction.monomial(1 - h), h\n",
+      "            return binomial_poly(c) * (2 if c == 2 else 1)"
+      " * RationalFunction.monomial(1 - h), h\n")],
+]
+
+# (name, equivalent, forms)
+MUTANTS = [
+    ("depth-blind DepthBranching.subtree_key", False,
+     [[("families.py", "        return min(len(addr), len(self.counts) - 1)\n",
+        "        return 0\n")]]),
+    ("hook factor 1/(h+1) in every hook_sizes", False,
+     [[("families.py", "    return Fraction(1, h)\n", "    return Fraction(1, h + 1)\n")]]),
+    ("leaf factor 1 in han2's fold", False,
+     [[("identities.py", "    return (2 * h + 1) << (2 * h - 1)\n",
+        "    return (2 * h + 1) << (2 * h - 1) if h > 1 else 1\n")]]),
+    ("group join without its middle terms", False,
+     [[("families.py", "[earlier[i] * fills[t - i] for i in range(t + 1)]",
+        "[earlier[i] * fills[t - i] for i in (0, t)]")]]),
+    ("k < q written k <= q in _grow", True,
+     [[("families.py", "                if k < q:", "                if k <= q:")]]),
+    ("C(m, 2) doubled in the ordered rule", False, DOUBLE_C_M_2),
+]
+
+
+def _copy(dest: Path) -> None:
+    shutil.copytree(ROOT / "src", dest / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copytree(ROOT / "tests", dest / "tests", ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy(ROOT / "pyproject.toml", dest)
+
+
+def _apply(dest: Path, forms) -> bool:
+    """Apply the first form whose every old text occurs once; False if none does."""
+    package = dest / "src" / "hooklab"
+    for edits in forms:
+        texts = {name: (package / name).read_text() for name, _, _ in edits}
+        if all(texts[name].count(old) == 1 for name, old, _ in edits):
+            for name, old, new in edits:
+                texts[name] = texts[name].replace(old, new)
+            for name, text in texts.items():
+                (package / name).write_text(text)
+            return True
+    return False
+
+
+def _failures(forms) -> tuple[int, list[str]] | None:
+    """pytest's exit status with the mutant and the ids of the tests that
+    fail, None if the mutant is stale."""
+    with tempfile.TemporaryDirectory(prefix="hooklab-mutant-") as tmp:
+        dest = Path(tmp)
+        _copy(dest)
+        if not _apply(dest, forms):
+            return None
+        env = dict(os.environ, PYTHONPATH=str(dest / "src"))
+        run = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
+             "--continue-on-collection-errors"],
+            cwd=dest, env=env, capture_output=True, text=True,
+        )
+    return run.returncode, [line.split()[1] for line in run.stdout.splitlines()
+                            if line.startswith(("FAILED ", "ERROR "))]
+
+
+def main() -> int:
+    status, failed = _failures([[]])  # one form of no edits: the unmutated copy
+    print(f"unmutated: exit {status}, {len(failed)} failing", flush=True)
+    ok = status == 0
+    for name, equivalent, forms in MUTANTS:
+        result = _failures(forms)
+        status, failed = result or (None, [])
+        if result is None or status not in (0, 1):
+            verdict = "stale" if result is None else f"error (exit {status})"
+            ok = False
+        else:
+            verdict = "caught" if failed else "survived"
+            ok &= bool(failed) != equivalent
+        label = f"{name}{' (equivalent)' if equivalent else ''}"
+        print(f"{label}: {verdict}, {len(failed)} failing: {', '.join(failed)}", flush=True)
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -26,11 +26,14 @@ root's factor times its children's summands, so the sum over the shapes of
 size n follows from the sums of the smaller sizes by the root decomposition:
 the root's factor times the product of its children's sums, over the ways to
 fill the root by subtree sizes (an ordered root's sequence of children, the
-filled slots of a slotted root).  The binary trees are the rooted subtrees
-of the complete binary tree, so they take the slotted fold.  Both folds
-extend the sequences of k subtrees by total size with one step,
-``_sequence_step``, and use only ``+``, ``*`` and integer scaling of the
-values the vertex factor returns: ``hook_sizes`` folds Fractions and
+filled slots of a slotted root).  Every family takes one fold, the slotted
+one.  The binary trees are the rooted subtrees of the complete binary tree.
+An ordered tree with child counts c_v stands for the prod C(m, c_v) rooted
+subtrees of the complete m-ary tree that fill c_v slots at each v, so the
+ordered sums run on the complete n-ary tree, which has room for every child
+count of a tree on n vertices, with the weight C(m, k) where a group of q
+slots has C(q, k).  The fold uses only ``+`` and ``*`` on the values the
+vertex factor and the weight return: ``hook_sizes`` folds Fractions and
 ``term_sizes`` a ``TermSum``, the sum with its number of shapes.  So
 ``term_sizes(n)``, which yields the sizes 1..n in turn, builds no tree and
 asks the oracle once per subtree key.
@@ -262,6 +265,11 @@ def _hook_factor(_, h: int) -> Fraction:
     return Fraction(1, h)
 
 
+def _tbar_factor(width: int | None, h: int) -> TermSum:
+    """A vertex's factor of the tbar summand, from ``TbarFamily.hook_den``, in the term fold."""
+    return TermSum(Fraction(1, TbarFamily.hook_den(width, h)))
+
+
 # Each family owns its growth rules: its shapes of size n, a vertex's open
 # slots from its address and (slot, child) pairs (a used slot puts the leaf
 # before its child), the probability ("weight") of a new vertex, building a
@@ -270,9 +278,11 @@ def _hook_factor(_, h: int) -> Fraction:
 # The hook-length summand hook_term(shape) is prod w_v/h_v, an exact value,
 # with h_v = node.size: growth lands on each of a shape's n!/prod h_v
 # increasing labelings with probability prod w_v.  Its per-vertex factor is
-# one family rule, which hook_term multiplies over a shape and term_sizes(n)
-# over the root decomposition: for each size 1..n in turn it yields the sum
-# of the summands of shapes(size) with their number, and builds no tree.
+# one family rule (tbar's ``hook_den``, which binary reads at width 2;
+# ordered's ``binomial`` times ``hook_factor``), which hook_term multiplies
+# over a shape and term_sizes(n) over the root decomposition: for each size
+# 1..n in turn it yields the sum of the summands of shapes(size) with their
+# number, and builds no tree.
 # hook_sizes(n) runs the same fold with the factor 1/h_v, so size! times its
 # sum counts the labelings.  Shapes never get fewer as the size grows: a first
 # child below a shape's last vertex in preorder is the new last vertex, so
@@ -310,21 +320,15 @@ class BinaryFamily:
     def check_growable(self, n: int) -> None:
         pass
 
-    @staticmethod
-    def hook_den(h: int) -> int:
-        """A vertex's factor 1/(h * 2^(h-1)) of the summand, by its denominator."""
-        return h << (h - 1)
-
     def term_sizes(self, n: int) -> Iterator[TermSum]:
-        return slotted_term_sizes(_COMPLETE_BINARY, n,
-                                  lambda width, h: TermSum(Fraction(1, self.hook_den(h))))
+        return slotted_term_sizes(_COMPLETE_BINARY, n, _tbar_factor)
 
     def hook_sizes(self, n: int) -> Iterator[Fraction]:
         return slotted_term_sizes(_COMPLETE_BINARY, n, _hook_factor)
 
     def hook_term(self, shape: BinaryTree) -> Fraction:
-        """prod 1/(h_v * 2^(h_v-1))."""
-        return Fraction(1, prod([self.hook_den(node.size) for node in _subtrees(shape)]))
+        """prod 1/(h_v * 2^(h_v-1)), the tbar summand at width 2."""
+        return Fraction(1, prod([TbarFamily.hook_den(2, node.size) for node in _subtrees(shape)]))
 
 
 @dataclass(frozen=True)
@@ -381,36 +385,34 @@ class OrderedFamily:
                 f"ordered growth to size {n} needs m >= {n - 1}, got {self.m}"
             )
 
-    def vertex_term(self, c: int, h: int) -> tuple[int | RationalFunction, int]:
-        """A vertex's factor C(m,c) / (h * m^(h-1)) of the summand, for c
-        children and hook h, as (numerator, integer denominator).
-
-        Symbolic m: a Laurent polynomial over h.  Concrete m = p/q:
-        integers, from C(p/q, c) = p(p-q)...(p-(c-1)q) / (q^c c!).
-        """
+    def binomial(self, c: int) -> Probability:
+        """C(m, c), the ways a vertex of the complete m-ary tree fills c of its
+        slots: symbolic m, a polynomial; m = p/q, p(p-q)...(p-(c-1)q) / (q^c c!)."""
         if self.m is None:
-            return binomial_poly(c) * RationalFunction.monomial(1 - h), h
+            return binomial_poly(c)
         p, q = self.m.numerator, self.m.denominator
-        num = q ** (h - 1)
-        for i in range(c):
-            num *= p - i * q
-        return num, h * factorial(c) * q ** c * p ** (h - 1)
+        return Fraction(prod([p - i * q for i in range(c)]), q ** c * factorial(c))
 
-    def _vertex_factor(self, c: int, h: int) -> Probability:
-        """``vertex_term(c, h)`` as one exact value."""
-        num, den = self.vertex_term(c, h)
-        return num * Fraction(1, den)
+    def hook_factor(self, h: int) -> Probability:
+        """1 / (h * m^(h-1)) for hook h, tbar's vertex factor at width m."""
+        if self.m is None:
+            return RationalFunction.monomial(1 - h, Fraction(1, h))
+        p, q = self.m.numerator, self.m.denominator
+        return Fraction(q ** (h - 1), h * p ** (h - 1))
 
     def term_sizes(self, n: int) -> Iterator[TermSum]:
-        return _ordered_term_sizes(n, lambda c, h: TermSum(self._vertex_factor(c, h)))
+        # on the complete n-ary tree; n < 1 is the fold's to refuse
+        return slotted_term_sizes(ConstantBranching(max(n, 1)), n,
+                                  lambda width, h: TermSum(self.hook_factor(h)),
+                                  lambda q, k: TermSum(self.binomial(k)))
 
     def hook_sizes(self, n: int) -> Iterator[Fraction]:
-        return _ordered_term_sizes(n, _hook_factor)
+        return slotted_term_sizes(ConstantBranching(max(n, 1)), n, _hook_factor, lambda q, k: 1)
 
     def hook_term(self, shape: OrderedTree) -> Probability:
-        """prod C(m,c_v) / (h_v * m^(h_v-1)), numerators and denominators apart."""
-        terms = [self.vertex_term(len(node.children), node.size) for node in _subtrees(shape)]
-        return prod([num for num, _ in terms]) * Fraction(1, prod([den for _, den in terms]))
+        """prod C(m,c_v) / (h_v * m^(h_v-1)), a leaf's factor being 1."""
+        return prod([self.binomial(len(node.children)) * self.hook_factor(node.size)
+                     for node in _subtrees(shape) if node.children])
 
 
 @dataclass(frozen=True)
@@ -464,8 +466,7 @@ class TbarFamily:
         return h * width ** (h - 1) if h > 1 else 1
 
     def term_sizes(self, n: int) -> Iterator[TermSum]:
-        return slotted_term_sizes(self.oracle, n,
-                                  lambda width, h: TermSum(Fraction(1, self.hook_den(width, h))))
+        return slotted_term_sizes(self.oracle, n, _tbar_factor)
 
     def hook_sizes(self, n: int) -> Iterator[Fraction]:
         return slotted_term_sizes(self.oracle, n, _hook_factor)
@@ -545,23 +546,6 @@ def _ordered_seq(total: int, exact: bool) -> Iterator[tuple[OrderedTree, ...]]:
         yield ()
 
 
-def _ordered_term_sizes(n: int, vertex: Callable) -> Iterator:
-    """The sums of prod ``vertex(c_v, h_v)`` over the ordered trees on 1,
-    ..., ``n`` vertices, in turn: a root of hook h with c children is
-    ``vertex(c, h)`` times ``seqs[c][h-1]``, the sequences of c trees of h-1
-    vertices in all, and the sequences of one tree are the trees."""
-    _check_size(n)
-    trees: list = [0]  # by size; no tree has 0 vertices
-    seqs: dict = {1: trees}  # seqs[c][total]
-    for h in range(1, n + 1):
-        total = h - 1
-        for c in range(2, h):
-            seqs.setdefault(c, {})[total] = _sequence_step(seqs, c, total)
-        trees.append(reduce(add, [seqs[c][total] * vertex(c, h) for c in range(1, h)])
-                     if total else vertex(0, 1))
-        yield trees[h]
-
-
 def _sequence_step(seqs: dict, k: int, t: int):
     """The sum over the sequences of k >= 2 subtrees of t vertices in all: a
     first subtree of s vertices from ``seqs[1][s]``, then k-1 more of t-s
@@ -621,30 +605,38 @@ def _slot_seq(
 
 
 def slotted_term_sizes(oracle: BranchingOracle, n: int,
-                       vertex: Callable[[int | None, int], object]) -> Iterator:
+                       vertex: Callable[[int | None, int], object],
+                       weight: Callable[[int, int], object] = comb) -> Iterator:
     """The sums of prod ``vertex(cbar_v, h_v)`` over the rooted subtrees of
     the oracle's infinite tree on 1, ..., ``n`` vertices, in turn; a leaf's
-    factor is ``vertex(None, 1)``, as its width is never read."""
+    factor is ``vertex(None, 1)``, as its width is never read.
+
+    ``weight(q, k)`` weighs the k filled slots of a group of q slots whose
+    children have equal subtree keys.  The default, C(q, k), counts each
+    subtree once; the ordered sums pass C(m, k).  ``weight(q, q)`` is taken
+    as 1, which C(q, q) is, and the ordered sums never fill every slot of
+    their complete n-ary tree."""
     _check_size(n)
     memo: dict = {}
     root = oracle.subtree_key(())
     for size in range(1, n + 1):
-        yield _grow(oracle, memo, root, (), size, vertex)[size]
+        yield _grow(oracle, memo, root, (), size, vertex, weight)[size]
 
 
 def _grow(oracle: BranchingOracle, memo: dict, key: Hashable, addr: Address, size: int,
-          vertex: Callable) -> list:
+          vertex: Callable, weight: Callable) -> list:
     """The sums by size of the subtrees at ``addr``, of subtree key ``key``,
     up to ``size`` vertices; ``memo[key]`` keeps them from size 2 on.
 
     A key's width and slot groups are read once, at its first size with
     children, so at depth n-2 at most.  Slots whose children have equal keys
-    form a group: the same subtrees hang below each, so k of its q slots can
-    be filled in C(q, k) ways.  By total size t, ``seqs[k][t]`` sums the
-    sequences of k subtrees (``seqs[1]`` is the child key's sizes),
-    ``fills[t]`` the group's fillings and ``joined[t]`` those of the groups
-    up to this one, the empty filling being 1; each new size adds the one new
-    total t = size-1.
+    form a group: the same subtrees hang below each, so a sequence of k
+    subtrees fills k of its q slots with the weight ``weight(q, k)``, C(q, k)
+    being the ways to choose the slots.  By total size t, ``seqs[k][t]`` sums
+    the sequences of k subtrees (``seqs[1]`` is the child key's sizes),
+    ``fills[t]`` the group's weighted fillings and ``joined[t]`` those of the
+    groups up to this one, the empty filling being 1; each new size adds the
+    one new total t = size-1.
     """
     sizes = [0, vertex(None, 1)]
     if size == 1:
@@ -663,13 +655,13 @@ def _grow(oracle: BranchingOracle, memo: dict, key: Hashable, addr: Address, siz
     for t in range(len(sizes) - 1, size):
         earlier = None
         for child, (slot, q, seqs, fills, joined) in groups.items():
-            seqs[1] = _grow(oracle, memo, child, addr + (slot,), t, vertex)
-            fill = [q * seqs[1][t]]
+            seqs[1] = _grow(oracle, memo, child, addr + (slot,), t, vertex, weight)
+            fill = [weight(q, 1) * seqs[1][t]]
             for k in range(2, min(q, t) + 1):
                 seq = _sequence_step(seqs, k, t)
-                if k < q:  # else C(q, q) = 1, and no longer sequence is needed
+                if k < q:  # else the weight is 1, and no longer sequence is needed
                     seqs.setdefault(k, {})[t] = seq
-                    seq = comb(q, k) * seq
+                    seq = weight(q, k) * seq
                 fill.append(seq)
             fills.append(reduce(add, fill))
             if earlier is not None:

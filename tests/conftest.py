@@ -86,7 +86,8 @@ class Multiset(Counter):
 def multiset_sizes(sizes, *args) -> list:
     """``list(sizes(*args))`` with the term folds run on ``Multiset`` values:
     ``sizes`` is a family's ``term_sizes`` or ``hook_sizes``, whose vertex
-    factors stay production's, each made the multiset that holds it once."""
+    factors (and ordered's weights C(m, k)) stay production's, each made the
+    multiset that holds it once."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(families, "TermSum", Multiset.of)
         hook_factor = families._hook_factor

@@ -304,10 +304,11 @@ class TestVerify:
 
     def test_a_wrong_leaf_factor_fails_han_and_han2(self, monkeypatch, capsys):
         # every leaf's factor is off by one, and from n=2 on the leaves sit
-        # below the root; han and han2 build the binary summands with
-        # factors of their own, so each is mutated
-        real = BinaryFamily.hook_den
-        monkeypatch.setattr(BinaryFamily, "hook_den", staticmethod(lambda h: real(h) + (h == 1)))
+        # below the root; han reads tbar's rule at width 2 and han2 a
+        # factor of its own, so each is mutated
+        real = TbarFamily.hook_den
+        monkeypatch.setattr(TbarFamily, "hook_den", staticmethod(
+            lambda width, h: real(width, h) + (h == 1)))
         monkeypatch.setattr(identities, "_han2_den", lambda h: (2 * h + 1) << (2 * h - 1 + (h == 1)))
         for identity in ("han", "han2"):
             assert cli.main(["verify", identity, "--n-max", "3"]) == 1
@@ -316,17 +317,24 @@ class TestVerify:
 
     def test_a_wrong_symbolic_vertex_factor_fails_yang(self, monkeypatch, capsys):
         # in symbolic m, every vertex with a hook of 2 or more gets its
-        # factor's denominator one too big; from n=2 on the root has one
-        real = OrderedFamily.vertex_term
-
-        def vertex_term(self, c, h):
-            num, den = real(self, c, h)
-            return num, den + (self.m is None and h >= 2)
-
-        monkeypatch.setattr(OrderedFamily, "vertex_term", vertex_term)
+        # factor's denominator one too big, h+1 for h; from n=2 on the root
+        # has one
+        real = OrderedFamily.hook_factor
+        monkeypatch.setattr(OrderedFamily, "hook_factor", lambda self, h: real(self, h)
+                            * (Fraction(h, h + 1) if self.m is None and h >= 2 else 1))
         assert cli.main(["verify", "yang", "--n-max", "5"]) == 1
         holds = [line.split()[-2] for line in capsys.readouterr().out.splitlines()]
         assert holds == ["holds=true"] + ["holds=false"] * 4
+
+    def test_a_wrong_binomial_weight_fails_yang(self, monkeypatch, capsys):
+        # C(m, 2) doubled: the ways to give a vertex two children count
+        # twice; from n=3 on a shape has a vertex with two children
+        real = OrderedFamily.binomial
+        monkeypatch.setattr(OrderedFamily, "binomial",
+                            lambda self, c: real(self, c) * (2 if c == 2 else 1))
+        assert cli.main(["verify", "yang", "--n-max", "5"]) == 1
+        holds = [line.split()[-2] for line in capsys.readouterr().out.splitlines()]
+        assert holds == ["holds=true"] * 2 + ["holds=false"] * 3
 
     def test_a_wrong_symbolic_weight_at_depth_2_fails_labelprob(self, monkeypatch, capsys):
         # a symbolic site at depth 2 weighs (m - c)/((c + 2) m^2), not

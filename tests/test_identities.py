@@ -1,7 +1,7 @@
 import json
 from collections import Counter
 from fractions import Fraction
-from math import factorial, prod
+from math import comb, factorial, prod
 
 import pytest
 
@@ -39,6 +39,7 @@ from hooklab import (
 )
 from hooklab.exact import RationalFunction, binomial_poly
 from hooklab.families import slotted_term_sizes
+from hooklab.trees import _subtrees
 
 
 class TestHan:
@@ -337,7 +338,20 @@ class TestTermFold:
             assert (multiset_sizes(getattr(binary, sizes), 12)
                     == multiset_sizes(getattr(tbar, sizes), 12)), sizes
             assert list(getattr(binary, sizes)(12)) == list(getattr(tbar, sizes)(12)), sizes
-        assert all(binary.hook_den(h) == tbar.hook_den(2, h) for h in range(1, 13))
+
+    def test_tbar_on_the_complete_m_ary_tree_is_the_ordered_sum_at_m(self):
+        # an ordered shape S stands for w(S) = prod C(m, c_v) rooted subtrees
+        # of the complete m-ary tree, each with the summand hook_term(S) / w(S)
+        for m in range(1, 5):
+            tbar, ordered = TbarFamily(ConstantBranching(m)), OrderedFamily(m)
+            sizes = multiset_sizes(tbar.term_sizes, 7)
+            for n in range(1, 8):
+                expected = Counter()
+                for shape in enum_ordered(n):
+                    w = prod(comb(m, len(node.children)) for node in _subtrees(shape))
+                    if w:
+                        expected[ordered.hook_term(shape) / w] += w
+                assert sizes[n - 1] == expected, (m, n)
 
     def test_ordered_symbolic_and_concrete(self):
         # at m=2 a vertex with 3 or more children has the factor 0, so
