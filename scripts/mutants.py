@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Run the test suite against textual mutants of the hook folds.
+"""Run the test suite against textual mutants of the hook folds and the
+growth kernel.
 
 Each mutant below replaces one piece of source text.  For each, the script
 copies src/, tests/ and pyproject.toml to a fresh temporary directory,
@@ -34,6 +35,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 DOUBLE_C_M_2 = [
+    # OrderedFamily._parts, which binomial and hook_term read at a concrete m
+    [("families.py",
+      "        return (prod([p - i * q for i in range(c)]) * q ** (h - 1),\n",
+      "        return (prod([p - i * q for i in range(c)]) * q ** (h - 1) * (2 if c == 2 else 1),\n"),
+     ("families.py",
+      "            return binomial_poly(c)\n",
+      "            return binomial_poly(c) * (2 if c == 2 else 1)\n")],
     # OrderedFamily.binomial
     [("families.py",
       "        return Fraction(prod([p - i * q for i in range(c)]), q ** c * factorial(c))\n",
@@ -68,6 +76,33 @@ MUTANTS = [
     ("k < q written k <= q in _grow", True,
      [[("families.py", "                if k < q:", "                if k <= q:")]]),
     ("C(m, 2) doubled in the ordered rule", False, DOUBLE_C_M_2),
+    # The growth kernel.  Each second form is the same fault in the kernel
+    # that listed every site with its weight anew at each step.
+    ("the draw's u < cum written u <= cum (bisect_left)", False,
+     [[("sampler.py", "        i = bisect_right(cums, x)\n", "        i = bisect_left(cums, x)\n")],
+      [("sampler.py", "sites[bisect_right(sites, ", "sites[bisect_left(sites, ")]]),
+    ("max for lcm in the common denominator", False,
+     [[("sampler.py", "scale = lcm(D, q) // D", "scale = max(D, q) // D")],
+      [("sampler.py", "D = lcm(D, p.denominator)", "D = max(D, p.denominator)")]]),
+    ("kept masses not rescaled when D grows", False,
+     [[("sampler.py", "                self.mass = [w * scale for w in self.mass]\n", "")],
+      # a weight over the D of the vertices listed so far, not the step's
+      [("sampler.py",
+        "                live.append((v, free, p))\n                D = lcm(D, p.denominator)\n",
+        "                D = lcm(D, p.denominator)\n"
+        "                live.append((v, free, p.numerator * (D // p.denominator)))\n"),
+       ("sampler.py", "            w = p.numerator * (D // p.denominator)\n", "            w = p\n")]]),
+    ("no slot shift in insert_child", False,
+     [[("families.py", "        later = [(s + 1, c) for s, c in later]\n",
+        "        later = [(s, c) for s, c in later]\n")]]),
+    ("children reversed in _Flat.tree", False,
+     [[("sampler.py", "for s, c in self.kids[v]])", "for s, c in reversed(self.kids[v])])")]]),
+    # No output changes: the shipped weights and open slots read only the
+    # depth and the child count, which re-addressing keeps.  A test that
+    # patches in a weight reading the last address step catches it.
+    ("re-addressed vertices left fresh", False,
+     [[("sampler.py", "            self.stale.add(x)\n", "")],
+      [("sampler.py", "            self.open[x] = None\n", "")]]),
 ]
 
 

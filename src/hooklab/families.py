@@ -390,15 +390,19 @@ class OrderedFamily:
         slots: symbolic m, a polynomial; m = p/q, p(p-q)...(p-(c-1)q) / (q^c c!)."""
         if self.m is None:
             return binomial_poly(c)
-        p, q = self.m.numerator, self.m.denominator
-        return Fraction(prod([p - i * q for i in range(c)]), q ** c * factorial(c))
+        return Fraction(*self._parts(c, 1))
 
     def hook_factor(self, h: int) -> Probability:
         """1 / (h * m^(h-1)) for hook h, tbar's vertex factor at width m."""
         if self.m is None:
             return RationalFunction.monomial(1 - h, Fraction(1, h))
+        return Fraction(*self._parts(0, h))
+
+    def _parts(self, c: int, h: int) -> tuple[int, int]:
+        """C(m, c) / (h * m^(h-1)) at m = p/q as an unreduced (numerator, denominator)."""
         p, q = self.m.numerator, self.m.denominator
-        return Fraction(q ** (h - 1), h * p ** (h - 1))
+        return (prod([p - i * q for i in range(c)]) * q ** (h - 1),
+                q ** c * factorial(c) * h * p ** (h - 1))
 
     def term_sizes(self, n: int) -> Iterator[TermSum]:
         # on the complete n-ary tree; n < 1 is the fold's to refuse
@@ -410,9 +414,13 @@ class OrderedFamily:
         return slotted_term_sizes(ConstantBranching(max(n, 1)), n, _hook_factor, lambda q, k: 1)
 
     def hook_term(self, shape: OrderedTree) -> Probability:
-        """prod C(m,c_v) / (h_v * m^(h_v-1)), a leaf's factor being 1."""
-        return prod([self.binomial(len(node.children)) * self.hook_factor(node.size)
-                     for node in _subtrees(shape) if node.children])
+        """prod C(m,c_v) / (h_v * m^(h_v-1)), a leaf's factor being 1; at a
+        concrete m the numerators and the denominators are multiplied apart."""
+        inner = [(len(node.children), node.size) for node in _subtrees(shape) if node.children]
+        if self.m is None:
+            return prod([self.binomial(c) * self.hook_factor(h) for c, h in inner])
+        parts = [self._parts(c, h) for c, h in inner]
+        return Fraction(prod([a for a, _ in parts]), prod([b for _, b in parts]))
 
 
 @dataclass(frozen=True)

@@ -13,13 +13,20 @@ closed form, and ``verify labelprob`` checks it against the chain's own
 law on shapes, pushed forward through ``addable_sites`` and ``_grown``.
 
 ``grow`` runs on a flat state private to the call (``start``,
-``addable_sites`` and ``attach`` certify it).  Each step lists its sites
-with their cumulative integer weights cum over the step's common
-denominator D, and raises ``ConsistencyError`` unless the last cum is D.
-A draw takes one 64-bit integer u and picks the first site with
-u/2^64 < cum/D, so the per-step bias is below 2^-64 with no floating point
-involved.  A census draws through ``_Table``, the same step with each
-state's cuts kept.
+``addable_sites`` and ``attach`` certify it).  It keeps each vertex's open
+slots, its weight as an integer over one common denominator D of the whole
+growth, and its mass, that weight times its open-slot count.  A move marks
+stale its parent, the new leaf and every vertex it re-addresses, and the
+next step weighs only those anew; where a new weight's denominator does not
+divide D, D becomes their lcm and every kept weight and mass is scaled by
+the same factor.  Every step then sums the masses of all vertices, in
+preorder, into cumulative integers cum and raises ``ConsistencyError``
+unless the last cum is D.  A draw takes one 64-bit integer u and picks the
+first site with u/2^64 < cum/D: its vertex by bisection, then its slot.
+That rule depends only on the value cum/D, not on the denominator that
+holds it, so the draws are those of the step's own lcm; the per-step bias
+is below 2^-64 with no floating point involved.  A census draws through
+``_Table``, the same step by site, with each state's cuts kept.
 """
 
 from __future__ import annotations
@@ -28,8 +35,8 @@ import random
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import factorial, lcm, prod
-from operator import itemgetter
 from typing import Callable, Iterator, Optional
 
 from .families import Family, Probability, insert_child
@@ -101,39 +108,48 @@ StepCallback = Callable[[int, AddableSite, Fraction], None]
 
 class _Flat:
     """One growth to ``n`` vertices, changed in place: per vertex (label - 1)
-    its current address, (slot, child vertex) pairs by slot and open slots with
-    their weight, None until needed; ``order`` is preorder, i.e. address order."""
+    its current address, (slot, child vertex) pairs by slot, open slots,
+    ``unit`` (its weight times D) and ``mass`` (unit times its open-slot
+    count); ``stale`` holds the vertices to weigh anew at the next step and
+    ``order`` is preorder, i.e. address order."""
 
     def __init__(self, family: Family, n: int):
         if n < 1:
             raise ValueError("n must be at least 1")
         family.check_growable(n)
-        self.family, self.n = family, n
-        self.addr, self.kids, self.order, self.open = [()], [[]], [0], [None]
+        self.family, self.n, self.D = family, n, 1
+        self.addr, self.kids, self.order, self.stale = [()], [[]], [0], {0}
+        self.free, self.unit, self.mass = [[]], [0], [0]
 
-    def step(self) -> tuple[list[tuple[int, int, int]], int]:
-        """(vertex, slot, cum) per site in ``addable_sites`` order and the
-        step's common denominator D: cum / D is the mass of the sites up to
-        this one.  Raises unless the masses sum to exactly 1."""
-        live, D = [], 1
-        for v in self.order:
-            if self.open[v] is None:
-                free, c = self.family.open_slots(self.addr[v], self.kids[v]), len(self.kids[v])
-                self.open[v] = free, free and self.family.weight(self.addr[v], c)
-            free, p = self.open[v]
-            if free:
-                live.append((v, free, p))
-                D = lcm(D, p.denominator)
-        sites, cum = [], 0
-        for v, free, p in live:
-            w = p.numerator * (D // p.denominator)
-            for s in free:
-                cum += w
-                sites.append((v, s, cum))
-        if cum != D:
-            raise ConsistencyError(f"site masses sum to {Fraction(cum, D)}, not 1, growing "
-                                   f"{self.family.label} trees to n={self.n} at {self.tree().enc}")
-        return sites, D
+    def step(self) -> tuple[list[int], int]:
+        """The cumulative masses of the vertices in preorder and D: a vertex's
+        cum / D is the mass of its sites and every earlier site.  Refreshes
+        the stale vertices, then sums every vertex's mass and raises unless
+        the total is exactly D, i.e. the site masses sum to exactly 1."""
+        family, addr, D = self.family, self.addr, self.D
+        for v in self.stale:
+            free = self.free[v] = family.open_slots(addr[v], self.kids[v])
+            p = family.weight(addr[v], len(self.kids[v])) if free else Fraction(0)
+            q = p.denominator
+            if D % q:
+                scale = lcm(D, q) // D
+                D *= scale
+                self.unit = [w * scale for w in self.unit]
+                self.mass = [w * scale for w in self.mass]
+            w = self.unit[v] = p.numerator * (D // q)
+            self.mass[v] = w * len(free)
+        self.stale, self.D = set(), D
+        cums = list(accumulate(map(self.mass.__getitem__, self.order)))
+        if cums[-1] != D:
+            raise ConsistencyError(f"site masses sum to {Fraction(cums[-1], D)}, not 1, growing "
+                                   f"{family.label} trees to n={self.n} at {self.tree().enc}")
+        return cums, D
+
+    def sites(self) -> tuple[list[tuple[int, int, int]], int]:
+        """``step`` by site: (vertex, slot, cum) per site in ``addable_sites`` order, and D."""
+        cums, D = self.step()
+        return [(v, slot, cum - self.mass[v] + self.unit[v] * j)
+                for v, cum in zip(self.order, cums) for j, slot in enumerate(self.free[v], 1)], D
 
     def attach(self, v: int, slot: int) -> None:
         """Grow the next vertex at ``slot`` of ``v`` as ``insert_child`` puts
@@ -142,13 +158,15 @@ class _Flat:
         self.kids[v] = insert_child(self.kids[v], slot, new)
         self.addr.append(self.addr[v] + (slot,))
         self.kids.append([])
-        self.open[v] = None
-        self.open.append(None)
+        self.free.append([])
+        self.unit.append(0)
+        self.mass.append(0)
+        self.stale.update((v, new))
         todo = [child for s, child in self.kids[v] if self.addr[child][depth] != s]
         for x in todo:
             a = self.addr[x]
             self.addr[x] = a[:depth] + (a[depth] + 1,) + a[depth + 1 :]
-            self.open[x] = None
+            self.stale.add(x)
             todo += [child for _, child in self.kids[x]]
         insort(self.order, new, key=self.addr.__getitem__)
 
@@ -164,11 +182,15 @@ def grow(family: Family, n: int, rng: random.Random,
     """Run the growth chain to ``n`` vertices; returns the labeled tree."""
     flat = _Flat(family, n)
     for label in range(2, n + 1):
-        sites, D = flat.step()
-        # the first site with u/2^64 < cum/D; for integers, u*D < cum << 64 iff (u*D) >> 64 < cum
-        v, slot, _ = sites[bisect_right(sites, (rng.getrandbits(64) * D) >> 64, key=itemgetter(2))]
+        cums, D = flat.step()
+        # the first site with u/2^64 < cum/D; for integers, u*D < cum << 64 iff (u*D) >> 64 < cum:
+        # its vertex is the first whose cum exceeds x, its slot the one whose unit spans x
+        x = (rng.getrandbits(64) * D) >> 64
+        i = bisect_right(cums, x)
+        v = flat.order[i]
+        slot = flat.free[v][(x - cums[i] + flat.mass[v]) // flat.unit[v]]
         if on_step is not None:
-            on_step(label, AddableSite(flat.addr[v], slot), flat.open[v][1])
+            on_step(label, AddableSite(flat.addr[v], slot), Fraction(flat.unit[v], D))
         flat.attach(v, slot)
     return flat.tree()
 
@@ -193,7 +215,7 @@ class _Table:
             flat.attach(v, slot)
         if len(path) == self.n - 1:
             return flat.tree().enc
-        sites, D = flat.step()
+        sites, D = flat.sites()
         cuts = [-((-cum << 64) // D) for _, _, cum in sites]
         return [cuts, [(v, slot) for v, slot, _ in sites], path]
 

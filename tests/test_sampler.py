@@ -399,6 +399,8 @@ class TestGrow:
         # u/2^64 = 1/2 is the left child's cumulative mass, so the right child takes it
         assert grow(BINARY, 2, FixedRandom(2 ** 63)).enc == "(:1.,(:2.,.))"
         assert grow(BINARY, 2, FixedRandom(2 ** 63 - 1)).enc == "(:1(:2.,.),.)"
+        # between two vertices too: at (:1.,(:2.,.)) the root's one site ends at 1/2
+        assert grow(BINARY, 3, FixedRandom(2 ** 63)).enc == "(:1.,(:2(:3.,.),.))"
 
 
 class TestDraw:
@@ -420,12 +422,16 @@ class TestDraw:
 def reference_grow(family, n, rng, steps):
     """The growth chain as it stood before the flat kernel: the exhaustive
     path's start, addable_sites and attach, and a draw that locates u/2^64
-    among the Fraction-cumulative probabilities; records every step."""
+    among the Fraction-cumulative probabilities; records every step, and
+    raises ConsistencyError at a state whose site masses do not sum to 1."""
     state = start(family)
     while state.tree.size < n:
+        listed = addable_sites(state)
+        if sum(p for _, p in listed) != 1:
+            raise ConsistencyError(f"site masses sum to {sum(p for _, p in listed)}, not 1")
         u = rng.getrandbits(64)
         cum = Fraction(0)
-        for site, p in addable_sites(state):
+        for site, p in listed:
             cum += p
             if u * cum.denominator < cum.numerator << 64:
                 break
@@ -465,7 +471,7 @@ class TestFlatKernel:
             return
         expected = [(site.parent, site.slot, cum)
                     for (site, _), cum in zip(listed, accumulate(p for _, p in listed))]
-        sites, D = flat.step()
+        sites, D = flat.sites()
         assert [(flat.addr[v], slot, Fraction(cum, D)) for v, slot, cum in sites] == expected
         if state.tree.size == n:
             return
@@ -492,6 +498,62 @@ class TestFlatKernel:
                 reference = reference_grow(family, n, random.Random(seed), expected)
                 assert tree.enc == reference.enc, (family, seed)
                 assert steps == expected, (family, seed)
+
+
+class TestKernelCache:
+    """A step weighs anew only the vertices a move touched, so each fault
+    below shows only if that refresh reaches the vertex: grow must raise
+    where the reference chain, which weighs every vertex at every state,
+    does."""
+
+    def raises_where_the_reference_does(self, family, n, seeds):
+        for seed in seeds:
+            steps, expected = [], []
+            with pytest.raises(ConsistencyError) as ours:
+                grow(family, n, random.Random(seed), on_step=lambda *step: steps.append(step))
+            with pytest.raises(ConsistencyError) as theirs:
+                reference_grow(family, n, random.Random(seed), expected)
+            assert steps == expected, (family, seed)
+            assert str(ours.value).startswith(str(theirs.value)), (family, seed)
+
+    @pytest.mark.parametrize("family", [BINARY, TbarFamily(DepthBranching((2, 3)))])
+    def test_a_move_reweighs_its_parent(self, monkeypatch, family):
+        # wrong only for a parent below the root with one child: the first
+        # state with such a parent and an open slot varies with the seed, and
+        # a parent whose mass still read c=0 would sum to 1 there
+        real = type(family).weight
+        monkeypatch.setattr(type(family), "weight", lambda self, parent, c: real(self, parent, c)
+                            * (Fraction(3, 2) if parent and c == 1 else 1))
+        self.raises_where_the_reference_does(family, 12, range(50))
+
+    def test_a_move_reweighs_every_vertex_it_readdresses(self, monkeypatch):
+        # an ordered weight that reads the last address step, not just the
+        # depth: a leaf put before its siblings moves them on, and a sibling
+        # that kept its old weight would hide the fault where it moved
+        real = OrderedFamily.weight
+        monkeypatch.setattr(OrderedFamily, "weight", lambda self, parent, c: real(self, parent, c)
+                            * (2 if parent and parent[-1] else 1))
+        self.raises_where_the_reference_does(OrderedFamily(7), 8, range(100))
+
+    def test_a_growing_denominator_rescales_every_kept_mass(self, monkeypatch):
+        # binary weights are 1/2^(depth+1), so D doubles with each new depth
+        # of a parent: at least 2, 4, 8 and 16 on the way to 12 vertices
+        real, denominators = _Flat.step, []
+
+        def step(flat):
+            cums, D = real(flat)
+            denominators.append(D)
+            return cums, D
+
+        monkeypatch.setattr(_Flat, "step", step)
+        for seed in range(200):
+            denominators.clear()
+            steps, expected = [], []
+            tree = grow(BINARY, 12, random.Random(seed), on_step=lambda *step: steps.append(step))
+            assert tree.enc == reference_grow(BINARY, 12, random.Random(seed), expected).enc
+            assert steps == expected, seed
+            assert len(set(denominators)) >= 4, seed
+            assert all(b % a == 0 for a, b in zip(denominators, denominators[1:])), seed
 
 
 class TestTable:
@@ -531,9 +593,9 @@ class TestTable:
             cuts, moves, path = node
             flat = _Flat(family, n)
             for move in path:
-                assert move in [site[:2] for site in flat.step()[0]]
+                assert move in [site[:2] for site in flat.sites()[0]]
                 flat.attach(*move)
-            sites, D = flat.step()
+            sites, D = flat.sites()
             assert moves == [(v, slot) for v, slot, _ in sites]
             assert len(cuts) == len(sites) and cuts[-1] == 1 << 64
             for u in {0, 2 ** 64 - 1, *(c - 1 for c in cuts), *(c for c in cuts[:-1])}:
