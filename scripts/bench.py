@@ -20,7 +20,9 @@ ROUNDS rounds over all rows, and reports each row's best and median round.
            are per census
   sweeps   ``verify lemma`` and ``verify labelprob`` through ``cli.main``
            with stdout discarded: binary to n=7, tbar depth:2,3 to n=6 and
-           ordered with symbolic m to n=5 and to n=7 (the slowest sweeps)
+           ordered with symbolic m to n=5 and to n=7 (the slowest sweeps).
+           A round runs each sweep ``repeats`` times in a row, so that a
+           round lasts about half a second; the seconds are per sweep
   enum     a count-only loop over ``enum_binary(12)``, ``enum_ordered(10)``
            and ``enum_tbar`` at n=8 with const:3 and depth:2,3
   count    ``sampler._labeling_count``, the number of labeled trees that
@@ -113,13 +115,14 @@ CENSUS = [
     ("binary n=7", BinaryFamily(), 7, 50_000, 3),
 ]
 
+# (row, verify arguments, sweeps per round)
 SWEEPS = [
-    (f"{check} {name}", ["verify", check, *args])
-    for name, args in [
-        ("binary n<=7", ["--family", "binary", "--n-max", "7"]),
-        ("tbar depth:2,3 n<=6", ["--family", "tbar", "--oracle", "depth:2,3", "--n-max", "6"]),
-        ("ordered symbolic n<=5", ["--family", "ordered", "--m", "symbolic", "--n-max", "5"]),
-        ("ordered symbolic n<=7", ["--family", "ordered", "--m", "symbolic", "--n-max", "7"]),
+    (f"{check} {name}", ["verify", check, *args], repeats)
+    for name, args, repeats in [
+        ("binary n<=7", ["--family", "binary", "--n-max", "7"], 20),
+        ("tbar depth:2,3 n<=6", ["--family", "tbar", "--oracle", "depth:2,3", "--n-max", "6"], 10),
+        ("ordered symbolic n<=5", ["--family", "ordered", "--m", "symbolic", "--n-max", "5"], 250),
+        ("ordered symbolic n<=7", ["--family", "ordered", "--m", "symbolic", "--n-max", "7"], 25),
     ]
     for check in ("lemma", "labelprob")
 ]
@@ -283,8 +286,10 @@ def main() -> int:
                         masses_median_seconds=_s(median(times[row, "masses"])))
                    for row, _, _, draws, repeats in CENSUS]
 
-    times = _rounds([(row, partial(_passes, argv)) for row, argv in SWEEPS])
-    sweep_rows = [_row(row, times[row], argv=argv) for row, argv in SWEEPS]
+    times = _rounds([(row, partial(_repeat, repeats, _passes, argv))
+                     for row, argv, repeats in SWEEPS])
+    sweep_rows = [_row(row, [t / repeats for t in times[row]], argv=argv, repeats=repeats)
+                  for row, argv, repeats in SWEEPS]
 
     times = _rounds([(row, lambda call=call: sum(1 for _ in call())) for row, call in ENUM])
     enum_rows = [_row(row, times[row], trees=sum(1 for _ in call())) for row, call in ENUM]

@@ -103,6 +103,15 @@ MUTANTS = [
     ("re-addressed vertices left fresh", False,
      [[("sampler.py", "            self.stale.add(x)\n", "")],
       [("sampler.py", "            self.open[x] = None\n", "")]]),
+    # The verify sweeps' per-vertex walk.  Before it, the sweeps listed every
+    # site through addable_sites and built each grown tree to read its key, so
+    # neither mutant has a form there.
+    ("the spliced key put at the end of the vertex's subtree, not at its \"(\"", False,
+     [[("sampler.py", "head, tail = enc[:opens[i]], ",
+        "head, tail = enc[:opens[i] + len(node.enc)], ")]]),
+    ("the weight dict keyed by depth, not address", False,
+     [[("sampler.py", "            key = addr, len(items)\n",
+        "            key = len(addr), len(items)\n")]]),
 ]
 
 

@@ -42,13 +42,12 @@ from .identities import (
     completion_census,
 )
 from .sampler import (
-    GrowthState,
     _grown,
+    _grown_keys,
     _labeling_count,
+    _site_total,
     _within_limit,
-    addable_sites,
     grow,
-    lemma_check,
 )
 from .stats import (
     EXPECTED_FLOOR,
@@ -57,7 +56,6 @@ from .stats import (
     min_samples,
     run_census,
 )
-from .trees import LabeledTree
 
 
 class UsageError(Exception):
@@ -153,34 +151,42 @@ def _identity(reports: Iterator[IdentityReport]) -> Iterator[tuple[dict, bool]]:
 
 def _lemma(family: Family, n_max: int) -> Iterator[tuple[dict, bool]]:
     """Does the lemma hold at every reachable state of size n, n = 1..n_max?
-    A state's sites depend on its shape alone, so each shape is checked once,
-    none skipped."""
+    A state's sites depend on its shape alone, so each shape is checked once, none
+    skipped, by ``lemma_check``'s per-vertex total with one weight dict per sweep."""
+    weights: dict = {}
     for n, count in enumerate(_labeling_count(family, n_max), 1):
         states = _within_limit(family, n, count)
-        holds = all([lemma_check(GrowthState(LabeledTree(shape, range(1, n + 1)), family))
-                     for shape in family.shapes(n)])
+        holds = all([_site_total(family, shape, weights) == 1 for shape in family.shapes(n)])
         yield {"check": "lemma", "family": family.label, "n": n, "states": states,
                "holds": holds}, holds
 
 
 def _labelprob(family: Family, n_max: int) -> Iterator[tuple[dict, bool]]:
     """Does the growth chain's law on shapes match the closed form, n = 1..n_max?
-    Pushed forward a step at a time, each site of each shape of size n-1 carries
-    the shape's mass times the site's to the shape ``_grown`` makes.  The law must
-    sit on exactly ``family.shapes(n)``, giving each shape S n! times its summand
-    (hook_count(S) * shape_probability(S)), and sum to 1.  Being on shapes, it
-    cannot compare labelings: ``equal_per_shape`` is always true; tests do that."""
+    Pushed forward a step at a time, each vertex of each shape of size n-1 gives the
+    shape's mass times its weight to the shape a leaf at each open slot makes, keyed by
+    splicing (``_grown_keys``); ``_grown`` builds each new key's shape below n_max, which
+    must match it.  The law must sit on exactly ``family.shapes(n)``, giving each shape
+    S n! times its summand (hook_count(S) * shape_probability(S)), and sum to 1.  Being
+    on shapes, it cannot compare labelings: ``equal_per_shape`` is always true."""
     root = family.node([])
-    law = {root.enc: [root, Fraction(1)]}
+    law, weights = {root.enc: [root, Fraction(1)]}, {}
     for n, count in enumerate(_labeling_count(family, n_max), 1):
         labelings = _within_limit(family, n, count)
         if n > 1:
             law, pushed = {}, law
             for shape, p in pushed.values():
-                for site, q in addable_sites(GrowthState(LabeledTree(shape, range(1, n)), family)):
-                    grown = _grown(family, shape, site.parent, site.slot)
-                    # the shapes of size n_max are never grown from: only their keys stay
-                    law.setdefault(grown.enc, [grown if n < n_max else None, 0])[1] += p * q
+                for parent, q, keys in _grown_keys(family, shape, weights):
+                    mass = p * q
+                    for slot, key in keys:
+                        if key not in law:  # the shapes of size n_max are never grown from
+                            grown = _grown(family, shape, parent, slot) if n < n_max else None
+                            if grown is not None and grown.enc != key:
+                                raise ConsistencyError(
+                                    f"{family.label} n={n}{family.where}: {shape.enc} grown at "
+                                    f"{_site_path(parent, slot)} is {grown.enc}, not its key {key}")
+                            law[key] = [grown, 0]
+                        law[key][1] += mass
         shapes, matches = 0, True
         for shapes, shape in enumerate(family.shapes(n), 1):
             matches &= law.get(shape.enc, [0, None])[1] == factorial(n) * family.hook_term(shape)
@@ -227,8 +233,8 @@ def cmd_verify(args) -> int:
     return 1 if failures else 0
 
 
-def _site_path(site) -> str:
-    return "/".join(str(step) for step in site.parent + (site.slot,))
+def _site_path(parent, slot: int) -> str:
+    return "/".join(str(step) for step in parent + (slot,))
 
 
 def cmd_sample(args) -> int:
@@ -237,7 +243,7 @@ def cmd_sample(args) -> int:
     for _ in range(args.count):
         if args.verbose:
             def log(label, site, p):
-                print(f"# step {label}: site={_site_path(site)} p={p}")
+                print(f"# step {label}: site={_site_path(site.parent, site.slot)} p={p}")
             tree = grow(family, args.n, rng, on_step=log)
         else:
             tree = grow(family, args.n, rng)

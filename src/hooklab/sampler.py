@@ -7,10 +7,11 @@ p, which depends on p's address and on c_p, p's child count before the
 attachment.  The weights, and every other family-specific rule, are methods
 of the family objects in families.py; the chain here is the same for all
 families.  At every state the site probabilities sum to exactly 1, so each
-step is a genuine distribution.  The probability of landing on a given
-labeled tree depends only on its shape: ``shape_probability`` gives it in
-closed form, and ``verify labelprob`` checks it against the chain's own
-law on shapes, pushed forward through ``addable_sites`` and ``_grown``.
+step is a genuine distribution; ``lemma_check`` sums them per vertex, open-slot
+count times weight, in integers for Fractions.  The probability of landing on a
+given labeled tree depends only on its shape: ``shape_probability`` gives it in
+closed form, and ``verify labelprob`` checks it against the chain's own law on
+shapes, pushed forward per vertex, each grown shape keyed by splicing (``_grown_keys``).
 
 ``grow`` runs on a flat state private to the call (``start``,
 ``addable_sites`` and ``attach`` certify it).  It keeps each vertex's open
@@ -64,23 +65,49 @@ def start(family: Family) -> GrowthState:
 
 
 def addable_sites(state: GrowthState) -> list[tuple[AddableSite, Probability]]:
-    """Every site a new leaf may occupy with its probability, sorted by
-    parent address then slot."""
-    family = state.family
-    sites = []
-    for parent, node in _preorder(state.tree.shape):
+    """Every site a new leaf may occupy with its probability, by parent address then slot."""
+    return [(AddableSite(addr, slot), p) for _, addr, _, _, free, p
+            in _open_vertices(state.family, state.tree.shape, {}) for slot in free]
+
+
+def _open_vertices(family: Family, shape: Tree, weights: dict) -> Iterator[tuple]:
+    """Per vertex of ``shape`` with an open slot, in preorder: its preorder index, address,
+    node, child items, open slots and weight, read through ``weights`` by (address, c)."""
+    for i, (addr, node) in enumerate(_preorder(shape)):
         items = node.child_items()
-        slots = family.open_slots(parent, items)
-        if slots:
-            p = family.weight(parent, len(items))
-            for slot in slots:
-                sites.append((AddableSite(parent, slot), p))
-    return sites
+        free = family.open_slots(addr, items)
+        if free:
+            key = addr, len(items)
+            if key not in weights:
+                weights[key] = family.weight(addr, len(items))
+            yield i, addr, node, items, free, weights[key]
+
+
+def _site_total(family: Family, shape: Tree, weights: dict) -> Probability:
+    """The sum of ``shape``'s site probabilities, one term per vertex: its open-slot
+    count times its weight; Fractions as integers over one lcm, symbolic ones exactly."""
+    terms = [(len(free), p) for *_, free, p in _open_vertices(family, shape, weights)]
+    if all([type(p) is Fraction for _, p in terms]):
+        D = lcm(*[p.denominator for _, p in terms])
+        return Fraction(sum([k * p.numerator * (D // p.denominator) for k, p in terms]), D)
+    return sum([p if k == 1 else k * p for k, p in terms])
 
 
 def lemma_check(state: GrowthState) -> bool:
     """Do the site probabilities of this state sum to exactly 1?"""
-    return sum(p for _, p in addable_sites(state)) == 1
+    return _site_total(state.family, state.tree.shape, {}) == 1
+
+
+def _grown_keys(family: Family, shape: Tree, weights: dict) -> Iterator[tuple]:
+    """Per vertex of ``shape`` with an open slot, in preorder: its address, weight and,
+    per open slot, the ``_grown(...).enc`` of a leaf there, spliced: ``shape.enc`` with
+    the vertex's subtree (from the i-th "(", i its preorder index) as its node grown."""
+    enc, leaf = shape.enc, family.node([])
+    opens = [j for j, ch in enumerate(enc) if ch == "("]
+    for i, addr, node, items, free, p in _open_vertices(family, shape, weights):
+        head, tail = enc[:opens[i]], enc[opens[i] + len(node.enc):]
+        yield addr, p, [(slot, head + family.node(insert_child(items, slot, leaf)).enc + tail)
+                        for slot in free]
 
 
 def attach(state: GrowthState, site: AddableSite) -> GrowthState:

@@ -224,14 +224,11 @@ def addresses(t: Tree) -> list[Address]:
 def _preorder(t: Tree) -> list[tuple[Address, Tree]]:
     """(address, subtree) for every vertex, in preorder: parents before
     children, siblings by increasing step, so addresses come out sorted."""
-    out: list[tuple[Address, Tree]] = []
-
-    def walk(node: Tree, addr: Address) -> None:
+    out, todo = [], [((), t)]
+    while todo:
+        addr, node = todo.pop()
         out.append((addr, node))
-        for step, child in node.child_items():
-            walk(child, addr + (step,))
-
-    walk(t, ())
+        todo += [(addr + (step,), child) for step, child in reversed(node.child_items())]
     return out
 
 

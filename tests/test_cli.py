@@ -11,10 +11,8 @@ from hooklab import (
     BinaryFamily,
     OrderedFamily,
     TbarFamily,
-    addable_sites,
     cli,
     identities,
-    lemma_check,
     sampler,
     stats,
 )
@@ -277,17 +275,20 @@ class TestVerify:
     def test_a_wrong_weight_at_one_parent_fails_the_lemma(self, monkeypatch, capsys):
         # the sites under (0,) weigh 3/16, not 1/4, so a state whose vertex
         # (0,) has an open slot falls short of 1; from n=2 on some shape has
-        # one, and every shape is checked, once
-        real, checked = BinaryFamily.weight, []
+        # one, and every shape is totalled, once, all through one weight dict
+        real, checked, dicts = BinaryFamily.weight, [], set()
         monkeypatch.setattr(BinaryFamily, "weight", lambda self, parent, c: real(self, parent, c)
                             * (Fraction(3, 4) if parent == (0,) else 1))
-        monkeypatch.setattr(cli, "lemma_check", lambda state: checked.append(state.tree.shape)
-                            or lemma_check(state))
+        monkeypatch.setattr(cli, "_site_total", lambda family, shape, weights: checked.append(
+            shape) or dicts.add(id(weights)) or sampler._site_total(family, shape, weights))
         assert cli.main(["verify", "lemma", "--n-max", "4"]) == 1
         assert capsys.readouterr().out.splitlines() == [
             f"check=lemma family=binary n={n} states={factorial(n)} holds={holds}"
             for n, holds in ((1, "true"), (2, "false"), (3, "false"), (4, "false"))]
         assert len(checked) == sum(catalan(n) for n in range(1, 5))
+        assert sorted(shape.enc for shape in checked) == sorted(
+            shape.enc for n in range(1, 5) for shape in BinaryFamily().shapes(n))
+        assert len(dicts) == 1
 
     def test_a_wrong_vertex_factor_at_one_width_fails_the_sum(self, monkeypatch, capsys):
         # every parent with `width` children in the infinite tree gets its
@@ -355,20 +356,19 @@ class TestVerify:
         assert states == ["states=1", "states=3", "states=15", "states=105"]
 
     def test_labelprob_weighs_each_shape_once(self, monkeypatch, capsys):
-        # the law is pushed forward on shapes: no labeling is made, and the
-        # sites of each shape of size below n-max are listed once
+        # the law is pushed forward on shapes: no labeling is made, and each
+        # shape of size below n-max is walked vertex by vertex once
         monkeypatch.setattr(sampler, "_labelings", None)
-        listed = []
-        monkeypatch.setattr(cli, "addable_sites",
-                            lambda state: listed.append(state.tree) or addable_sites(state))
+        walked, real = [], sampler._open_vertices
+        monkeypatch.setattr(sampler, "_open_vertices", lambda family, shape, weights:
+                            walked.append(shape) or real(family, shape, weights))
         assert cli.main(["verify", "labelprob", "--family", "binary", "--n-max", "5"]) == 0
         fields = [dict(f.split("=") for f in line.split())
                   for line in capsys.readouterr().out.splitlines()]
         assert [r["shapes"] for r in fields] == [str(catalan(n)) for n in range(1, 6)]
         assert [r["labelings"] for r in fields] == [str(factorial(n)) for n in range(1, 6)]
-        assert sorted(tree.shape.enc for tree in listed) == sorted(
+        assert sorted(shape.enc for shape in walked) == sorted(
             shape.enc for n in range(1, 5) for shape in BinaryFamily().shapes(n))
-        assert all(tree.preorder == tuple(range(1, tree.size + 1)) for tree in listed)
 
     def test_labelprob_runs_the_chain_s_moves(self, monkeypatch, capsys):
         # an ordered leaf put after the child already in its slot, not before
@@ -422,9 +422,28 @@ class TestVerify:
         out, err = capsys.readouterr()
         assert [line.split()[2] for line in out.splitlines()] == ["n=1", "n=2", "n=3", "n=4"]
         assert err == "error: more than 24 labeled binary trees at n=5\n"
-        # a binary shape of size k has k + 1 sites
+        # each shape of sizes 2, 3 and 4 is grown once, the first time a
+        # site's spliced key reaches it: 2 + 5 + 14 trees, from parents of
+        # sizes 1, 2 and 3
         assert sorted(set(grown)) == [1, 2, 3]
-        assert len(grown) == sum(catalan(k) * (k + 1) for k in range(1, 4))
+        assert len(grown) == sum(catalan(k) for k in range(2, 5)) == 21
+
+    def test_a_grown_tree_off_its_spliced_key_fails_labelprob(self, monkeypatch, capsys):
+        # a _grown that puts a leaf under the root at the other slot: the
+        # first new key it builds, at n=2, is not the tree it makes
+        def other_slot(family, shape, parent, slot):
+            return sampler._grown(family, shape, parent, 1 - slot if parent == () else slot)
+
+        monkeypatch.setattr(cli, "_grown", other_slot)
+        cases = [(["--family", "binary"],
+                  "binary n=2: (.,.) grown at 0 is (.,(.,.)), not its key ((.,.),.)"),
+                 (["--family", "tbar", "--oracle", "const:2"],
+                  "tbar n=2 with oracle const:2: () grown at 0 is ([1]()), not its key ([0]())")]
+        for family_args, message in cases:
+            assert cli.main(["verify", "labelprob", *family_args, "--n-max", "4"]) == 1
+            out, err = capsys.readouterr()
+            assert [line.split()[2] for line in out.splitlines()] == ["n=1"]
+            assert err == f"assertion failed: {message}\n"
 
     def test_ordered_m_below_the_largest_child_count_is_a_usage_error(self):
         for check, m, n_max, most in (

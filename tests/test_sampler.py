@@ -43,7 +43,7 @@ from hooklab import (
 )
 from hooklab import families, identities
 from hooklab.exact import RationalFunction
-from hooklab.sampler import _Flat, _labeling_count, _Table
+from hooklab.sampler import _Flat, _grown, _grown_keys, _labeling_count, _site_total, _Table
 
 BINARY = BinaryFamily()
 SYMBOLIC = OrderedFamily()
@@ -172,6 +172,51 @@ class TestLemma:
         for n in range(1, 6):
             for lt in enumerate_labelings(SYMBOLIC, n):
                 assert lemma_check(GrowthState(lt, SYMBOLIC))
+
+
+class TestSweepWalk:
+    """The per-vertex walk of the verify sweeps against the per-site path: the
+    total the lemma reads, the weights and the spliced keys labelprob reads,
+    with one weight dict per family, as a sweep keeps it."""
+
+    def families(self, mixed_oracle):
+        return [family for family, _ in TestFlatKernel().cases(mixed_oracle)] + [SYMBOLIC]
+
+    def test_the_total_is_the_sum_of_the_sites(self, mixed_oracle):
+        for family in self.families(mixed_oracle):
+            weights = {}
+            for n in range(1, 7):
+                for shape in family.shapes(n):
+                    state = GrowthState(LabeledTree(shape, range(1, n + 1)), family)
+                    try:
+                        listed = addable_sites(state)
+                    except ProbabilityRangeError:  # ordered m=9/2 weighs a sixth child
+                        with pytest.raises(ProbabilityRangeError):
+                            _site_total(family, shape, weights)
+                        continue
+                    total = _site_total(family, shape, weights)
+                    assert total == sum(p for _, p in listed) == 1, (family, shape.enc)
+                    assert type(total) is type(listed[0][1]), (family, shape.enc)
+
+    def test_every_spliced_key_is_the_grown_tree_s(self, mixed_oracle):
+        for family in self.families(mixed_oracle):
+            weights, sites = {}, 0
+            for n in range(1, 7):
+                for shape in family.shapes(n):
+                    state = GrowthState(LabeledTree(shape, range(1, n + 1)), family)
+                    try:
+                        listed = addable_sites(state)
+                    except ProbabilityRangeError:
+                        continue
+                    spliced = [(AddableSite(parent, slot), q, key)
+                               for parent, q, keys in _grown_keys(family, shape, weights)
+                               for slot, key in keys]
+                    assert [(site, q) for site, q, _ in spliced] == listed, (family, shape.enc)
+                    for site, _, key in spliced:
+                        assert key == _grown(family, shape, site.parent, site.slot).enc, (
+                            family, shape.enc, site)
+                    sites += len(spliced)
+            assert sites, family
 
 
 class TestEqualLikelihood:
