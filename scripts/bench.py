@@ -43,8 +43,11 @@ ROUNDS rounds over all rows, and reports each row's best and median round.
            doubling n and then bisecting; a row also ends where the sweep
            exits nonzero, past its ``--n-max`` bound (``stop`` "cap") or
            refused (``stop`` "refused"), else ``stop`` is "budget"
+  tier1_wall_seconds  the wall seconds of one ``python -m pytest -q -p
+           no:cacheprovider`` subprocess from the root of the checkout,
+           the whole test suite, run last
 
-The script stops unless each timed sweep exits 0.
+The script stops unless each timed sweep exits 0 and the suite passes.
 
 The file also records the machine, the number of cores, the Python version,
 the commit of the checkout the script sits in (``git describe --always
@@ -64,6 +67,7 @@ import platform
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 from functools import partial
 from pathlib import Path
@@ -253,6 +257,17 @@ def _row(row: str, times: list[float], **fields) -> dict:
     return doc
 
 
+def _tier1_wall_seconds() -> float:
+    """The wall seconds of one run of the whole test suite in a subprocess."""
+    started = time.perf_counter()
+    run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"],
+                         cwd=ROOT, capture_output=True, text=True)
+    seconds = time.perf_counter() - started
+    if run.returncode != 0:
+        raise SystemExit(f"the test suite exited {run.returncode}:\n{run.stdout[-2000:]}")
+    return _s(seconds)
+
+
 def _commit() -> str:
     try:
         return subprocess.run(
@@ -314,6 +329,9 @@ def main() -> int:
                                **_reach(clock, identity)})
             print(json.dumps(reach_rows[-1]), flush=True)
 
+    tier1 = _tier1_wall_seconds()
+    print(json.dumps({"tier1_wall_seconds": tier1}), flush=True)
+
     doc = {
         "label": args.label,
         "commit": commit,
@@ -336,6 +354,7 @@ def main() -> int:
         "count": count_rows,
         "identities": identity_rows,
         "reach": reach_rows,
+        "tier1_wall_seconds": tier1,
     }
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(doc, indent=2) + "\n")

@@ -20,7 +20,6 @@ import random
 import sys
 from fractions import Fraction
 from functools import cache
-from math import factorial
 from typing import Iterator
 
 from .families import (
@@ -41,14 +40,8 @@ from .identities import (
     _verify,
     completion_census,
 )
-from .sampler import (
-    _grown,
-    _grown_keys,
-    _labeling_count,
-    _site_total,
-    _within_limit,
-    grow,
-)
+from . import sampler
+from .sampler import grow
 from .stats import (
     EXPECTED_FLOOR,
     category_masses,
@@ -149,55 +142,6 @@ def _identity(reports: Iterator[IdentityReport]) -> Iterator[tuple[dict, bool]]:
     return ((report.to_json_dict(), report.holds) for report in reports)
 
 
-def _lemma(family: Family, n_max: int) -> Iterator[tuple[dict, bool]]:
-    """Does the lemma hold at every reachable state of size n, n = 1..n_max?
-    A state's sites depend on its shape alone, so each shape is checked once, none
-    skipped, by ``lemma_check``'s per-vertex total with one weight dict per sweep."""
-    weights: dict = {}
-    for n, count in enumerate(_labeling_count(family, n_max), 1):
-        states = _within_limit(family, n, count)
-        holds = all([_site_total(family, shape, weights) == 1 for shape in family.shapes(n)])
-        yield {"check": "lemma", "family": family.label, "n": n, "states": states,
-               "holds": holds}, holds
-
-
-def _labelprob(family: Family, n_max: int) -> Iterator[tuple[dict, bool]]:
-    """Does the growth chain's law on shapes match the closed form, n = 1..n_max?
-    Pushed forward a step at a time, each vertex of each shape of size n-1 gives the
-    shape's mass times its weight to the shape a leaf at each open slot makes, keyed by
-    splicing (``_grown_keys``); ``_grown`` builds each new key's shape below n_max, which
-    must match it.  The law must sit on exactly ``family.shapes(n)``, giving each shape
-    S n! times its summand (hook_count(S) * shape_probability(S)), and sum to 1.  Being
-    on shapes, it cannot compare labelings: ``equal_per_shape`` is always true."""
-    root = family.node([])
-    law, weights = {root.enc: [root, Fraction(1)]}, {}
-    for n, count in enumerate(_labeling_count(family, n_max), 1):
-        labelings = _within_limit(family, n, count)
-        if n > 1:
-            law, pushed = {}, law
-            for shape, p in pushed.values():
-                for parent, q, keys in _grown_keys(family, shape, weights):
-                    mass = p * q
-                    for slot, key in keys:
-                        if key not in law:  # the shapes of size n_max are never grown from
-                            grown = _grown(family, shape, parent, slot) if n < n_max else None
-                            if grown is not None and grown.enc != key:
-                                raise ConsistencyError(
-                                    f"{family.label} n={n}{family.where}: {shape.enc} grown at "
-                                    f"{_site_path(parent, slot)} is {grown.enc}, not its key {key}")
-                            law[key] = [grown, 0]
-                        law[key][1] += mass
-        shapes, matches = 0, True
-        for shapes, shape in enumerate(family.shapes(n), 1):
-            matches &= law.get(shape.enc, [0, None])[1] == factorial(n) * family.hook_term(shape)
-        matches &= shapes == len(law)
-        total = sum(mass for _, mass in law.values())
-        holds = matches and total == 1
-        yield {"check": "labelprob", "family": family.label, "n": n, "shapes": shapes,
-               "labelings": labelings, "equal_per_shape": True, "matches_closed_form": matches,
-               "total_mass": total, "holds": holds}, holds
-
-
 FAMILIES = ("binary", "ordered", "tbar")  # the choices of every --family
 
 # verify target, in ``verify --help`` order -> (default --n-max, largest
@@ -210,8 +154,8 @@ VERIFY = {
     "yang": (7, 60, lambda oracle, n_max: _identity(_verify("yang", n_max, OrderedFamily()))),
     "tbar": (7, 50, lambda oracle, n_max: _identity(_verify("tbar", n_max, TbarFamily(oracle)))),
     "han2": (10, 250, lambda oracle, n_max: _identity(_verify("han2", n_max))),
-    "lemma": (5, 7, _lemma),
-    "labelprob": (5, 7, _labelprob),
+    "lemma": (5, 7, sampler._lemma),
+    "labelprob": (5, 7, sampler._labelprob),
 }
 
 

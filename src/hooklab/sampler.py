@@ -8,10 +8,12 @@ attachment.  The weights, and every other family-specific rule, are methods
 of the family objects in families.py; the chain here is the same for all
 families.  At every state the site probabilities sum to exactly 1, so each
 step is a genuine distribution; ``lemma_check`` sums them per vertex, open-slot
-count times weight, in integers for Fractions.  The probability of landing on a
-given labeled tree depends only on its shape: ``shape_probability`` gives it in
-closed form, and ``verify labelprob`` checks it against the chain's own law on
-shapes, pushed forward per vertex, each grown shape keyed by splicing (``_grown_keys``).
+count times weight, in integers for Fractions, and ``_lemma``, the ``verify lemma``
+sweep, does so once per shape.  The probability of landing on a given labeled tree
+depends only on its shape: ``shape_probability`` gives it in closed form, and
+``_labelprob``, the ``verify labelprob`` sweep, checks it against the chain's own law
+on shapes, a map from encoding to mass pushed forward per vertex of the shapes the
+family enumerates, each grown shape keyed by splicing (``_grown_keys``).
 
 ``grow`` runs on a flat state private to the call (``start``,
 ``addable_sites`` and ``attach`` certify it).  It keeps each vertex's open
@@ -98,6 +100,18 @@ def lemma_check(state: GrowthState) -> bool:
     return _site_total(state.family, state.tree.shape, {}) == 1
 
 
+def _lemma(family: Family, n_max: int) -> Iterator[tuple[dict, bool]]:
+    """``verify lemma``: does the lemma hold at every reachable state of size n, n = 1..n_max?
+    A state's sites depend on its shape alone, so each shape is checked once, none
+    skipped, by ``lemma_check``'s per-vertex total with one weight dict per sweep."""
+    weights: dict = {}
+    for n, count in enumerate(_labeling_count(family, n_max), 1):
+        states = _within_limit(family, n, count)
+        holds = all([_site_total(family, shape, weights) == 1 for shape in family.shapes(n)])
+        yield {"check": "lemma", "family": family.label, "n": n, "states": states,
+               "holds": holds}, holds
+
+
 def _grown_keys(family: Family, shape: Tree, weights: dict) -> Iterator[tuple]:
     """Per vertex of ``shape`` with an open slot, in preorder: its address, weight and,
     per open slot, the ``_grown(...).enc`` of a leaf there, spliced: ``shape.enc`` with
@@ -108,6 +122,38 @@ def _grown_keys(family: Family, shape: Tree, weights: dict) -> Iterator[tuple]:
         head, tail = enc[:opens[i]], enc[opens[i] + len(node.enc):]
         yield addr, p, [(slot, head + family.node(insert_child(items, slot, leaf)).enc + tail)
                         for slot in free]
+
+
+def _labelprob(family: Family, n_max: int) -> Iterator[tuple[dict, bool]]:
+    """``verify labelprob``: does the growth chain's law on shapes match the closed form,
+    n = 1..n_max?  The law maps encodings to masses.  Pushed forward a step at a time, each
+    vertex of each of ``family.shapes(n-1)`` gives the shape's mass times its weight to the
+    keys ``_grown_keys`` splices for a leaf at each open slot.  The law must sit on exactly
+    ``family.shapes(n)``, giving each shape S n! times its summand (hook_count(S) *
+    shape_probability(S)), and sum to 1.  Being on shapes, it cannot compare labelings:
+    ``equal_per_shape`` is always true."""
+    law, weights, kept = {family.node([]).enc: Fraction(1)}, {}, []
+    for n, count in enumerate(_labeling_count(family, n_max), 1):
+        labelings = _within_limit(family, n, count)
+        if n > 1:
+            law, pushed = {}, law
+            for shape in kept:
+                p = pushed.get(shape.enc, 0)
+                for _, q, keys in _grown_keys(family, shape, weights):
+                    mass = p * q
+                    for _, key in keys:
+                        law[key] = law.get(key, 0) + mass
+        shapes, matches, kept = 0, True, []
+        for shapes, shape in enumerate(family.shapes(n), 1):
+            matches &= law.get(shape.enc, 0) == factorial(n) * family.hook_term(shape)
+            if n < n_max:  # the shapes of size n_max are never grown from
+                kept.append(shape)
+        matches &= shapes == len(law)
+        total = sum(law.values())
+        holds = matches and total == 1
+        yield {"check": "labelprob", "family": family.label, "n": n, "shapes": shapes,
+               "labelings": labelings, "equal_per_shape": True, "matches_closed_form": matches,
+               "total_mass": total, "holds": holds}, holds
 
 
 def attach(state: GrowthState, site: AddableSite) -> GrowthState:

@@ -279,8 +279,9 @@ class TestVerify:
         real, checked, dicts = BinaryFamily.weight, [], set()
         monkeypatch.setattr(BinaryFamily, "weight", lambda self, parent, c: real(self, parent, c)
                             * (Fraction(3, 4) if parent == (0,) else 1))
-        monkeypatch.setattr(cli, "_site_total", lambda family, shape, weights: checked.append(
-            shape) or dicts.add(id(weights)) or sampler._site_total(family, shape, weights))
+        total = sampler._site_total  # the real one: the patched name would call itself
+        monkeypatch.setattr(sampler, "_site_total", lambda family, shape, weights: checked.append(
+            shape) or dicts.add(id(weights)) or total(family, shape, weights))
         assert cli.main(["verify", "lemma", "--n-max", "4"]) == 1
         assert capsys.readouterr().out.splitlines() == [
             f"check=lemma family=binary n={n} states={factorial(n)} holds={holds}"
@@ -412,38 +413,41 @@ class TestVerify:
 
     def test_labelprob_stops_at_the_term_limit_before_growing(self, monkeypatch, capsys):
         # binary has 4! = 24 labeled trees of size 4 and 120 of size 5: the
-        # refusal at n=5 comes before any shape of size 4 is grown
+        # refusal at n=5 comes before the law is pushed from any shape of size 4
         monkeypatch.setattr(identities, "TERM_LIMIT", 24)
-        grown = []
-        monkeypatch.setattr(cli, "_grown", lambda family, shape, parent, slot:
-                            grown.append(shape.size) or sampler._grown(family, shape, parent,
-                                                                        slot))
+        pushed, real = [], sampler._grown_keys
+        monkeypatch.setattr(sampler, "_grown_keys", lambda family, shape, weights:
+                            pushed.append(shape.size) or real(family, shape, weights))
         assert cli.main(["verify", "labelprob", "--n-max", "7"]) == 2
         out, err = capsys.readouterr()
         assert [line.split()[2] for line in out.splitlines()] == ["n=1", "n=2", "n=3", "n=4"]
         assert err == "error: more than 24 labeled binary trees at n=5\n"
-        # each shape of sizes 2, 3 and 4 is grown once, the first time a
-        # site's spliced key reaches it: 2 + 5 + 14 trees, from parents of
-        # sizes 1, 2 and 3
-        assert sorted(set(grown)) == [1, 2, 3]
-        assert len(grown) == sum(catalan(k) for k in range(2, 5)) == 21
+        # each shape of sizes 1, 2 and 3 is pushed from once, to make the
+        # law on sizes 2, 3 and 4: 1 + 2 + 5 shapes
+        assert sorted(set(pushed)) == [1, 2, 3]
+        assert len(pushed) == sum(catalan(k) for k in range(1, 4)) == 8
 
-    def test_a_grown_tree_off_its_spliced_key_fails_labelprob(self, monkeypatch, capsys):
-        # a _grown that puts a leaf under the root at the other slot: the
-        # first new key it builds, at n=2, is not the tree it makes
-        def other_slot(family, shape, parent, slot):
-            return sampler._grown(family, shape, parent, 1 - slot if parent == () else slot)
+    def test_a_wrong_spliced_key_fails_labelprob(self, monkeypatch, capsys):
+        # the key of the root's first open slot spliced at the end of the
+        # root's subtree, the whole encoding, not at its "(": from n=2 on the
+        # law puts mass on an encoding that is no shape and too little on a shape
+        real = sampler._grown_keys
 
-        monkeypatch.setattr(cli, "_grown", other_slot)
-        cases = [(["--family", "binary"],
-                  "binary n=2: (.,.) grown at 0 is (.,(.,.)), not its key ((.,.),.)"),
-                 (["--family", "tbar", "--oracle", "const:2"],
-                  "tbar n=2 with oracle const:2: () grown at 0 is ([1]()), not its key ([0]())")]
-        for family_args, message in cases:
+        def at_the_end(family, shape, weights):
+            for parent, q, keys in real(family, shape, weights):
+                if parent == ():
+                    (slot, key), *rest = keys
+                    keys = [(slot, shape.enc + key), *rest]
+                yield parent, q, keys
+
+        monkeypatch.setattr(sampler, "_grown_keys", at_the_end)
+        for family_args in (["--family", "binary"], ["--family", "tbar", "--oracle", "const:2"]):
             assert cli.main(["verify", "labelprob", *family_args, "--n-max", "4"]) == 1
             out, err = capsys.readouterr()
-            assert [line.split()[2] for line in out.splitlines()] == ["n=1"]
-            assert err == f"assertion failed: {message}\n"
+            fields = [dict(f.split("=") for f in line.split()) for line in out.splitlines()]
+            assert [r["matches_closed_form"] for r in fields] == ["true"] + ["false"] * 3
+            assert [r["holds"] for r in fields] == ["true"] + ["false"] * 3
+            assert err == ""
 
     def test_ordered_m_below_the_largest_child_count_is_a_usage_error(self):
         for check, m, n_max, most in (
