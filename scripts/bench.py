@@ -9,7 +9,14 @@ ROUNDS rounds over all rows, and reports each row's best and median round.
 
   grow     trees/s of ``grow`` per family: the Monte-Carlo gate's sizes
            (binary n=5, ordered m=10 n=4, tbar depth:2,3 n=4) and the
-           ``sample`` sizes (n=24; ordered with m=24), from the best round
+           ``sample`` sizes (n=24; ordered with m=24), from the best round.
+           A row passes one family object to every round, so from the
+           second round on it times a warm weight memo, which no CLI
+           command sees: each command builds its family afresh
+  sample   trees/s of the growth benchmark's three n=24 ``sample`` commands
+           (binary 400 trees, ordered m=24 100, tbar depth:2,3 200, seed 1)
+           through ``cli.main`` with stdout discarded, each call with a
+           fresh family object, from the best round
   census   ``run_census`` on the three configurations of acceptance
            criterion 10 (200000 draws, seed 1) and on binary n=7 (50000
            draws over 5040 labeled trees, so building the table of growth
@@ -108,6 +115,16 @@ GROW = [
     ("binary n=24", BinaryFamily(), 24, 400),
     ("ordered m=24 n=24", OrderedFamily(24), 24, 100),
     ("tbar depth:2,3 n=24", TbarFamily(DepthBranching((2, 3))), 24, 200),
+]
+
+# (row, sample arguments, trees): the growth benchmark's n=24 sample commands
+SAMPLE = [
+    (row, ["sample", *args.split(), "--count", str(count), "--seed", "1"], count)
+    for row, args, count in [
+        ("binary n=24", "--family binary --n 24", 400),
+        ("ordered m=24 n=24", "--family ordered --m 24 --n 24", 100),
+        ("tbar depth:2,3 n=24", "--family tbar --oracle depth:2,3 --n 24", 200),
+    ]
 ]
 
 # (row, family, n, draws, censuses per round); the first three are
@@ -291,6 +308,11 @@ def main() -> int:
     grow_rows = [_row(row, times[row], trees=count, trees_per_s=round(count / min(times[row])))
                  for row, _, _, count in GROW]
 
+    times = _rounds([(row, partial(_passes, argv)) for row, argv, _ in SAMPLE])
+    sample_rows = [_row(row, times[row], argv=argv, trees=count,
+                        trees_per_s=round(count / min(times[row])))
+                   for row, argv, count in SAMPLE]
+
     masses = {row: category_masses(family, n) for row, family, n, _, _ in CENSUS}
     times = _rounds([(row, partial(_repeat, repeats, run_census, family, n, draws, 1,
                                    masses[row]))
@@ -346,6 +368,7 @@ def main() -> int:
                  "by the SpeedClock of perfbench/speed.py",
         "rounds": ROUNDS,
         "grow": grow_rows,
+        "sample": sample_rows,
         "census": census_rows,
         # criterion 10's three gates, best rounds
         "census_total_seconds": _s(sum(r["best_seconds"] for r in census_rows[:3])),

@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Run the test suite against textual mutants of the hook folds and the
-growth kernel.
+"""Run the test suite against textual mutants of the hook folds, the
+families' weight memo and the growth kernel.
 
 Each mutant below replaces one piece of source text.  For each, the script
 copies src/, tests/ and pyproject.toml to a fresh temporary directory,
@@ -78,7 +78,7 @@ MUTANTS = [
     ("k < q written k <= q in _grow", True,
      [[("families.py", "                if k < q:", "                if k <= q:")]]),
     ("C(m, 2) doubled in the ordered rule", False, DOUBLE_C_M_2),
-    # The growth kernel.  Each second form is the same fault in the kernel
+    # The growth kernel.  Each last form is the same fault in the kernel
     # that listed every site with its weight anew at each step.
     ("the draw's u < cum written u <= cum (bisect_left)", False,
      [[("sampler.py", "        i = bisect_right(cums, x)\n", "        i = bisect_left(cums, x)\n")],
@@ -87,7 +87,9 @@ MUTANTS = [
      [[("sampler.py", "scale = lcm(D, q) // D", "scale = max(D, q) // D")],
       [("sampler.py", "D = lcm(D, p.denominator)", "D = max(D, p.denominator)")]]),
     ("kept masses not rescaled when D grows", False,
-     [[("sampler.py", "                self.mass = [w * scale for w in self.mass]\n", "")],
+     [[("sampler.py", "                mass[:] = [w * scale for w in mass]\n", "")],
+      # the step that read its lists through self
+      [("sampler.py", "                self.mass = [w * scale for w in self.mass]\n", "")],
       # a weight over the D of the vertices listed so far, not the step's
       [("sampler.py",
         "                live.append((v, free, p))\n                D = lcm(D, p.denominator)\n",
@@ -111,9 +113,17 @@ MUTANTS = [
     ("the spliced key put at the end of the vertex's subtree, not at its \"(\"", False,
      [[("sampler.py", "head, tail = enc[:opens[i]], ",
         "head, tail = enc[:opens[i] + len(node.enc)], ")]]),
-    ("the weight dict keyed by depth, not address", False,
-     [[("sampler.py", "            key = addr, len(items)\n",
+    # The family's weight memo.  Before it, the verify sweeps kept a weight
+    # dict of their own, which the first mutant's second form keys by depth;
+    # grow kept none, so the other two have no form there.
+    ("the weight memo keyed by depth, not address", False,
+     [[("families.py", "    key = parent, c\n", "    key = len(parent), c\n")],
+      [("sampler.py", "            key = addr, len(items)\n",
         "            key = len(addr), len(items)\n")]]),
+    ("the weight memo keyed by the parent alone, not with its child count", False,
+     [[("families.py", "    key = parent, c\n", "    key = parent\n")]]),
+    ("the weight memo never cleared", False,
+     [[("families.py", "        if len(weights) >= WEIGHT_MEMO:\n            weights.clear()\n", "")]]),
     # labelprob's keep rule.  Before it, labelprob pushed from the trees it
     # rebuilt per new key, not from the enumerated shapes, so it has no form
     # there.

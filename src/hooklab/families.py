@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from math import comb, factorial, prod
@@ -54,6 +54,7 @@ from .exact import RationalFunction, TermSum, binomial_poly
 from .trees import Address, BinaryTree, OrderedTree, SlottedTree, Tree, _preorder, _subtrees
 
 COUNT_LIMIT = 10 ** 6  # the most children a parsed oracle gives one vertex
+WEIGHT_MEMO = 1 << 16  # the most weights a family object keeps before it clears them
 
 
 class FamilyConfigError(ValueError):
@@ -274,7 +275,10 @@ def _tbar_factor(width: int | None, h: int) -> TermSum:
 # slots from its address and (slot, child) pairs (a used slot puts the leaf
 # before its child), the probability ("weight") of a new vertex, building a
 # node (``node([])`` is a leaf), and the shape and growability checks.  A
-# weight depends only on the parent's address and child count c, not the slot.
+# weight depends on the parent's address and child count c alone, not on the
+# slot, the labels or the rest of the tree, so each family object keeps the
+# weights it has computed by (parent, c) (``_memo_weight``) and every tree one
+# command grows with it reads them from there.
 # The hook-length summand hook_term(shape) is prod w_v/h_v, an exact value,
 # with h_v = node.size: growth lands on each of a shape's n!/prod h_v
 # increasing labelings with probability prod w_v.  Its per-vertex factor is
@@ -291,10 +295,26 @@ def _tbar_factor(width: int | None, h: int) -> TermSum:
 # user would change ("" when the label says it all).
 
 
+def _memo_weight(family: Family, parent: Address, c: int) -> Probability:
+    """``family._rule(parent, c)``, kept in ``family._weights``, which holds at
+    most ``WEIGHT_MEMO`` weights: a full memo is cleared before the next is
+    kept.  A rule that raises keeps nothing, so the next call raises again."""
+    weights = family._weights
+    key = parent, c
+    p = weights.get(key)
+    if p is None:
+        p = family._rule(parent, c)
+        if len(weights) >= WEIGHT_MEMO:
+            weights.clear()
+        weights[key] = p
+    return p
+
+
 @dataclass(frozen=True)
 class BinaryFamily:
     label = "binary"
     where = ""
+    _weights: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def shapes(self, n: int) -> Iterator[BinaryTree]:
         return enum_binary(n)
@@ -305,6 +325,9 @@ class BinaryFamily:
 
     def weight(self, parent: Address, c: int) -> Fraction:
         """1 / 2^depth of the new vertex."""
+        return _memo_weight(self, parent, c)
+
+    def _rule(self, parent: Address, c: int) -> Fraction:
         return Fraction(1, 2 << len(parent))
 
     def node(self, children) -> BinaryTree:
@@ -336,6 +359,7 @@ class OrderedFamily:
     """Ordered trees; ``m`` is the weight value, None meaning symbolic."""
 
     m: Fraction | None = None
+    _weights: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     label = "ordered"
     where = ""
@@ -357,6 +381,9 @@ class OrderedFamily:
     def weight(self, parent: Address, c: int) -> Probability:
         """(m - c) / ((c + 1) * m^depth) with the depth of the new vertex;
         raises unless it lies in [0, 1]."""
+        return _memo_weight(self, parent, c)
+
+    def _rule(self, parent: Address, c: int) -> Probability:
         depth = len(parent) + 1
         if self.m is None:
             return RationalFunction.from_ints((-c, 1), c + 1, -depth)
@@ -426,6 +453,7 @@ class OrderedFamily:
 @dataclass(frozen=True)
 class TbarFamily:
     oracle: BranchingOracle
+    _weights: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     label = "tbar"
 
@@ -442,6 +470,9 @@ class TbarFamily:
 
     def weight(self, parent: Address, c: int) -> Fraction:
         """prod over proper ancestors x of the new vertex of 1 / cbar_x."""
+        return _memo_weight(self, parent, c)
+
+    def _rule(self, parent: Address, c: int) -> Fraction:
         widths = 1
         for depth in range(len(parent) + 1):
             widths *= self.oracle.child_count(parent[:depth])

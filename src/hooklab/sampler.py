@@ -6,8 +6,10 @@ sites, chosen with the family's weight for a new child of the site's parent
 p, which depends on p's address and on c_p, p's child count before the
 attachment.  The weights, and every other family-specific rule, are methods
 of the family objects in families.py; the chain here is the same for all
-families.  At every state the site probabilities sum to exactly 1, so each
-step is a genuine distribution; ``lemma_check`` sums them per vertex, open-slot
+families.  A family object keeps the weights it has computed, so the trees it
+grows, and the shapes a sweep walks with it, compute each weight once.  At
+every state the site probabilities sum to exactly 1, so each step is a
+genuine distribution; ``lemma_check`` sums them per vertex, open-slot
 count times weight, in integers for Fractions, and ``_lemma``, the ``verify lemma``
 sweep, does so once per shape.  The probability of landing on a given labeled tree
 depends only on its shape: ``shape_probability`` gives it in closed form, and
@@ -20,7 +22,8 @@ family enumerates, each grown shape keyed by splicing (``_grown_keys``).
 slots, its weight as an integer over one common denominator D of the whole
 growth, and its mass, that weight times its open-slot count.  A move marks
 stale its parent, the new leaf and every vertex it re-addresses, and the
-next step weighs only those anew; where a new weight's denominator does not
+next step weighs only those anew (a vertex with no open slot gets unit and
+mass 0 without a weight); where a new weight's denominator does not
 divide D, D becomes their lcm and every kept weight and mass is scaled by
 the same factor.  Every step then sums the masses of all vertices, in
 preorder, into cumulative integers cum and raises ``ConsistencyError``
@@ -69,26 +72,23 @@ def start(family: Family) -> GrowthState:
 def addable_sites(state: GrowthState) -> list[tuple[AddableSite, Probability]]:
     """Every site a new leaf may occupy with its probability, by parent address then slot."""
     return [(AddableSite(addr, slot), p) for _, addr, _, _, free, p
-            in _open_vertices(state.family, state.tree.shape, {}) for slot in free]
+            in _open_vertices(state.family, state.tree.shape) for slot in free]
 
 
-def _open_vertices(family: Family, shape: Tree, weights: dict) -> Iterator[tuple]:
+def _open_vertices(family: Family, shape: Tree) -> Iterator[tuple]:
     """Per vertex of ``shape`` with an open slot, in preorder: its preorder index, address,
-    node, child items, open slots and weight, read through ``weights`` by (address, c)."""
+    node, child items, open slots and weight."""
     for i, (addr, node) in enumerate(_preorder(shape)):
         items = node.child_items()
         free = family.open_slots(addr, items)
         if free:
-            key = addr, len(items)
-            if key not in weights:
-                weights[key] = family.weight(addr, len(items))
-            yield i, addr, node, items, free, weights[key]
+            yield i, addr, node, items, free, family.weight(addr, len(items))
 
 
-def _site_total(family: Family, shape: Tree, weights: dict) -> Probability:
+def _site_total(family: Family, shape: Tree) -> Probability:
     """The sum of ``shape``'s site probabilities, one term per vertex: its open-slot
     count times its weight; Fractions as integers over one lcm, symbolic ones exactly."""
-    terms = [(len(free), p) for *_, free, p in _open_vertices(family, shape, weights)]
+    terms = [(len(free), p) for *_, free, p in _open_vertices(family, shape)]
     if all([type(p) is Fraction for _, p in terms]):
         D = lcm(*[p.denominator for _, p in terms])
         return Fraction(sum([k * p.numerator * (D // p.denominator) for k, p in terms]), D)
@@ -97,28 +97,27 @@ def _site_total(family: Family, shape: Tree, weights: dict) -> Probability:
 
 def lemma_check(state: GrowthState) -> bool:
     """Do the site probabilities of this state sum to exactly 1?"""
-    return _site_total(state.family, state.tree.shape, {}) == 1
+    return _site_total(state.family, state.tree.shape) == 1
 
 
 def _lemma(family: Family, n_max: int) -> Iterator[tuple[dict, bool]]:
     """``verify lemma``: does the lemma hold at every reachable state of size n, n = 1..n_max?
     A state's sites depend on its shape alone, so each shape is checked once, none
-    skipped, by ``lemma_check``'s per-vertex total with one weight dict per sweep."""
-    weights: dict = {}
+    skipped, by ``lemma_check``'s per-vertex total."""
     for n, count in enumerate(_labeling_count(family, n_max), 1):
         states = _within_limit(family, n, count)
-        holds = all([_site_total(family, shape, weights) == 1 for shape in family.shapes(n)])
+        holds = all([_site_total(family, shape) == 1 for shape in family.shapes(n)])
         yield {"check": "lemma", "family": family.label, "n": n, "states": states,
                "holds": holds}, holds
 
 
-def _grown_keys(family: Family, shape: Tree, weights: dict) -> Iterator[tuple]:
+def _grown_keys(family: Family, shape: Tree) -> Iterator[tuple]:
     """Per vertex of ``shape`` with an open slot, in preorder: its address, weight and,
     per open slot, the ``_grown(...).enc`` of a leaf there, spliced: ``shape.enc`` with
     the vertex's subtree (from the i-th "(", i its preorder index) as its node grown."""
     enc, leaf = shape.enc, family.node([])
     opens = [j for j, ch in enumerate(enc) if ch == "("]
-    for i, addr, node, items, free, p in _open_vertices(family, shape, weights):
+    for i, addr, node, items, free, p in _open_vertices(family, shape):
         head, tail = enc[:opens[i]], enc[opens[i] + len(node.enc):]
         yield addr, p, [(slot, head + family.node(insert_child(items, slot, leaf)).enc + tail)
                         for slot in free]
@@ -132,14 +131,14 @@ def _labelprob(family: Family, n_max: int) -> Iterator[tuple[dict, bool]]:
     ``family.shapes(n)``, giving each shape S n! times its summand (hook_count(S) *
     shape_probability(S)), and sum to 1.  Being on shapes, it cannot compare labelings:
     ``equal_per_shape`` is always true."""
-    law, weights, kept = {family.node([]).enc: Fraction(1)}, {}, []
+    law, kept = {family.node([]).enc: Fraction(1)}, []
     for n, count in enumerate(_labeling_count(family, n_max), 1):
         labelings = _within_limit(family, n, count)
         if n > 1:
             law, pushed = {}, law
             for shape in kept:
                 p = pushed.get(shape.enc, 0)
-                for _, q, keys in _grown_keys(family, shape, weights):
+                for _, q, keys in _grown_keys(family, shape):
                     mass = p * q
                     for _, key in keys:
                         law[key] = law.get(key, 0) + mass
@@ -199,20 +198,24 @@ class _Flat:
         cum / D is the mass of its sites and every earlier site.  Refreshes
         the stale vertices, then sums every vertex's mass and raises unless
         the total is exactly D, i.e. the site masses sum to exactly 1."""
-        family, addr, D = self.family, self.addr, self.D
+        family, addr, kids, unit, mass, D = (self.family, self.addr, self.kids, self.unit,
+                                             self.mass, self.D)
         for v in self.stale:
-            free = self.free[v] = family.open_slots(addr[v], self.kids[v])
-            p = family.weight(addr[v], len(self.kids[v])) if free else Fraction(0)
+            free = self.free[v] = family.open_slots(addr[v], kids[v])
+            if not free:
+                unit[v] = mass[v] = 0
+                continue
+            p = family.weight(addr[v], len(kids[v]))
             q = p.denominator
             if D % q:
                 scale = lcm(D, q) // D
                 D *= scale
-                self.unit = [w * scale for w in self.unit]
-                self.mass = [w * scale for w in self.mass]
-            w = self.unit[v] = p.numerator * (D // q)
-            self.mass[v] = w * len(free)
+                unit[:] = [w * scale for w in unit]
+                mass[:] = [w * scale for w in mass]
+            w = unit[v] = p.numerator * (D // q)
+            mass[v] = w * len(free)
         self.stale, self.D = set(), D
-        cums = list(accumulate(map(self.mass.__getitem__, self.order)))
+        cums = list(accumulate(map(mass.__getitem__, self.order)))
         if cums[-1] != D:
             raise ConsistencyError(f"site masses sum to {Fraction(cums[-1], D)}, not 1, growing "
                                    f"{family.label} trees to n={self.n} at {self.tree().enc}")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -12,10 +13,12 @@ from hooklab import (
     OrderedFamily,
     TbarFamily,
     cli,
+    families,
     identities,
     sampler,
     stats,
 )
+from hooklab.trees import _preorder
 
 CMD = [sys.executable, "-m", "hooklab"]
 
@@ -275,13 +278,14 @@ class TestVerify:
     def test_a_wrong_weight_at_one_parent_fails_the_lemma(self, monkeypatch, capsys):
         # the sites under (0,) weigh 3/16, not 1/4, so a state whose vertex
         # (0,) has an open slot falls short of 1; from n=2 on some shape has
-        # one, and every shape is totalled, once, all through one weight dict
-        real, checked, dicts = BinaryFamily.weight, [], set()
-        monkeypatch.setattr(BinaryFamily, "weight", lambda self, parent, c: real(self, parent, c)
-                            * (Fraction(3, 4) if parent == (0,) else 1))
+        # one, every shape is totalled once, and the rule runs once per
+        # distinct (parent, c) over the sweep
+        real, checked, ruled = BinaryFamily._rule, [], []
+        monkeypatch.setattr(BinaryFamily, "_rule", lambda self, parent, c: ruled.append(
+            (parent, c)) or real(self, parent, c) * (Fraction(3, 4) if parent == (0,) else 1))
         total = sampler._site_total  # the real one: the patched name would call itself
-        monkeypatch.setattr(sampler, "_site_total", lambda family, shape, weights: checked.append(
-            shape) or dicts.add(id(weights)) or total(family, shape, weights))
+        monkeypatch.setattr(sampler, "_site_total", lambda family, shape: checked.append(
+            shape) or total(family, shape))
         assert cli.main(["verify", "lemma", "--n-max", "4"]) == 1
         assert capsys.readouterr().out.splitlines() == [
             f"check=lemma family=binary n={n} states={factorial(n)} holds={holds}"
@@ -289,7 +293,9 @@ class TestVerify:
         assert len(checked) == sum(catalan(n) for n in range(1, 5))
         assert sorted(shape.enc for shape in checked) == sorted(
             shape.enc for n in range(1, 5) for shape in BinaryFamily().shapes(n))
-        assert len(dicts) == 1
+        assert len(ruled) == len(set(ruled)) == len(
+            {(addr, len(node.child_items())) for shape in checked
+             for addr, node in _preorder(shape) if len(node.child_items()) < 2})
 
     def test_a_wrong_vertex_factor_at_one_width_fails_the_sum(self, monkeypatch, capsys):
         # every parent with `width` children in the infinite tree gets its
@@ -361,8 +367,8 @@ class TestVerify:
         # shape of size below n-max is walked vertex by vertex once
         monkeypatch.setattr(sampler, "_labelings", None)
         walked, real = [], sampler._open_vertices
-        monkeypatch.setattr(sampler, "_open_vertices", lambda family, shape, weights:
-                            walked.append(shape) or real(family, shape, weights))
+        monkeypatch.setattr(sampler, "_open_vertices", lambda family, shape:
+                            walked.append(shape) or real(family, shape))
         assert cli.main(["verify", "labelprob", "--family", "binary", "--n-max", "5"]) == 0
         fields = [dict(f.split("=") for f in line.split())
                   for line in capsys.readouterr().out.splitlines()]
@@ -416,8 +422,8 @@ class TestVerify:
         # refusal at n=5 comes before the law is pushed from any shape of size 4
         monkeypatch.setattr(identities, "TERM_LIMIT", 24)
         pushed, real = [], sampler._grown_keys
-        monkeypatch.setattr(sampler, "_grown_keys", lambda family, shape, weights:
-                            pushed.append(shape.size) or real(family, shape, weights))
+        monkeypatch.setattr(sampler, "_grown_keys", lambda family, shape:
+                            pushed.append(shape.size) or real(family, shape))
         assert cli.main(["verify", "labelprob", "--n-max", "7"]) == 2
         out, err = capsys.readouterr()
         assert [line.split()[2] for line in out.splitlines()] == ["n=1", "n=2", "n=3", "n=4"]
@@ -433,8 +439,8 @@ class TestVerify:
         # law puts mass on an encoding that is no shape and too little on a shape
         real = sampler._grown_keys
 
-        def at_the_end(family, shape, weights):
-            for parent, q, keys in real(family, shape, weights):
+        def at_the_end(family, shape):
+            for parent, q, keys in real(family, shape):
                 if parent == ():
                     (slot, key), *rest = keys
                     keys = [(slot, shape.enc + key), *rest]
@@ -529,6 +535,48 @@ class TestSample:
             assert out.returncode == 2
             assert "--count" in out.stderr
             assert out.stdout == ""
+
+    def test_one_command_runs_the_weight_rule_once_per_parent_and_count(self, monkeypatch,
+                                                                        capsys):
+        # the 400 trees of one command grow with one family object, whose
+        # memo computes each weight asked for once
+        asked, ruled = [], []
+        weight, rule = BinaryFamily.weight, BinaryFamily._rule
+        monkeypatch.setattr(BinaryFamily, "weight", lambda self, parent, c: asked.append(
+            (parent, c)) or weight(self, parent, c))
+        monkeypatch.setattr(BinaryFamily, "_rule", lambda self, parent, c: ruled.append(
+            (parent, c)) or rule(self, parent, c))
+        assert cli.main(["sample", "--n", "24", "--count", "400", "--seed", "1"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 400
+        assert sorted(ruled) == sorted(set(asked))
+        assert len(asked) > 10 * len(ruled)
+
+    def test_a_full_memo_is_cleared_and_the_trees_stay_the_same(self, monkeypatch, capsys):
+        # the growth benchmark's three n=24 sample commands at its default
+        # seed, with their digests from perfbench/golden.json, under a memo
+        # of two weights
+        monkeypatch.setattr(families, "WEIGHT_MEMO", 2)
+        sizes, real = [], families._memo_weight
+
+        def memo_weight(family, parent, c):
+            p = real(family, parent, c)
+            sizes.append(len(family._weights))
+            return p
+
+        monkeypatch.setattr(families, "_memo_weight", memo_weight)
+        for argv, digest in (
+            ("--family binary --n 24 --count 400 --seed 2517800461",
+             "58f05ca32f1605afebaca4b184f146ea0600034b8b3c503a4bf8440556c07d67"),
+            ("--family ordered --m 24 --n 24 --count 100 --seed 1520965325",
+             "3d31d22467ac6bccc35e091869475619ac7fc218c54d89ad3ccd99c39910d4ae"),
+            ("--family tbar --oracle depth:2,3 --n 24 --count 200 --seed 2595531773",
+             "4a9bf47609d8e132c54e5dd32e4e6d8fe60b79a3a09c15b97b75718bbab87b25"),
+        ):
+            sizes.clear()
+            assert cli.main(["sample", *argv.split()]) == 0
+            out = capsys.readouterr().out
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+            assert max(sizes) == 2, argv
 
 
 class TestMc:

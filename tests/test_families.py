@@ -4,19 +4,23 @@ import json
 import re
 from collections import Counter
 from dataclasses import FrozenInstanceError
+from fractions import Fraction
 from itertools import islice
 
 import pytest
 
 from conftest import catalan, multiset_sizes
 from hooklab import (
+    BinaryFamily,
     BinaryTree,
     BranchingOracle,
     ConstantBranching,
     DepthBranching,
     FamilyConfigError,
     OracleSyntaxError,
+    OrderedFamily,
     OrderedTree,
+    ProbabilityRangeError,
     SlottedTree,
     TableBranching,
     TbarFamily,
@@ -538,3 +542,30 @@ class TestTbarTerms:
         assert report.holds and report.term_count == 1_999_000 + 2000 ** 2
         assert counting.asked == [(), (0,)]
         assert counting.keyed == [(), (0,)] + [(0, slot) for slot in range(2000)]
+
+
+class TestWeightMemo:
+    """Each family object keeps the weights it has computed, by (parent, c)."""
+
+    def families(self):
+        return [BinaryFamily(), OrderedFamily(7), OrderedFamily(),
+                TbarFamily(DepthBranching((2, 3)))]
+
+    def test_equal_families_stay_equal_whatever_their_memos_hold(self):
+        for warm, cold in zip(self.families(), self.families()):
+            weights = {(parent, c): warm.weight(parent, c)
+                       for parent in ((), (0,), (1, 0)) for c in (0, 1)}
+            assert warm._weights == weights and cold._weights == {}
+            assert weights == {key: cold._rule(*key) for key in weights}
+            assert warm == cold and hash(warm) == hash(cold) and repr(warm) == repr(cold)
+            assert "_weights" not in repr(warm)
+
+    def test_an_out_of_range_weight_raises_at_every_call(self):
+        # at m=9/2 a root's sixth child weighs (9/2 - 5)/6 < 0, which the
+        # flat kernel's walk meets at its size-6 leaves
+        family = OrderedFamily(Fraction(9, 2))
+        for _ in range(3):
+            with pytest.raises(ProbabilityRangeError, match="has 5 earlier children"):
+                family.weight((), 5)
+        assert family.weight((), 4) == Fraction(1, 45)
+        assert list(family._weights) == [((), 4)]

@@ -3,6 +3,7 @@ import random
 import re
 from bisect import bisect_right
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from itertools import accumulate
 from math import factorial, prod
@@ -177,39 +178,39 @@ class TestLemma:
 class TestSweepWalk:
     """The per-vertex walk of the verify sweeps against the per-site path: the
     total the lemma reads, the weights and the spliced keys labelprob reads,
-    with one weight dict per family, as a sweep keeps it."""
+    with one family object per sweep, whose memo the sweep's shapes share, and
+    the per-site path on a fresh equal family per state, whose memo is empty."""
 
     def families(self, mixed_oracle):
         return [family for family, _ in TestFlatKernel().cases(mixed_oracle)] + [SYMBOLIC]
 
     def test_the_total_is_the_sum_of_the_sites(self, mixed_oracle):
         for family in self.families(mixed_oracle):
-            weights = {}
             for n in range(1, 7):
                 for shape in family.shapes(n):
-                    state = GrowthState(LabeledTree(shape, range(1, n + 1)), family)
+                    state = GrowthState(LabeledTree(shape, range(1, n + 1)), replace(family))
                     try:
                         listed = addable_sites(state)
                     except ProbabilityRangeError:  # ordered m=9/2 weighs a sixth child
                         with pytest.raises(ProbabilityRangeError):
-                            _site_total(family, shape, weights)
+                            _site_total(family, shape)
                         continue
-                    total = _site_total(family, shape, weights)
+                    total = _site_total(family, shape)
                     assert total == sum(p for _, p in listed) == 1, (family, shape.enc)
                     assert type(total) is type(listed[0][1]), (family, shape.enc)
 
     def test_every_spliced_key_is_the_grown_tree_s(self, mixed_oracle):
         for family in self.families(mixed_oracle):
-            weights, sites = {}, 0
+            sites = 0
             for n in range(1, 7):
                 for shape in family.shapes(n):
-                    state = GrowthState(LabeledTree(shape, range(1, n + 1)), family)
+                    state = GrowthState(LabeledTree(shape, range(1, n + 1)), replace(family))
                     try:
                         listed = addable_sites(state)
                     except ProbabilityRangeError:
                         continue
                     spliced = [(AddableSite(parent, slot), q, key)
-                               for parent, q, keys in _grown_keys(family, shape, weights)
+                               for parent, q, keys in _grown_keys(family, shape)
                                for slot, key in keys]
                     assert [(site, q) for site, q, _ in spliced] == listed, (family, shape.enc)
                     for site, _, key in spliced:
