@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Run the test suite against textual mutants of the hook folds, the
-families' weight memo and the growth kernel.
+"""Run the test suite against textual mutants of the hook folds, the weight
+memo that every family inherits from one base class, tbar's open slots and
+the growth kernel.
 
 Each mutant below replaces one piece of source text.  For each, the script
 copies src/, tests/ and pyproject.toml to a fresh temporary directory,
@@ -113,9 +114,12 @@ MUTANTS = [
     ("the spliced key put at the end of the vertex's subtree, not at its \"(\"", False,
      [[("sampler.py", "head, tail = enc[:opens[i]], ",
         "head, tail = enc[:opens[i] + len(node.enc)], ")]]),
-    # The family's weight memo.  Before it, the verify sweeps kept a weight
-    # dict of their own, which the first mutant's second form keys by depth;
-    # grow kept none, so the other two have no form there.
+    # The families' weight memo, the base class's weight method.  Before
+    # that it was a module function, _memo_weight, one indent shallower: the
+    # two keying mutants' first forms match it too, and the clearing
+    # mutant's second form is that layout.  Before the memo, the verify
+    # sweeps kept a weight dict of their own, which the first mutant's second
+    # form keys by depth; grow kept none, so the other two have no form there.
     ("the weight memo keyed by depth, not address", False,
      [[("families.py", "    key = parent, c\n", "    key = len(parent), c\n")],
       [("sampler.py", "            key = addr, len(items)\n",
@@ -123,7 +127,13 @@ MUTANTS = [
     ("the weight memo keyed by the parent alone, not with its child count", False,
      [[("families.py", "    key = parent, c\n", "    key = parent\n")]]),
     ("the weight memo never cleared", False,
-     [[("families.py", "        if len(weights) >= WEIGHT_MEMO:\n            weights.clear()\n", "")]]),
+     [[("families.py", "            if len(weights) >= WEIGHT_MEMO:\n                weights.clear()\n",
+        "")],
+      [("families.py", "        if len(weights) >= WEIGHT_MEMO:\n            weights.clear()\n", "")]]),
+    # tbar's open slots, which binary growth runs too.  Before they deleted
+    # the used slots, they filtered a set of them, so it has no form there.
+    ("used slots deleted lowest first", False,
+     [[("families.py", "        for slot, _ in reversed(children):", "        for slot, _ in children:")]]),
     # labelprob's keep rule.  Before it, labelprob pushed from the trees it
     # rebuilt per new key, not from the enumerated shapes, so it has no form
     # there.

@@ -8,7 +8,10 @@ The three families are binary trees, ordered trees weighted by a variable m,
 and rooted subtrees of a fixed infinite ordered tree.  The infinite tree is
 never materialized: a branching oracle maps each vertex address to its child
 count (always finite and at least 1), and enumeration and sampling query it
-lazily, never deeper than the tree size they are producing.
+lazily, never deeper than the tree size they are producing.  The binary
+trees are the rooted subtrees of the complete binary tree, so the binary
+family is the tbar family on ``const:2``, with binary nodes in place of
+slotted ones; it keeps its own enumerator and its own walk for the summand.
 
 Enumerators yield each tree exactly once in lexicographic order of its
 canonical encoding, and they stream: all they hold is the chain of
@@ -27,12 +30,11 @@ size n follows from the sums of the smaller sizes by the root decomposition:
 the root's factor times the product of its children's sums, over the ways to
 fill the root by subtree sizes (an ordered root's sequence of children, the
 filled slots of a slotted root).  Every family takes one fold, the slotted
-one.  The binary trees are the rooted subtrees of the complete binary tree.
-An ordered tree with child counts c_v stands for the prod C(m, c_v) rooted
-subtrees of the complete m-ary tree that fill c_v slots at each v, so the
-ordered sums run on the complete n-ary tree, which has room for every child
-count of a tree on n vertices, with the weight C(m, k) where a group of q
-slots has C(q, k).  The fold uses only ``+`` and ``*`` on the values the
+one.  An ordered tree with child counts c_v stands for the prod C(m, c_v)
+rooted subtrees of the complete m-ary tree that fill c_v slots at each v, so
+the ordered sums run on the complete n-ary tree, which has room for every
+child count of a tree on n vertices, with the weight C(m, k) where a group
+of q slots has C(q, k).  The fold uses only ``+`` and ``*`` on the values the
 vertex factor and the weight return: ``hook_sizes`` folds Fractions and
 ``term_sizes`` a ``TermSum``, the sum with its number of shapes.  So
 ``term_sizes(n)``, which yields the sizes 1..n in turn, builds no tree and
@@ -277,8 +279,11 @@ def _tbar_factor(width: int | None, h: int) -> TermSum:
 # node (``node([])`` is a leaf), and the shape and growability checks.  A
 # weight depends on the parent's address and child count c alone, not on the
 # slot, the labels or the rest of the tree, so each family object keeps the
-# weights it has computed by (parent, c) (``_memo_weight``) and every tree one
-# command grows with it reads them from there.
+# weights its ``_rule`` has computed by (parent, c), in the one memo of the
+# base class ``_Memoized``, and every tree one command grows with it reads
+# them from there.  Binary growth is tbar's on ``const:2``: ``BinaryFamily``
+# inherits tbar's rules and changes only its shapes, nodes and shape check
+# (slot 0 is the left child, slot 1 the right), and its hook_term walk.
 # The hook-length summand hook_term(shape) is prod w_v/h_v, an exact value,
 # with h_v = node.size: growth lands on each of a shape's n!/prod h_v
 # increasing labelings with probability prod w_v.  Its per-vertex factor is
@@ -295,71 +300,32 @@ def _tbar_factor(width: int | None, h: int) -> TermSum:
 # user would change ("" when the label says it all).
 
 
-def _memo_weight(family: Family, parent: Address, c: int) -> Probability:
-    """``family._rule(parent, c)``, kept in ``family._weights``, which holds at
-    most ``WEIGHT_MEMO`` weights: a full memo is cleared before the next is
-    kept.  A rule that raises keeps nothing, so the next call raises again."""
-    weights = family._weights
-    key = parent, c
-    p = weights.get(key)
-    if p is None:
-        p = family._rule(parent, c)
-        if len(weights) >= WEIGHT_MEMO:
-            weights.clear()
-        weights[key] = p
-    return p
-
-
 @dataclass(frozen=True)
-class BinaryFamily:
-    label = "binary"
-    where = ""
+class _Memoized:
+    """A family's weights, each kept once its ``_rule`` computes it."""
+
     _weights: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def shapes(self, n: int) -> Iterator[BinaryTree]:
-        return enum_binary(n)
-
-    def open_slots(self, addr: Address, children) -> list[int]:
-        used = [slot for slot, _ in children]
-        return [slot for slot in (0, 1) if slot not in used]
-
-    def weight(self, parent: Address, c: int) -> Fraction:
-        """1 / 2^depth of the new vertex."""
-        return _memo_weight(self, parent, c)
-
-    def _rule(self, parent: Address, c: int) -> Fraction:
-        return Fraction(1, 2 << len(parent))
-
-    def node(self, children) -> BinaryTree:
-        kids = [None, None]
-        for slot, child in children:
-            kids[slot] = child
-        return BinaryTree(*kids)
-
-    def check_shape(self, shape: Tree) -> None:
-        if not isinstance(shape, BinaryTree):
-            raise FamilyConfigError("shape is not a binary tree")
-
-    def check_growable(self, n: int) -> None:
-        pass
-
-    def term_sizes(self, n: int) -> Iterator[TermSum]:
-        return slotted_term_sizes(_COMPLETE_BINARY, n, _tbar_factor)
-
-    def hook_sizes(self, n: int) -> Iterator[Fraction]:
-        return slotted_term_sizes(_COMPLETE_BINARY, n, _hook_factor)
-
-    def hook_term(self, shape: BinaryTree) -> Fraction:
-        """prod 1/(h_v * 2^(h_v-1)), the tbar summand at width 2."""
-        return Fraction(1, prod([TbarFamily.hook_den(2, node.size) for node in _subtrees(shape)]))
+    def weight(self, parent: Address, c: int) -> Probability:
+        """``self._rule(parent, c)``, kept in ``self._weights``, which holds at
+        most ``WEIGHT_MEMO`` weights: a full memo is cleared before the next is
+        kept.  A rule that raises keeps nothing, so the next call raises again."""
+        weights = self._weights
+        key = parent, c
+        p = weights.get(key)
+        if p is None:
+            p = self._rule(parent, c)
+            if len(weights) >= WEIGHT_MEMO:
+                weights.clear()
+            weights[key] = p
+        return p
 
 
 @dataclass(frozen=True)
-class OrderedFamily:
+class OrderedFamily(_Memoized):
     """Ordered trees; ``m`` is the weight value, None meaning symbolic."""
 
     m: Fraction | None = None
-    _weights: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     label = "ordered"
     where = ""
@@ -378,12 +344,9 @@ class OrderedFamily:
     def open_slots(self, addr: Address, children) -> range:
         return range(len(children) + 1)
 
-    def weight(self, parent: Address, c: int) -> Probability:
+    def _rule(self, parent: Address, c: int) -> Probability:
         """(m - c) / ((c + 1) * m^depth) with the depth of the new vertex;
         raises unless it lies in [0, 1]."""
-        return _memo_weight(self, parent, c)
-
-    def _rule(self, parent: Address, c: int) -> Probability:
         depth = len(parent) + 1
         if self.m is None:
             return RationalFunction.from_ints((-c, 1), c + 1, -depth)
@@ -451,9 +414,8 @@ class OrderedFamily:
 
 
 @dataclass(frozen=True)
-class TbarFamily:
+class TbarFamily(_Memoized):
     oracle: BranchingOracle
-    _weights: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     label = "tbar"
 
@@ -465,14 +427,13 @@ class TbarFamily:
         return enum_tbar(self.oracle, n)
 
     def open_slots(self, addr: Address, children) -> list[int]:
-        used = {slot for slot, _ in children}
-        return [slot for slot in range(self.oracle.child_count(addr)) if slot not in used]
-
-    def weight(self, parent: Address, c: int) -> Fraction:
-        """prod over proper ancestors x of the new vertex of 1 / cbar_x."""
-        return _memo_weight(self, parent, c)
+        free = list(range(self.oracle.child_count(addr)))
+        for slot, _ in reversed(children):  # highest first, so each index still holds its slot
+            del free[slot]
+        return free
 
     def _rule(self, parent: Address, c: int) -> Fraction:
+        """prod over proper ancestors x of the new vertex of 1 / cbar_x."""
         widths = 1
         for depth in range(len(parent) + 1):
             widths *= self.oracle.child_count(parent[:depth])
@@ -515,6 +476,34 @@ class TbarFamily:
         count = self.oracle.child_count
         return Fraction(1, prod([self.hook_den(count(addr), node.size)
                                  for addr, node in _preorder(shape) if node.children]))
+
+
+@dataclass(frozen=True)
+class BinaryFamily(TbarFamily):
+    """Binary trees: tbar's growth rules on the complete binary tree
+    ``const:2``, with slot 0 the left child and slot 1 the right."""
+
+    oracle: BranchingOracle = field(default=_COMPLETE_BINARY, init=False, repr=False)
+
+    label = "binary"
+    where = ""
+
+    def shapes(self, n: int) -> Iterator[BinaryTree]:
+        return enum_binary(n)
+
+    def node(self, children) -> BinaryTree:
+        kids = [None, None]
+        for slot, child in children:
+            kids[slot] = child
+        return BinaryTree(*kids)
+
+    def check_shape(self, shape: Tree) -> None:
+        if not isinstance(shape, BinaryTree):
+            raise FamilyConfigError("shape is not a binary tree")
+
+    def hook_term(self, shape: BinaryTree) -> Fraction:
+        """prod 1/(h_v * 2^(h_v-1)), the tbar summand at width 2."""
+        return Fraction(1, prod([self.hook_den(2, node.size) for node in _subtrees(shape)]))
 
 
 Family = Union[BinaryFamily, OrderedFamily, TbarFamily]

@@ -556,14 +556,14 @@ class TestSample:
         # seed, with their digests from perfbench/golden.json, under a memo
         # of two weights
         monkeypatch.setattr(families, "WEIGHT_MEMO", 2)
-        sizes, real = [], families._memo_weight
+        sizes, real = [], families._Memoized.weight
 
         def memo_weight(family, parent, c):
             p = real(family, parent, c)
             sizes.append(len(family._weights))
             return p
 
-        monkeypatch.setattr(families, "_memo_weight", memo_weight)
+        monkeypatch.setattr(families._Memoized, "weight", memo_weight)
         for argv, digest in (
             ("--family binary --n 24 --count 400 --seed 2517800461",
              "58f05ca32f1605afebaca4b184f146ea0600034b8b3c503a4bf8440556c07d67"),

@@ -5,7 +5,7 @@ import re
 from collections import Counter
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
-from itertools import islice
+from itertools import combinations, islice
 
 import pytest
 
@@ -569,3 +569,47 @@ class TestWeightMemo:
                 family.weight((), 5)
         assert family.weight((), 4) == Fraction(1, 45)
         assert list(family._weights) == [((), 4)]
+
+
+def slotted(t):
+    """A binary tree as the rooted subtree of the complete binary tree it is:
+    slot 0 is the left child, slot 1 the right."""
+    return SlottedTree(tuple((slot, slotted(child)) for slot, child in t.child_items()))
+
+
+class TestBinaryIsTbarOnConst2:
+    """Binary growth runs tbar's rules on const:2; hook_term keeps a walk of its own."""
+
+    def test_hook_term_matches_tbar_on_const_2(self):
+        binary, tbar = BinaryFamily(), TbarFamily(ConstantBranching(2))
+        for n in range(1, 9):
+            shapes = list(enum_binary(n))
+            assert {slotted(t).enc for t in shapes} == {t.enc for t in tbar.shapes(n)}
+            for t in shapes:
+                assert binary.hook_term(t) == tbar.hook_term(slotted(t)), t.enc
+
+    def test_the_family_object(self):
+        assert repr(BinaryFamily()) == "BinaryFamily()"
+        assert BinaryFamily() == BinaryFamily()
+        assert hash(BinaryFamily()) == hash(BinaryFamily())
+        assert BinaryFamily() != TbarFamily(ConstantBranching(2))
+        assert BinaryFamily().where == "" and BinaryFamily().label == "binary"
+        with pytest.raises(TypeError):
+            BinaryFamily(ConstantBranching(3))
+
+
+class TestTbarOpenSlots:
+    def test_every_set_of_used_slots(self):
+        for width in range(1, 7):
+            family = TbarFamily(ConstantBranching(width))
+            for k in range(width + 1):
+                for used in combinations(range(width), k):
+                    children = [(slot, SlottedTree()) for slot in used]
+                    assert family.open_slots((), children) == [
+                        s for s in range(width) if s not in used], (width, used)
+
+    def test_a_wide_vertex(self):
+        family = TbarFamily(ConstantBranching(10 ** 6))
+        children = [(5, SlottedTree()), (999, SlottedTree())]
+        assert family.open_slots((0,), children) == [
+            s for s in range(10 ** 6) if s not in (5, 999)]
