@@ -17,6 +17,13 @@ ROUNDS rounds over all rows, and reports each row's best and median round.
            (binary 400 trees, ordered m=24 100, tbar depth:2,3 200, seed 1)
            through ``cli.main`` with stdout discarded, each call with a
            fresh family object, from the best round
+  mc       the growth benchmark's three ``mc`` commands (criterion 10's
+           configurations at that benchmark's sample counts, with the seeds
+           perfbench/workloads.py derives from its default seed 1) through
+           ``cli.main`` with stdout discarded, each call with a fresh family
+           object, so a command's masses and table of growth histories are
+           timed with its draws.  A round runs each command ``repeats``
+           times in a row; the seconds reported are per command
   census   ``run_census`` on the three configurations of acceptance
            criterion 10 (200000 draws, seed 1) and on binary n=7 (50000
            draws over 5040 labeled trees, so building the table of growth
@@ -102,6 +109,7 @@ from hooklab.cli import VERIFY  # noqa: E402
 from hooklab.cli import main as cli_main  # noqa: E402
 from hooklab.sampler import _labeling_count  # noqa: E402
 from speed import SpeedClock  # noqa: E402
+from workloads import DEFAULT_SEED, MC_BINARY, MC_ORDERED, MC_TBAR  # noqa: E402
 
 ROUNDS = 5
 SAMPLES = 200_000  # criterion 10's
@@ -125,6 +133,13 @@ SAMPLE = [
         ("ordered m=24 n=24", "--family ordered --m 24 --n 24", 100),
         ("tbar depth:2,3 n=24", "--family tbar --oracle depth:2,3 --n 24", 200),
     ]
+]
+
+# (row, mc arguments, commands per round): the growth benchmark's mc commands
+MC = [
+    ("binary n=5", MC_BINARY.argv(DEFAULT_SEED), 10),
+    ("ordered m=10 n=4", MC_ORDERED.argv(DEFAULT_SEED), 20),
+    ("tbar depth:2,3 n=4", MC_TBAR.argv(DEFAULT_SEED), 20),
 ]
 
 # (row, family, n, draws, censuses per round); the first three are
@@ -313,6 +328,10 @@ def main() -> int:
                         trees_per_s=round(count / min(times[row])))
                    for row, argv, count in SAMPLE]
 
+    times = _rounds([(row, partial(_repeat, repeats, _passes, argv)) for row, argv, repeats in MC])
+    mc_rows = [_row(row, [t / repeats for t in times[row]], argv=argv, repeats=repeats)
+               for row, argv, repeats in MC]
+
     masses = {row: category_masses(family, n) for row, family, n, _, _ in CENSUS}
     times = _rounds([(row, partial(_repeat, repeats, run_census, family, n, draws, 1,
                                    masses[row]))
@@ -369,6 +388,7 @@ def main() -> int:
         "rounds": ROUNDS,
         "grow": grow_rows,
         "sample": sample_rows,
+        "mc": mc_rows,
         "census": census_rows,
         # criterion 10's three gates, best rounds
         "census_total_seconds": _s(sum(r["best_seconds"] for r in census_rows[:3])),

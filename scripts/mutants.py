@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Run the test suite against textual mutants of the hook folds, the weight
-memo that every family inherits from one base class, tbar's open slots and
-the growth kernel.
+memo that every family inherits from one base class, tbar's open slots, the
+growth kernel and the census table's draws.
 
 Each mutant below replaces one piece of source text.  For each, the script
 copies src/, tests/ and pyproject.toml to a fresh temporary directory,
@@ -100,6 +100,20 @@ MUTANTS = [
     ("no slot shift in insert_child", False,
      [[("families.py", "        later = [(s + 1, c) for s, c in later]\n",
         "        later = [(s, c) for s, c in later]\n")]]),
+    # The census table's draws.  Before they read their words in bulk, a
+    # draw called getrandbits(64) once per step, so only the first has a
+    # form there.  The third reads one chunk's words and then as many again,
+    # and keeps the first: every tree drawn within the chunk is the same.
+    ("the table's u < cut written u <= cut (bisect_left)", False,
+     [[("sampler.py", "                i = bisect_right(cuts, u)\n",
+        "                i = bisect_left(cuts, u)\n")],
+      [("sampler.py", "bisect_right(cuts, rng.getrandbits(64))",
+        "bisect_left(cuts, rng.getrandbits(64))")]]),
+    ("the table's words read big-endian", False,
+     [[("sampler.py", 'unpack(f"<{steps * k}Q"', 'unpack(f">{steps * k}Q"')]]),
+    ("one chunk's words over-drawn", False,
+     [[("sampler.py", "rng.randbytes(8 * steps * k)",
+        "rng.randbytes(8 * steps * (k + 1))[:8 * steps * k]")]]),
     ("children reversed in _Flat.tree", False,
      [[("sampler.py", "for s, c in self.kids[v]])", "for s, c in reversed(self.kids[v])])")]]),
     # No output changes: the shipped weights and open slots read only the

@@ -32,7 +32,8 @@ first site with u/2^64 < cum/D: its vertex by bisection, then its slot.
 That rule depends only on the value cum/D, not on the denominator that
 holds it, so the draws are those of the step's own lcm; the per-step bias
 is below 2^-64 with no floating point involved.  A census draws through
-``_Table``, the same step by site, with each state's cuts kept.
+``_Table``, the same step by site, with each state's cuts kept, reading one
+``randbytes`` call per chunk of draws as the ``getrandbits(64)`` words in turn.
 """
 
 from __future__ import annotations
@@ -41,8 +42,9 @@ import random
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, repeat
 from math import factorial, lcm, prod
+from struct import unpack
 from typing import Callable, Iterator, Optional
 
 from .families import Family, Probability, insert_child
@@ -271,13 +273,17 @@ def grow(family: Family, n: int, rng: random.Random,
     return flat.tree()
 
 
+_CHUNK = 128  # draws per randbytes call: a bounded buffer, few calls
+
+
 class _Table:
     """The growth histories to size ``n`` that draws reach, built as they do:
     a node is [cuts, kids, path], a leaf the labeled encoding.  ``path`` is
     the node's (vertex, slot) moves from the root, and ``kids`` holds a site's
     move until a draw first takes it.  A site's cut ceil((cum << 64) / D)
-    exceeds an integer u exactly when u/2^64 < cum/D, so ``draw`` lands where
-    ``grow`` would."""
+    exceeds an integer u exactly when u/2^64 < cum/D, so ``draws`` lands where
+    ``grow`` would: one ``randbytes`` call's little-endian 64-bit words are, in
+    CPython, the ``getrandbits(64)`` calls it replaces, in turn."""
 
     def __init__(self, family: Family, n: int):
         self.family, self.n = family, n
@@ -295,16 +301,25 @@ class _Table:
         cuts = [-((-cum << 64) // D) for _, _, cum in sites]
         return [cuts, [(v, slot) for v, slot, _ in sites], path]
 
-    def draw(self, rng: random.Random) -> str:
-        """One tree's encoding: per step one 64-bit integer, one bisection."""
-        node = self.root
-        for _ in range(self.n - 1):
-            cuts, kids, path = node
-            i = bisect_right(cuts, rng.getrandbits(64))
-            node = kids[i]  # the last cut is 2^64 > u; past it, IndexError
-            if type(node) is tuple:  # a move not yet taken
-                node = kids[i] = self._node(path + (node,))
-        return node
+    def draws(self, rng: random.Random, count: int) -> Iterator[str]:
+        """``count`` trees' encodings: per step one 64-bit word, one bisection."""
+        root, steps = self.root, self.n - 1
+        if not steps:
+            yield from repeat(root, count)
+            return
+        node = root
+        for done in range(0, count, _CHUNK):
+            k = min(_CHUNK, count - done)
+            for u in unpack(f"<{steps * k}Q", rng.randbytes(8 * steps * k)):
+                cuts, kids, path = node
+                i = bisect_right(cuts, u)
+                node = kids[i]  # the last cut is 2^64 > u
+                if type(node) is not list:  # most steps reach a built inner node
+                    if type(node) is tuple:  # a move not yet taken
+                        node = kids[i] = self._node(path + (node,))
+                    if type(node) is str:
+                        yield node
+                        node = root
 
 
 def shape_probability(shape: Tree, family: Family) -> Probability:

@@ -2,9 +2,9 @@
 
 A census enumerates every reachable labeled tree of a family at size n with
 its exact probability, its shape's closed form ``shape_probability``,
-draws N samples through a table of growth histories, and tallies observed
-counts per labeled tree (the finest possible categories).  A chi-squared
-test then compares observed against N * p.
+draws N samples through a table of growth histories, a block at a time, and
+tallies observed counts per labeled tree (the finest possible categories).
+A chi-squared test then compares observed against N * p.
 
 Sampling is deterministic for a fixed (seed, n, family, N): samples are
 split into fixed-size blocks, and each block gets its own generator seeded
@@ -88,8 +88,9 @@ def run_census(
     seed: int,
     masses: Optional[dict[str, Fraction]] = None,
 ) -> Census:
-    """Draw ``samples`` trees through one ``sampler._Table`` and tally them
-    against the exact masses: ``masses`` when the caller already has
+    """Draw ``samples`` trees through one ``sampler._Table``, one
+    ``_Table.draws`` call per block on the block's own generator, and tally
+    them against the exact masses: ``masses`` when the caller already has
     ``category_masses(family, n)``, which the exhaustive path computes here
     otherwise."""
     if samples < 1:
@@ -99,9 +100,8 @@ def run_census(
         masses = category_masses(family, n)
     tally: Counter = Counter()
     for block in range((samples + BLOCK_SIZE - 1) // BLOCK_SIZE):
-        rng = _block_rng(seed, block)
-        for _ in range(min(BLOCK_SIZE, samples - block * BLOCK_SIZE)):
-            tally[table.draw(rng)] += 1
+        tally.update(table.draws(_block_rng(seed, block),
+                                 min(BLOCK_SIZE, samples - block * BLOCK_SIZE)))
     unknown = set(tally) - set(masses)
     if unknown:
         raise ConsistencyError(f"sampler produced trees outside the census: {sorted(unknown)[:3]}")

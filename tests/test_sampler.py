@@ -7,6 +7,7 @@ from dataclasses import replace
 from fractions import Fraction
 from itertools import accumulate
 from math import factorial, prod
+from struct import pack, unpack
 
 import pytest
 from hypothesis import given, settings
@@ -44,7 +45,8 @@ from hooklab import (
 )
 from hooklab import families, identities
 from hooklab.exact import RationalFunction
-from hooklab.sampler import _Flat, _grown, _grown_keys, _labeling_count, _site_total, _Table
+from hooklab.sampler import (_CHUNK, _Flat, _grown, _grown_keys, _labeling_count, _site_total,
+                             _Table)
 
 BINARY = BinaryFamily()
 SYMBOLIC = OrderedFamily()
@@ -391,13 +393,45 @@ class TestLabelingCount:
 
 
 class FixedRandom:
-    """Draws the same 64-bit value ``u`` every time."""
+    """Draws the same 64-bit value ``u`` every time; ``reads`` counts its
+    ``randbytes`` calls."""
 
     def __init__(self, u):
-        self.u = u
+        self.u, self.reads = u, 0
 
     def getrandbits(self, k):
         return self.u
+
+    def randbytes(self, k):
+        self.reads += 1
+        return self.u.to_bytes(8, "little") * (k // 8)
+
+
+class ScriptedRandom:
+    """Draws the 64-bit words ``words`` in turn, by either call."""
+
+    def __init__(self, words):
+        self.words = iter(words)
+
+    def getrandbits(self, k):
+        return next(self.words)
+
+    def randbytes(self, k):
+        return pack(f"<{k // 8}Q", *[next(self.words) for _ in range(k // 8)])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2 ** 40 + 3])
+@pytest.mark.parametrize("k", [1, 2, 1000])
+def test_randbytes_reads_as_successive_64_bit_words(seed, k):
+    # the census draws read one randbytes call as getrandbits(64) calls, in turn
+    ours, theirs = random.Random(seed), random.Random(seed)
+    words = unpack(f"<{k}Q", ours.randbytes(8 * k))
+    assert words == tuple(theirs.getrandbits(64) for _ in range(k)), (
+        "random.Random.randbytes(8k) is not k getrandbits(64) words, little-endian, on this "
+        "interpreter; sampler._Table.draws rests on that, so census tallies would change")
+    assert ours.getrandbits(64) == theirs.getrandbits(64), (
+        "random.Random.randbytes(8k) does not advance the generator by k getrandbits(64) calls "
+        "on this interpreter; sampler._Table.draws rests on that")
 
 
 class TestGrow:
@@ -621,8 +655,30 @@ class TestTable:
                 table = _Table(family, n)
                 for seed in range(200):
                     ours, theirs = random.Random(seed), random.Random(seed)
-                    assert table.draw(ours) == grow(family, n, theirs).enc, (family, n, seed)
+                    assert list(table.draws(ours, 1)) == [grow(family, n, theirs).enc], (
+                        family, n, seed)
                     assert ours.getrandbits(64) == theirs.getrandbits(64)
+
+    @pytest.mark.parametrize("count", [_CHUNK + 1, 3 * _CHUNK])
+    def test_draws_across_chunks_are_one_grow_each(self, mixed_oracle, count):
+        for family, n_max in self.cases(mixed_oracle):
+            for n in (2, n_max):
+                ours, theirs = random.Random(n), random.Random(n)
+                assert list(_Table(family, n).draws(ours, count)) == [
+                    grow(family, n, theirs).enc for _ in range(count)], (family, n)
+                assert ours.getrandbits(64) == theirs.getrandbits(64), (family, n)
+
+    def test_a_root_word_at_or_just_below_a_cut_takes_the_exact_rule_site(self, mixed_oracle):
+        # a word equal to a cut belongs to the next site; random words almost never are one
+        for family, n_max in self.cases(mixed_oracle):
+            for n in range(2, n_max + 1):
+                table = _Table(family, n)
+                cuts = table.root[0]
+                for u in sorted({*(c - 1 for c in cuts), *cuts[:-1]}):
+                    words = [u] + [0] * (n - 2)
+                    expected = reference_grow(family, n, ScriptedRandom(words), []).enc
+                    assert list(table.draws(ScriptedRandom(words), 1)) == [expected], (
+                        family, n, u)
 
     def build(self, table, node, visit):
         """Build every node below ``node``, calling visit on each internal one."""
@@ -670,14 +726,18 @@ class TestTable:
             assert len(calls) == len(nodes) == sum(
                 len(list(enumerate_labelings(BINARY, k))) for k in range(1, n))
 
-    def test_a_draw_past_the_last_cut_raises(self):
-        table = _Table(BINARY, 3)
-        with pytest.raises(IndexError):
-            table.draw(FixedRandom(2 ** 64))
+    def test_the_largest_word_takes_the_last_site_at_every_step(self, mixed_oracle):
+        assert list(_Table(BINARY, 3).draws(FixedRandom(2 ** 64 - 1), 2)) == [
+            "(:1.,(:2.,(:3.,.)))"] * 2
+        for family, n_max in self.cases(mixed_oracle):
+            for n in range(1, n_max + 1):
+                assert list(_Table(family, n).draws(FixedRandom(2 ** 64 - 1), 3)) == [
+                    grow(family, n, FixedRandom(2 ** 64 - 1)).enc] * 3, (family, n)
 
     def test_a_single_vertex_draws_nothing(self):
-        table = _Table(BINARY, 1)
-        assert table.draw(FixedRandom(None)) == "(:1.,.)"
+        table, rng = _Table(BINARY, 1), FixedRandom(None)
+        assert list(table.draws(rng, 3)) == ["(:1.,.)"] * 3
+        assert rng.reads == 0
 
     def test_size_and_growability_are_checked(self):
         with pytest.raises(ValueError, match="at least 1"):
@@ -692,7 +752,8 @@ class TestTable:
         # at (:1(:2.,.),.) the sites weigh 1/2 + 2 * scale/4; grow's step raises there too
         monkeypatch.setattr(BinaryFamily, "weight", lambda self, parent, c: real(self, parent, c)
                             * (scale if parent else 1))
-        for draw in (_Table(BINARY, 4).draw, lambda rng: grow(BINARY, 4, rng)):
+        for draw in (lambda rng: list(_Table(BINARY, 4).draws(rng, 1)),
+                     lambda rng: grow(BINARY, 4, rng)):
             with pytest.raises(ConsistencyError, match=rf"^site masses sum to {mass}, not 1, "
                                r"growing binary trees to n=4 at \(:1\(:2\.,\.\),\.\)$"):
                 draw(FixedRandom(0))
